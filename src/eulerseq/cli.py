@@ -52,7 +52,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--i", type=int)
     ana.add_argument("--order", type=int)
     ana.add_argument("--k-max", type=int, default=0, help="largest k for the k-error profile")
-    ana.add_argument("--budget", type=int, default=complexity.DEFAULT_PATTERN_BUDGET)
+    ana.add_argument(
+        "--budget",
+        type=int,
+        default=complexity.DEFAULT_PATTERN_BUDGET,
+        help="error-pattern budget for exhaustive k-error search "
+        "(used only for periods without the structural engine)",
+    )
     ana.add_argument("--format", choices=["text", "json"], default="text")
 
     ver = sub.add_parser("verify", help="run a named property suite")
@@ -137,20 +143,12 @@ def _analyze_sequence(seq, meta, args) -> complexity.ComplexityReport:
             and complexity.two_is_primitive_root_mod_p2(meta["p"])
         ):
             m = PrimePowerModulus(meta["p"], meta["r"])
-            theorem = complexity.kerror_profile(
-                seq, m, args.I, args.k_max, budget=args.budget
-            )
+            theorem = complexity.kerror_profile(seq, m, args.I, args.k_max)
             report.kerror_profile = theorem.kerror_profile
         else:
-            profile = []
-            bound = lc
-            for k in range(args.k_max + 1):
-                try:
-                    bound = complexity.kerror_lc_bruteforce(seq, k, budget=args.budget)
-                    profile.append((k, bound, True))
-                except complexity.PatternBudgetExceeded:
-                    profile.append((k, bound, False))
-            report.kerror_profile = profile
+            report.kerror_profile = complexity.kerror_lc_profile(
+                seq, args.k_max, budget=args.budget
+            )
     return report
 
 

@@ -3,16 +3,23 @@
 Two independent linear-complexity implementations are provided and
 cross-checked: Berlekamp-Massey (performance path) and the gcd formula
 LC = T - deg gcd(X^T - 1, S(X)) on dense polynomials (audited reference).
-k-error linear complexity over F_2 is computed exactly by exhaustive error
-pattern search under a pattern budget, using bitmask F_2[X] arithmetic
-internally, and compared against the piecewise-constant profile predicted
-for binary class sequences when 2 is a primitive root modulo p^2.
+k-error linear complexity over F_2 has one entry point, kerror_lc_profile.
+For a period p^n (p an odd prime) with 2 a primitive root modulo p^n it runs
+a cost-carrying block recursion that is exact for every k; for any other
+period it runs one exhaustive error-pattern pass under a pattern budget,
+using bitmask F_2[X] arithmetic. An entry is "exact" when one of these two
+proven engines computed it. Exhaustive search also stays available as the
+named oracle kerror_lc_bruteforce. Profiles of binary class sequences are
+compared against the piecewise-constant profile predicted when 2 is a
+primitive root modulo p^2.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .fieldarith import PrimeField, Polynomial, multiplicative_order, poly_gcd
@@ -128,7 +135,7 @@ def _pattern_count(period: int, k: int) -> int:
     return sum(math.comb(period, w) for w in range(k + 1))
 
 
-def _min_lc_at_weight(mask: int, period: int, w: int, floor: int = 0) -> int:
+def _min_lc_at_weight(mask: int, period: int, w: int) -> int:
     """Minimum LC over all error patterns of weight exactly w."""
     best = None
     for positions in itertools.combinations(range(period), w):
@@ -138,7 +145,7 @@ def _min_lc_at_weight(mask: int, period: int, w: int, floor: int = 0) -> int:
         lc = lc_binary(mask ^ e, period)
         if best is None or lc < best:
             best = lc
-            if best <= floor:
+            if best == 0:
                 break
     return best
 
@@ -165,6 +172,91 @@ def kerror_lc_bruteforce(
             break
         best = min(best, _min_lc_at_weight(mask, seq.period, w))
     return best
+
+
+def _structural_prime(period: int) -> int | None:
+    """The odd prime p when period = p^n and 2 is a primitive root mod p^n.
+
+    Then every cyclotomic factor of X^period - 1 is irreducible over F_2,
+    which is what the block recursion of _kerror_lc_pn needs.
+    """
+    if period < 3:
+        return None
+    p = next(d for d in range(2, period + 1) if period % d == 0)
+    rest = period
+    while rest % p == 0:
+        rest //= p
+    if p == 2 or rest != 1:
+        return None
+    if multiplicative_order(2, period) != period - period // p:
+        return None
+    return p
+
+
+def _kerror_lc_pn(bits: Sequence[int], p: int, k: int) -> int:
+    """Exact k-error LC over F_2 of a p^n-periodic sequence, 2 primitive mod p^n.
+
+    Block recursion for p^n-periodic LC (Xiao, Wei, Lam, Imamura, IEEE
+    Trans. IT 46, 2000) carrying flip costs as in Stamp and Martin (IEEE
+    Trans. IT 39, 1993). With period pM and blocks A_0..A_{p-1} of length M,
+    LC = LC(A_0) when all blocks are equal and (p-1)M + LC(A_0 + ... +
+    A_{p-1}) otherwise. Equal blocks leave LC <= M < (p-1)M, so making them
+    equal is optimal whenever the remaining k pays for it. cost[i] is the
+    number of original flips needed to flip bits[i].
+    """
+    cost = [1] * len(bits)
+    lc = 0
+    while len(bits) > 1:
+        m = len(bits) // p
+        to0 = []  # cost of making column i all 0
+        to1 = []
+        for i in range(m):
+            col_cost = cost[i::m]
+            ones = sum(c for b, c in zip(bits[i::m], col_cost) if b)
+            to0.append(ones)
+            to1.append(sum(col_cost) - ones)
+        spend = sum(map(min, to0, to1))
+        if spend <= k:
+            k -= spend
+            bits = [int(c1 < c0) for c0, c1 in zip(to0, to1)]
+            cost = [abs(c1 - c0) for c0, c1 in zip(to0, to1)]
+        else:
+            lc += (p - 1) * m
+            bits = [sum(bits[i::m]) & 1 for i in range(m)]
+            cost = [min(cost[i::m]) for i in range(m)]
+    return lc + (bits[0] == 1 and cost[0] > k)
+
+
+def kerror_lc_profile(
+    seq: PeriodicSequence, k_max: int, budget: int = DEFAULT_PATTERN_BUDGET
+) -> list[tuple[int, int, bool]]:
+    """k-error LC of a binary sequence as (k, lc_k, exact) for k = 0..k_max.
+
+    The period alone picks the engine. A period p^n with 2 a primitive root
+    modulo p^n gets the structural block recursion, and every entry is
+    exact. Any other period gets one incremental exhaustive pass: weight w
+    is searched once and serves every k >= w. Once the patterns searched
+    would exceed the budget, the remaining entries are inexact and carry
+    the last exact value, which is an upper bound.
+    """
+    if seq.alphabet_size != 2:
+        raise ValueError("binary sequence required")
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    p = _structural_prime(seq.period)
+    if p is not None:
+        return [(k, _kerror_lc_pn(seq.symbols, p, k), True) for k in range(k_max + 1)]
+    mask = _seq_mask(seq)
+    best = lc_binary(mask, seq.period)
+    profile = [(0, best, True)]
+    consumed = 1
+    for k in range(1, k_max + 1):
+        consumed += math.comb(seq.period, k)
+        exact = consumed <= budget
+        if exact and best > 0:
+            best = min(best, _min_lc_at_weight(mask, seq.period, k))
+        profile.append((k, best, exact))
+    return profile
 
 
 @dataclass(frozen=True)
@@ -217,6 +309,7 @@ def constructive_error_pattern(m: PrimePowerModulus, kind: str) -> ErrorPattern:
 
 # --- theorem profile for binary class sequences ---------------------------
 
+@functools.lru_cache(maxsize=64)
 def two_is_primitive_root_mod_p2(p: int) -> bool:
     return multiplicative_order(2, p * p) == p * (p - 1)
 
@@ -225,11 +318,23 @@ def theorem_kerror_lc(m: PrimePowerModulus, index_size: int, k: int) -> int:
     """Predicted k-error LC of the binary class sequence, |I| = index_size.
 
     Valid when 2 is a primitive root modulo p^2, r >= 2 and
-    1 <= |I| <= (p-1)/2. The zero branch starts at the sequence weight
-    p^{r-1}(p-1)|I| (the theorem display's "(p-1)|I|" threshold disagrees
-    with its proof; the proof's threshold is used).
+    1 <= |I| <= (p-1)/2; raises ValueError otherwise. The zero branch starts
+    at the sequence weight p^{r-1}(p-1)|I| (the theorem display's "(p-1)|I|"
+    threshold disagrees with its proof; the proof's threshold is used).
     """
     p, r = m.p, m.r
+    if r < 2:
+        raise ValueError(f"theorem profile needs r >= 2, got r={r}")
+    if not 1 <= index_size <= (p - 1) // 2:
+        raise ValueError(
+            f"index set size {index_size} outside [1, (p-1)/2 = {(p - 1) // 2}]"
+        )
+    if not two_is_primitive_root_mod_p2(p):
+        raise ValueError(
+            f"2 is not a primitive root modulo {p}^2 "
+            f"(order {multiplicative_order(2, p * p)} != {p * (p - 1)}); "
+            "no profile asserted"
+        )
     weight = p ** (r - 1) * (p - 1) * index_size
     if k >= weight:
         return 0
@@ -246,8 +351,10 @@ def theorem_kerror_lc(m: PrimePowerModulus, index_size: int, k: int) -> int:
 class ComplexityReport:
     """Linear complexity result with an optional k-error profile.
 
-    kerror_profile entries are (k, lc_k, exact); exact means confirmed by
-    exhaustive search, otherwise lc_k is a theorem/constructive value.
+    kerror_profile entries are (k, lc_k, exact); exact means computed by a
+    proven exact engine (the structural recursion or exhaustive search).
+    An inexact lc_k is an upper bound: the last exact value before the
+    exhaustive search ran out of pattern budget.
     """
 
     sequence_id: dict
@@ -272,60 +379,32 @@ def kerror_profile(
     m: PrimePowerModulus,
     levels,
     k_max: int,
-    budget: int = DEFAULT_PATTERN_BUDGET,
 ) -> ComplexityReport:
-    """k-error LC profile of a binary class sequence, theorem plus brute force.
+    """k-error LC profile of a binary class sequence, checked against the theorem.
 
-    Requires 2 primitive modulo p^2, r >= 2 and 1 <= |I| <= (p-1)/2. Each
-    profile entry carries the theorem value; entries whose exhaustive
-    confirmation fits the pattern budget are marked exact. A disagreement
-    between brute force and the theorem raises RuntimeError.
+    Requires 2 primitive modulo p^2, r >= 2 and 1 <= |I| <= (p-1)/2, which
+    theorem_kerror_lc enforces. The period p^{r+1} then takes the structural
+    engine of kerror_lc_profile, so every entry is exact. A disagreement
+    between the computed profile and the theorem raises RuntimeError.
     """
     members = validate_index_set(m.p, levels, enforce_half=True)
-    if m.r < 2:
-        raise ValueError(f"theorem profile needs r >= 2, got r={m.r}")
-    if not two_is_primitive_root_mod_p2(m.p):
-        order = multiplicative_order(2, m.p * m.p)
-        raise ValueError(
-            f"2 is not a primitive root modulo {m.p}^2 "
-            f"(order {order} != {m.p * (m.p - 1)}); no profile asserted"
-        )
+    lc0_predicted = theorem_kerror_lc(m, len(members), 0)
     expected = binary_class_sequence(m, members)
     if seq.symbols != expected.symbols:
         raise ValueError("sequence is not the binary class sequence for (p, r, I)")
 
     lc0 = lc_via_gcd(seq, PrimeField(2))
-    if lc0 != theorem_kerror_lc(m, len(members), 0):
-        raise RuntimeError(
-            f"LC {lc0} contradicts predicted {theorem_kerror_lc(m, len(members), 0)}"
-        )
+    if lc0 != lc0_predicted:
+        raise RuntimeError(f"LC {lc0} contradicts predicted {lc0_predicted}")
 
-    mask = _seq_mask(seq)
-    profile: list[tuple[int, int, bool]] = []
-    running_min = lc0
-    consumed = 1
-    exhausted = False
-    for k in range(k_max + 1):
+    profile = kerror_lc_profile(seq, k_max)
+    for k, lc, _ in profile:
         predicted = theorem_kerror_lc(m, len(members), k)
-        if k > 0 and not exhausted:
-            cost = math.comb(seq.period, k)
-            if consumed + cost > budget:
-                exhausted = True
-            else:
-                consumed += cost
-                if running_min > 0:
-                    running_min = min(
-                        running_min, _min_lc_at_weight(mask, seq.period, k)
-                    )
-        if exhausted:
-            profile.append((k, predicted, False))
-        else:
-            if running_min != predicted:
-                raise RuntimeError(
-                    f"brute force LC_{k} = {running_min} contradicts "
-                    f"predicted {predicted} at (p={m.p}, r={m.r}, I={sorted(members)})"
-                )
-            profile.append((k, predicted, True))
+        if lc != predicted:
+            raise RuntimeError(
+                f"computed LC_{k} = {lc} contradicts "
+                f"predicted {predicted} at (p={m.p}, r={m.r}, I={sorted(members)})"
+            )
     return ComplexityReport(
         sequence_id={
             "p": m.p,

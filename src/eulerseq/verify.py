@@ -108,7 +108,7 @@ def suite_lemmas(p: int, r: int, seed: int = 0) -> list[CheckResult]:
 
 
 def suite_klc(p: int, r: int, seed: int = 0) -> list[CheckResult]:
-    """k-error profile of the I={0} class sequence against brute force."""
+    """k-error profile of the I={0} class sequence against the theorem."""
     if not two_is_primitive_root_mod_p2(p):
         order = multiplicative_order(2, p * p)
         return [
@@ -132,7 +132,7 @@ def suite_klc(p: int, r: int, seed: int = 0) -> list[CheckResult]:
             f"klc at (p={p}, r={r})",
             True,
             f"profile for k <= {weight} matches "
-            f"({exact}/{len(report.kerror_profile)} entries brute-force exact)",
+            f"({exact}/{len(report.kerror_profile)} entries exact)",
         )
     ]
 

@@ -14,8 +14,10 @@ from eulerseq.complexity import (
     check_root_group_lemmas,
     constructive_error_pattern,
     kerror_lc_bruteforce,
+    kerror_lc_profile,
     kerror_profile,
     lc_via_gcd,
+    theorem_kerror_lc,
 )
 from eulerseq.fieldarith import PrimeField, multiplicative_order
 from eulerseq.quotients import (
@@ -59,9 +61,15 @@ def test_criterion_2_full_kerror_profile_p3():
     rep = kerror_profile(f, m, {0}, k_max=6)
     values = [lc for _, lc, _ in rep.kerror_profile]
     all_exact = all(exact for _, _, exact in rep.kerror_profile)
+    brute = [kerror_lc_bruteforce(f, k) for k in range(7)]
     want = [20, 20, 20, 19, 19, 19, 0]
-    ok = values == want and all_exact
-    report(2, ok, f"profile {values} (want {want}), brute-force exact: {all_exact}")
+    ok = values == want and all_exact and brute == want
+    report(
+        2,
+        ok,
+        f"profile {values} (want {want}), all exact: {all_exact}, "
+        f"exhaustive search {brute}",
+    )
 
 
 def test_criterion_3_partial_verification_p5_odd():
@@ -224,3 +232,46 @@ def test_criterion_10_oracle_equivalence():
         if berlekamp_massey(seq, fp) != lc_via_gcd(seq, fp):
             disagreements += 1
     report(10, disagreements == 0, f"500 random sequences, {disagreements} disagreements")
+
+
+def test_criterion_11_full_profiles_at_scale():
+    """Every profile entry exact and equal to the theorem, k = 0..weight."""
+    cases = [(5, 2, {0}), (5, 2, {0, 1}), (13, 2, {4})]
+    mismatches = {}
+    for p, r, levels in cases:
+        m = PrimePowerModulus(p, r)
+        f = binary_class_sequence(m, levels)
+        rep = kerror_profile(f, m, levels, k_max=f.weight)
+        want = [theorem_kerror_lc(m, len(levels), k) for k in range(f.weight + 1)]
+        got = [lc for _, lc, exact in rep.kerror_profile if exact]
+        if got != want:
+            mismatches[(p, r, tuple(sorted(levels)))] = got
+    report(
+        11,
+        not mismatches,
+        f"full exact profiles at {[(p, r, sorted(I)) for p, r, I in cases]}: "
+        f"mismatches={mismatches}",
+    )
+
+
+def test_criterion_12_engine_follows_period():
+    """Periods p^n with 2 primitive mod p^n are exact under any budget;
+    periods 49 and 343 (ord(2 mod 49) = 21) fall back to budgeted search."""
+    budget = 1  # exhaustive search gets k = 0 only
+    structural = {}
+    for period in (27, 125, 1331):
+        seq = PeriodicSequence(2, period, (1,) * 3 + (0,) * (period - 3))
+        structural[period] = [e for _, _, e in kerror_lc_profile(seq, 3, budget)]
+    exhaustive = {}
+    for period in (49, 343):
+        seq = PeriodicSequence(2, period, (1,) * 3 + (0,) * (period - 3))
+        exhaustive[period] = [e for _, _, e in kerror_lc_profile(seq, 3, budget)]
+    ok = all(flags == [True] * 4 for flags in structural.values()) and all(
+        flags == [True, False, False, False] for flags in exhaustive.values()
+    )
+    report(
+        12,
+        ok,
+        f"exact flags at budget {budget}: structural {structural}, "
+        f"exhaustive {exhaustive}",
+    )

@@ -103,18 +103,23 @@ class TestAnalyze:
         assert "line 2" in stderr
 
     def test_budget_exceeded_partial_report(self, tmp_path, capsys):
+        # period 343: 2 has order 21 mod 49, so k-error LC comes from budgeted
+        # exhaustive search, which covers k <= 1 (344 patterns) within 1000
         f = tmp_path / "s.txt"
         run(
-            capsys, "generate", "--p", "3", "--r", "2", "--kind", "threshold",
-            "--out", str(f),
+            capsys, "generate", "--p", "7", "--r", "2", "--kind", "class",
+            "--I", "0", "--out", str(f),
         )
         code, stdout, _ = run(
-            capsys, "analyze", "--file", str(f), "--k-max", "4",
-            "--budget", "50", "--format", "json",
+            capsys, "analyze", "--file", str(f), "--k-max", "3",
+            "--budget", "1000", "--format", "json",
         )
         assert code == 0
         doc = json.loads(stdout)
-        assert any(not e["exact"] for e in doc["kerror"])
+        assert [e["exact"] for e in doc["kerror"]] == [True, True, False, False]
+        # inexact entries carry LC_1, reached with one error: an upper bound
+        lc1 = doc["kerror"][1]["lc"]
+        assert [e["lc"] for e in doc["kerror"][2:]] == [lc1, lc1]
 
 
 class TestVerify:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerseq.complexity import (
     ComplexityReport,
@@ -11,6 +13,7 @@ from eulerseq.complexity import (
     check_root_group_lemmas,
     constructive_error_pattern,
     kerror_lc_bruteforce,
+    kerror_lc_profile,
     kerror_profile,
     lc_binary,
     lc_via_gcd,
@@ -193,15 +196,78 @@ class TestTheoremProfile:
             kerror_profile(f, m, {0}, k_max=2)
 
     def test_budget_exhaustion_marks_inexact(self):
-        m = PrimePowerModulus(3, 2)
+        # 2 has order 21 mod 49, so period 343 has no structural engine and
+        # the profile comes from budgeted exhaustive search.
+        m = PrimePowerModulus(7, 2)
         f = binary_class_sequence(m, {0})
-        report = kerror_profile(f, m, {0}, k_max=6, budget=100)
-        exact_flags = [exact for _, _, exact in report.kerror_profile]
-        assert exact_flags[0] and not all(exact_flags)
-        # values still the theorem values
-        assert [lc for _, lc, _ in report.kerror_profile] == [
-            20, 20, 20, 19, 19, 19, 0,
+        profile = kerror_lc_profile(f, k_max=3, budget=1000)  # 1 + 343 patterns fit
+        assert [exact for _, _, exact in profile] == [True, True, False, False]
+        lc1 = kerror_lc_bruteforce(f, 1)
+        assert profile[0][1] == lc_via_gcd(f, F2)
+        assert profile[1][1] == lc1
+        # an inexact entry carries the last exact value: LC_1 is achieved
+        # with one error, so it bounds LC_2 and LC_3 from above
+        assert [lc for _, lc, _ in profile[2:]] == [lc1, lc1]
+
+    def test_theorem_requires_r2(self):
+        with pytest.raises(ValueError, match="r >= 2"):
+            theorem_kerror_lc(PrimePowerModulus(3, 1), 1, 0)
+
+    @pytest.mark.parametrize("p,size", [(3, 0), (3, 2), (5, 3)])
+    def test_theorem_requires_index_size_in_range(self, p, size):
+        with pytest.raises(ValueError, match="index set size"):
+            theorem_kerror_lc(PrimePowerModulus(p, 2), size, 0)
+
+    def test_theorem_requires_two_primitive_mod_p2(self):
+        with pytest.raises(ValueError, match="primitive root modulo 7\\^2"):
+            theorem_kerror_lc(PrimePowerModulus(7, 2), 1, 0)
+
+
+QUALIFYING_PERIODS = (3, 9, 27, 81, 5, 25, 11, 13)  # p^n with 2 primitive mod p^n
+
+
+@st.composite
+def qualifying_sequences(draw):
+    period = draw(st.sampled_from(QUALIFYING_PERIODS))
+    symbols = draw(st.lists(st.integers(0, 1), min_size=period, max_size=period))
+    return PeriodicSequence(2, period, tuple(symbols))
+
+
+class TestStructuralKError:
+    """The structural engine of kerror_lc_profile against independent engines.
+
+    A budget of 1 pattern leaves every k >= 1 entry inexact on the
+    exhaustive path, so an all-exact profile shows the structural engine ran.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(qualifying_sequences())
+    def test_matches_exhaustive_search(self, seq):
+        # exhaustive k = 3 at period 81 takes seconds per example; it is
+        # covered once by test_matches_exhaustive_search_k3_period_81
+        k_max = 2 if seq.period == 81 else 3
+        profile = kerror_lc_profile(seq, k_max, budget=1)
+        assert all(exact for _, _, exact in profile)
+        assert [lc for _, lc, _ in profile] == [
+            kerror_lc_bruteforce(seq, k) for k in range(k_max + 1)
         ]
+
+    def test_matches_exhaustive_search_k3_period_81(self):
+        rng = random.Random(81)
+        seq = PeriodicSequence(2, 81, tuple(rng.randrange(2) for _ in range(81)))
+        lc3 = kerror_lc_profile(seq, 3, budget=1)[3]
+        assert lc3 == (3, kerror_lc_bruteforce(seq, 3), True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(qualifying_sequences())
+    def test_profile_shape(self, seq):
+        profile = kerror_lc_profile(seq, seq.period, budget=1)
+        assert all(exact for _, _, exact in profile)
+        values = [lc for _, lc, _ in profile]
+        mask = sum(b << i for i, b in enumerate(seq.symbols))
+        assert values[0] == lc_binary(mask, seq.period) == lc_via_gcd(seq, F2)
+        assert values == sorted(values, reverse=True)
+        assert all(lc == 0 for lc in values[seq.weight:])
 
 
 class TestComplexityReportSerialization:
