@@ -10,12 +10,23 @@ import argparse
 import json
 import sys
 
-import sympy
-
 from . import complexity, sequences, verify
-from .fieldarith import PrimeField
 from .quotients import PrimePowerModulus
 from .sequences import SequenceParseError
+
+
+_KINDS = ["class", "balanced", "threshold", "level", "mary", "fermat-order"]
+
+
+def _add_sequence_args(parser: argparse.ArgumentParser, required: bool) -> None:
+    """The options that describe a generated sequence."""
+    parser.add_argument("--p", type=int, required=required, help="odd prime base")
+    parser.add_argument("--r", type=int, default=1, help="prime power exponent")
+    parser.add_argument("--kind", required=required, choices=_KINDS)
+    parser.add_argument("--I", type=int, nargs="+", help="level index set for class kinds")
+    parser.add_argument("--j", type=int, help="level index for kind=level")
+    parser.add_argument("--i", type=int, help="quotient order for kind=fermat-order")
+    parser.add_argument("--order", type=int, help="character order for kind=mary")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -26,31 +37,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="construct a sequence and write it to a file")
-    gen.add_argument("--p", type=int, required=True, help="odd prime base")
-    gen.add_argument("--r", type=int, default=1, help="prime power exponent")
-    gen.add_argument(
-        "--kind",
-        required=True,
-        choices=["class", "balanced", "threshold", "level", "mary", "fermat-order"],
-    )
-    gen.add_argument("--I", type=int, nargs="+", help="level index set for class kinds")
-    gen.add_argument("--j", type=int, help="level index for kind=level")
-    gen.add_argument("--i", type=int, help="quotient order for kind=fermat-order")
-    gen.add_argument("--order", type=int, help="character order for kind=mary")
+    _add_sequence_args(gen, required=True)
     gen.add_argument("--out", help="output path (default: stdout)")
 
     ana = sub.add_parser("analyze", help="compute linear complexity and k-error profile")
     ana.add_argument("--file", help="sequence file to analyze")
-    ana.add_argument("--p", type=int, help="odd prime base (inline generation)")
-    ana.add_argument("--r", type=int, default=1)
-    ana.add_argument(
-        "--kind",
-        choices=["class", "balanced", "threshold", "level", "mary", "fermat-order"],
-    )
-    ana.add_argument("--I", type=int, nargs="+")
-    ana.add_argument("--j", type=int)
-    ana.add_argument("--i", type=int)
-    ana.add_argument("--order", type=int)
+    _add_sequence_args(ana, required=False)
     ana.add_argument("--k-max", type=int, default=0, help="largest k for the k-error profile")
     ana.add_argument(
         "--budget",
@@ -120,29 +112,25 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _theorem_modulus(meta, args) -> PrimePowerModulus | None:
+    """(p, r) when the sequence is a class sequence the theorem profile covers."""
+    if meta.get("kind") != "class" or not args.I:
+        return None
+    m = PrimePowerModulus(meta["p"], meta["r"])
+    return None if complexity.theorem_precondition_error(m, len(set(args.I))) else m
+
+
 def _analyze_sequence(seq, meta, args) -> complexity.ComplexityReport:
-    if not sympy.isprime(seq.alphabet_size):
-        raise ValueError(
-            f"cannot analyze over alphabet of non-prime size {seq.alphabet_size}"
-        )
-    fp = PrimeField(seq.alphabet_size)
-    lc = complexity.berlekamp_massey(seq, fp)
+    lc, method = complexity.linear_complexity(seq)
     sequence_id = dict(meta)
-    if getattr(args, "I", None):
+    if args.I:
         sequence_id["I"] = sorted(set(args.I))
-    report = complexity.ComplexityReport(
-        sequence_id=sequence_id, lc=lc, method="berlekamp_massey"
-    )
+    report = complexity.ComplexityReport(sequence_id=sequence_id, lc=lc, method=method)
     if args.k_max > 0:
         if seq.alphabet_size != 2:
             raise ValueError("k-error analysis is defined for binary sequences only")
-        if (
-            meta.get("kind") == "class"
-            and getattr(args, "I", None)
-            and meta.get("r", 1) >= 2
-            and complexity.two_is_primitive_root_mod_p2(meta["p"])
-        ):
-            m = PrimePowerModulus(meta["p"], meta["r"])
+        m = _theorem_modulus(meta, args)
+        if m is not None:
             theorem = complexity.kerror_profile(seq, m, args.I, args.k_max)
             report.kerror_profile = theorem.kerror_profile
         else:
@@ -172,7 +160,7 @@ def _cmd_analyze(args) -> int:
         try:
             with open(args.file) as fh:
                 seq, meta = sequences.read_sequence(fh)
-        except SequenceParseError as exc:
+        except (OSError, SequenceParseError) as exc:
             print(f"error: {args.file}: {exc}", file=sys.stderr)
             return 2
     else:

@@ -1,8 +1,11 @@
 """Linear complexity and k-error linear complexity engines.
 
-Two independent linear-complexity implementations are provided and
-cross-checked: Berlekamp-Massey (performance path) and the gcd formula
-LC = T - deg gcd(X^T - 1, S(X)) on dense polynomials (audited reference).
+linear_complexity is the one entry point for LC. It picks the engine from
+the alphabet: a binary sequence goes to the bitmask F_2[X] gcd lc_binary
+(method "bitmask_gcd"), any other prime alphabet to Berlekamp-Massey
+(method "berlekamp_massey"). The gcd formula LC = T - deg gcd(X^T - 1, S(X))
+on dense polynomials, lc_via_gcd, stays as the audited oracle that
+Berlekamp-Massey is cross-checked against.
 k-error linear complexity over F_2 has one entry point, kerror_lc_profile.
 For a period p^n (p an odd prime) with 2 a primitive root modulo p^n it runs
 a cost-carrying block recursion that is exact for every k; for any other
@@ -22,7 +25,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .fieldarith import PrimeField, Polynomial, multiplicative_order, poly_gcd
+from .fieldarith import PrimeField, multiplicative_order, poly_gcd
 from .quotients import PrimePowerModulus
 from .sequences import PeriodicSequence, binary_class_sequence, class_partition, validate_index_set
 
@@ -85,15 +88,17 @@ def lc_via_gcd(seq: PeriodicSequence, fieldp: PrimeField) -> int:
         raise ValueError(
             f"alphabet size {seq.alphabet_size} does not match field F_{fieldp.p}"
         )
-    if all(x == 0 for x in seq.symbols):
+    s_poly = list(seq.symbols)
+    while s_poly and s_poly[-1] == 0:
+        s_poly.pop()
+    if not s_poly:
         return 0
     T = seq.period
-    s_poly = Polynomial(fieldp, seq.symbols)
-    xt1 = Polynomial(fieldp, (fieldp.p - 1,) + (0,) * (T - 1) + (1,))
-    return T - poly_gcd(xt1, s_poly).degree
+    xt1 = [fieldp.p - 1] + [0] * (T - 1) + [1]
+    return T - (len(poly_gcd(xt1, s_poly, fieldp.p)) - 1)
 
 
-# --- bitmask F_2[X] helpers (performance path for brute force / lemmas) ---
+# --- bitmask F_2[X] helpers (binary LC, brute force and lemmas) ----------
 
 def _bdeg(a: int) -> int:
     return a.bit_length() - 1
@@ -127,6 +132,18 @@ def _seq_mask(seq: PeriodicSequence) -> int:
     for i, s in enumerate(seq.symbols):
         mask |= s << i
     return mask
+
+
+def linear_complexity(seq: PeriodicSequence) -> tuple[int, str]:
+    """Linear complexity over the sequence's prime alphabet, with its engine.
+
+    Binary sequences take the bitmask F_2[X] gcd ("bitmask_gcd"); any other
+    alphabet takes Berlekamp-Massey over F_p ("berlekamp_massey"), which
+    raises ValueError when the alphabet size is not prime.
+    """
+    if seq.alphabet_size == 2:
+        return lc_binary(_seq_mask(seq), seq.period), "bitmask_gcd"
+    return berlekamp_massey(seq, PrimeField(seq.alphabet_size)), "berlekamp_massey"
 
 
 # --- k-error linear complexity -------------------------------------------
@@ -314,27 +331,38 @@ def two_is_primitive_root_mod_p2(p: int) -> bool:
     return multiplicative_order(2, p * p) == p * (p - 1)
 
 
-def theorem_kerror_lc(m: PrimePowerModulus, index_size: int, k: int) -> int:
-    """Predicted k-error LC of the binary class sequence, |I| = index_size.
+def theorem_precondition_error(m: PrimePowerModulus, index_size: int) -> str | None:
+    """Why the theorem profile does not hold for (p, r, |I|), or None if it does.
 
-    Valid when 2 is a primitive root modulo p^2, r >= 2 and
-    1 <= |I| <= (p-1)/2; raises ValueError otherwise. The zero branch starts
-    at the sequence weight p^{r-1}(p-1)|I| (the theorem display's "(p-1)|I|"
-    threshold disagrees with its proof; the proof's threshold is used).
+    The theorem needs r >= 2, 1 <= |I| <= (p-1)/2 and 2 a primitive root
+    modulo p^2.
     """
     p, r = m.p, m.r
     if r < 2:
-        raise ValueError(f"theorem profile needs r >= 2, got r={r}")
+        return f"theorem profile needs r >= 2, got r={r}"
     if not 1 <= index_size <= (p - 1) // 2:
-        raise ValueError(
-            f"index set size {index_size} outside [1, (p-1)/2 = {(p - 1) // 2}]"
-        )
+        return f"index set size {index_size} outside [1, (p-1)/2 = {(p - 1) // 2}]"
     if not two_is_primitive_root_mod_p2(p):
-        raise ValueError(
+        return (
             f"2 is not a primitive root modulo {p}^2 "
             f"(order {multiplicative_order(2, p * p)} != {p * (p - 1)}); "
             "no profile asserted"
         )
+    return None
+
+
+def theorem_kerror_lc(m: PrimePowerModulus, index_size: int, k: int) -> int:
+    """Predicted k-error LC of the binary class sequence, |I| = index_size.
+
+    Raises ValueError unless theorem_precondition_error finds the
+    preconditions met. The zero branch starts at the sequence weight
+    p^{r-1}(p-1)|I| (the theorem display's "(p-1)|I|" threshold disagrees
+    with its proof; the proof's threshold is used).
+    """
+    reason = theorem_precondition_error(m, index_size)
+    if reason:
+        raise ValueError(reason)
+    p, r = m.p, m.r
     weight = p ** (r - 1) * (p - 1) * index_size
     if k >= weight:
         return 0
@@ -384,18 +412,15 @@ def kerror_profile(
 
     Requires 2 primitive modulo p^2, r >= 2 and 1 <= |I| <= (p-1)/2, which
     theorem_kerror_lc enforces. The period p^{r+1} then takes the structural
-    engine of kerror_lc_profile, so every entry is exact. A disagreement
-    between the computed profile and the theorem raises RuntimeError.
+    engine of kerror_lc_profile, so every entry is exact, LC_0 included. A
+    disagreement between the computed profile and the theorem raises
+    RuntimeError.
     """
     members = validate_index_set(m.p, levels, enforce_half=True)
-    lc0_predicted = theorem_kerror_lc(m, len(members), 0)
+    theorem_kerror_lc(m, len(members), 0)  # raises unless the theorem applies
     expected = binary_class_sequence(m, members)
     if seq.symbols != expected.symbols:
         raise ValueError("sequence is not the binary class sequence for (p, r, I)")
-
-    lc0 = lc_via_gcd(seq, PrimeField(2))
-    if lc0 != lc0_predicted:
-        raise RuntimeError(f"LC {lc0} contradicts predicted {lc0_predicted}")
 
     profile = kerror_lc_profile(seq, k_max)
     for k, lc, _ in profile:
@@ -412,8 +437,8 @@ def kerror_profile(
             "kind": "class",
             "I": sorted(members),
         },
-        lc=lc0,
-        method="gcd_formula",
+        lc=profile[0][1],
+        method="structural",
         kerror_profile=profile,
     )
 

@@ -1,8 +1,9 @@
 """Exact modular arithmetic and dense polynomials over prime fields.
 
-Polynomials are coefficient tuples, index i holding the coefficient of X^i,
-with the trailing coefficient nonzero (the zero polynomial has an empty
-tuple). All arithmetic is exact over arbitrary-precision integers.
+A polynomial over F_p is a trimmed coefficient list: index i holds the
+coefficient of X^i, every entry lies in [0, p), and the last entry is
+nonzero (the zero polynomial is the empty list). All arithmetic is exact
+over arbitrary-precision integers.
 """
 
 from __future__ import annotations
@@ -10,15 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import sympy
-
-
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus, exact."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if base < 0 or exponent < 0:
-        raise ValueError("base and exponent must be nonnegative")
-    return pow(base, exponent, modulus)
 
 
 def multiplicative_order(g: int, modulus: int) -> int:
@@ -40,131 +32,39 @@ class PrimeField:
         if not sympy.isprime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
-    def reduce(self, a: int) -> int:
-        return a % self.p
-
     def inv(self, a: int) -> int:
         return pow(a, -1, self.p)
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Dense polynomial over a prime field.
-
-    coeffs[i] is the coefficient of X^i; the last entry is nonzero unless
-    the polynomial is zero (empty coeffs).
-    """
-
-    field: PrimeField
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        p = self.field.p
-        c = [x % p for x in self.coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        object.__setattr__(self, "coeffs", tuple(c))
-
-    @classmethod
-    def zero(cls, field: PrimeField) -> "Polynomial":
-        return cls(field, ())
-
-    @classmethod
-    def one(cls, field: PrimeField) -> "Polynomial":
-        return cls(field, (1,))
-
-    @classmethod
-    def x_power(cls, field: PrimeField, n: int, coeff: int = 1) -> "Polynomial":
-        return cls(field, (0,) * n + (coeff,))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the convention deg 0 = -1."""
-        return len(self.coeffs) - 1
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return Polynomial(self.field, tuple(x + y for x, y in zip(a, b)))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return Polynomial(self.field, tuple(x - y for x, y in zip(a, b)))
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        if self.is_zero or other.is_zero:
-            return Polynomial.zero(self.field)
-        p = self.field.p
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = (out[i + j] + a * b) % p
-        return Polynomial(self.field, tuple(out))
-
-    def scale(self, c: int) -> "Polynomial":
-        c %= self.field.p
-        return Polynomial(self.field, tuple(x * c for x in self.coeffs))
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        return self.scale(self.field.inv(self.coeffs[-1]))
-
-    def __call__(self, x: int) -> int:
-        p = self.field.p
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % p
-        return acc
-
-    def _check(self, other: "Polynomial"):
-        if self.field.p != other.field.p:
-            raise ValueError(
-                f"field mismatch: F_{self.field.p} vs F_{other.field.p}"
-            )
+def _trim(coeffs: list[int]) -> list[int]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
 
 
-def poly_divrem(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Quotient and remainder with a = q*b + r, deg r < deg b."""
-    a._check(b)
-    if b.is_zero:
+def poly_divrem(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder over F_p with a = q*b + r, deg r < deg b."""
+    if not b:
         raise ZeroDivisionError("division by the zero polynomial")
-    p = a.field.p
-    db = b.degree
-    lead_inv = a.field.inv(b.coeffs[-1])
-    rem = list(a.coeffs)
-    if a.degree < db:
-        return Polynomial.zero(a.field), a
-    quot = [0] * (a.degree - db + 1)
-    for i in range(a.degree - db, -1, -1):
-        c = rem[i + db] % p
+    db = len(b) - 1
+    lead_inv = pow(b[-1], -1, p)
+    rem = list(a)
+    quot = [0] * max(len(a) - db, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + db] * lead_inv % p
         if c == 0:
             continue
-        c = c * lead_inv % p
         quot[i] = c
-        for j, bc in enumerate(b.coeffs):
+        for j, bc in enumerate(b):
             rem[i + j] = (rem[i + j] - c * bc) % p
-    return Polynomial(a.field, tuple(quot)), Polynomial(a.field, tuple(rem))
+    return _trim(quot), _trim(rem[:db])
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor by the Euclidean algorithm."""
-    a._check(b)
-    if a.is_zero and b.is_zero:
+def poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic greatest common divisor over F_p by the Euclidean algorithm."""
+    if not a and not b:
         raise ValueError("gcd of two zero polynomials is undefined")
-    while not b.is_zero:
-        _, r = poly_divrem(a, b)
-        a, b = b, r
-    return a.monic()
+    while b:
+        a, b = b, poly_divrem(a, b, p)[1]
+    lead_inv = pow(a[-1], -1, p)
+    return [c * lead_inv % p for c in a]

@@ -1,5 +1,5 @@
-"""Euler quotients modulo p^r, their p-adic level digits, and the top-digit
-quotient H_{r-1}, plus Fermat quotients of higher order.
+"""Euler quotients modulo p^r and their top-digit quotient H_{r-1}, plus
+Fermat quotients of higher order.
 
 For gcd(u, p) = 1 the Euler quotient is (u^phi(p^r) - 1)/p^r reduced into
 [0, p^r); it is 0 by convention when p divides u. Its base-p digits are the
@@ -42,16 +42,6 @@ class PrimePowerModulus:
         return self.p ** (self.r + 1)
 
 
-@dataclass(frozen=True)
-class QuotientDigits:
-    """An Euler quotient value together with its base-p digit expansion."""
-
-    modulus: PrimePowerModulus
-    u: int
-    q: int
-    digits: tuple[int, ...]
-
-
 def euler_quotient(m: PrimePowerModulus, u: int) -> int:
     """Euler quotient of u modulo p^r, in [0, p^r); 0 when p | u.
 
@@ -65,17 +55,6 @@ def euler_quotient(m: PrimePowerModulus, u: int) -> int:
     pr = m.modulus
     t = pow(u, m.phi, pr * pr)
     return (t - 1) // pr % pr
-
-
-def level_digits(m: PrimePowerModulus, u: int) -> QuotientDigits:
-    """Base-p digits a_0(u), ..., a_{r-1}(u) of the Euler quotient."""
-    q = euler_quotient(m, u)
-    digits = []
-    t = q
-    for _ in range(m.r):
-        t, d = divmod(t, m.p)
-        digits.append(d)
-    return QuotientDigits(modulus=m, u=u, q=q, digits=tuple(digits))
 
 
 def new_quotient_h(m: PrimePowerModulus, u: int) -> int:

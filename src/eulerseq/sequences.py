@@ -72,13 +72,6 @@ class ClassPartition:
     classes: tuple[frozenset[int], ...]
     multiples: frozenset[int]
 
-    def class_of(self, u: int) -> int | None:
-        """Index l with u in D_l, or None when p | u."""
-        u %= self.modulus.sequence_period
-        if u % self.modulus.p == 0:
-            return None
-        return new_quotient_h(self.modulus, u)
-
 
 def class_partition(m: PrimePowerModulus) -> ClassPartition:
     """Compute the D_l / P partition of residues modulo p^{r+1}."""

@@ -3,6 +3,9 @@ import json
 import pytest
 
 from eulerseq.cli import main
+from eulerseq.complexity import kerror_lc_bruteforce
+from eulerseq.quotients import PrimePowerModulus
+from eulerseq.sequences import binary_class_sequence
 
 
 def run(capsys, *argv):
@@ -75,6 +78,51 @@ class TestAnalyze:
         assert doc["lc"] == 20
         assert [e["lc"] for e in doc["kerror"]] == [20, 20, 20, 19, 19, 19, 0]
         assert all(e["exact"] for e in doc["kerror"])
+
+    def test_json_method_names_engine(self, capsys):
+        _, binary, _ = run(
+            capsys, "analyze", "--p", "3", "--r", "2", "--kind", "class",
+            "--I", "0", "--format", "json",
+        )
+        _, ternary, _ = run(
+            capsys, "analyze", "--p", "3", "--r", "2", "--kind", "level",
+            "--j", "1", "--format", "json",
+        )
+        assert json.loads(binary)["method"] == "bitmask_gcd"
+        assert json.loads(ternary)["method"] == "berlekamp_massey"
+        assert json.loads(ternary)["lc"] == 11
+
+    def test_class_profile_outside_theorem(self, capsys):
+        # |I| = 2 > (p-1)/2 = 1: no theorem profile, the k-error engine answers
+        code, stdout, stderr = run(
+            capsys, "analyze", "--p", "3", "--r", "2", "--kind", "class",
+            "--I", "0", "1", "--k-max", "2", "--format", "json",
+        )
+        assert code == 0, stderr
+        doc = json.loads(stdout)
+        f = binary_class_sequence(PrimePowerModulus(3, 2), {0, 1})
+        assert [e["lc"] for e in doc["kerror"]] == [
+            kerror_lc_bruteforce(f, k) for k in range(3)
+        ]
+        assert all(e["exact"] for e in doc["kerror"])
+
+    def test_missing_file(self, tmp_path, capsys):
+        missing = tmp_path / "nonexistent.txt"
+        code, _, stderr = run(capsys, "analyze", "--file", str(missing))
+        assert code == 2
+        assert stderr.startswith(f"error: {missing}: ")
+
+    def test_non_prime_alphabet_file(self, tmp_path, capsys):
+        f = tmp_path / "m4.txt"
+        code, _, _ = run(
+            capsys, "generate", "--p", "5", "--r", "1", "--kind", "mary",
+            "--order", "4", "--out", str(f),
+        )
+        assert code == 0
+        assert f.read_text().startswith("seq 4 25 ")
+        code, _, stderr = run(capsys, "analyze", "--file", str(f))
+        assert code == 2
+        assert "not prime" in stderr
 
     def test_file_round_trip(self, tmp_path, capsys):
         out = tmp_path / "s.txt"

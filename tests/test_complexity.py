@@ -17,6 +17,7 @@ from eulerseq.complexity import (
     kerror_profile,
     lc_binary,
     lc_via_gcd,
+    linear_complexity,
     theorem_kerror_lc,
     two_is_primitive_root_mod_p2,
 )
@@ -69,7 +70,10 @@ class TestLinearComplexity:
             T = rng.randint(1, 120)
             s = PeriodicSequence(char, T, tuple(rng.randrange(char) for _ in range(T)))
             fp = PrimeField(char)
-            assert berlekamp_massey(s, fp) == lc_via_gcd(s, fp)
+            lc = lc_via_gcd(s, fp)
+            assert berlekamp_massey(s, fp) == lc
+            method = "bitmask_gcd" if char == 2 else "berlekamp_massey"
+            assert linear_complexity(s) == (lc, method)
 
     def test_binary_fast_path_matches_reference(self):
         rng = random.Random(99)

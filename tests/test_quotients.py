@@ -6,10 +6,10 @@ from eulerseq.quotients import (
     PrimePowerModulus,
     euler_quotient,
     fermat_quotient_order,
-    level_digits,
     new_quotient_h,
     verify_congruence_qrs,
 )
+from eulerseq.sequences import level_sequence
 
 
 class TestPrimePowerModulus:
@@ -49,21 +49,29 @@ class TestEulerQuotient:
                 assert euler_quotient(m, u) == direct
 
 
+M53 = PrimePowerModulus(5, 3)
+LEVELS_5_3 = [level_sequence(M53, j) for j in range(M53.r)]
+
+
 class TestLevelDigits:
+    """The level sequences carry the base-p digits a_j(u) of Q_r(u)."""
+
     def test_multiple_of_p(self):
-        d = level_digits(PrimePowerModulus(3, 2), 3)
-        assert d.q == 0 and d.digits == (0, 0)
+        m = PrimePowerModulus(3, 2)
+        assert [level_sequence(m, j)[3] for j in range(2)] == [0, 0]
 
     def test_example(self):
-        d = level_digits(PrimePowerModulus(3, 2), 2)
-        assert d.q == 7 and d.digits == (1, 2)  # 7 = 1 + 2*3
+        m = PrimePowerModulus(3, 2)
+        # Q_2(2) = 7 = 1 + 2*3
+        assert [level_sequence(m, j)[2] for j in range(2)] == [1, 2]
 
     @given(st.integers(0, 10**6))
     def test_recomposition(self, u):
-        m = PrimePowerModulus(5, 3)
-        d = level_digits(m, u)
-        assert sum(a * m.p**j for j, a in enumerate(d.digits)) == d.q
-        assert all(0 <= a < m.p for a in d.digits)
+        m = M53
+        q = euler_quotient(m, u)
+        digits = [seq[u] for seq in LEVELS_5_3]
+        assert digits == [q // m.p**j % m.p for j in range(m.r)]
+        assert sum(a * m.p**j for j, a in enumerate(digits)) == q
 
 
 class TestNewQuotient:

@@ -94,12 +94,6 @@ class TestClassPartition:
                 assert set(counts) == units
                 assert all(v == p ** (r - j) for v in counts.values())
 
-    def test_class_of(self):
-        m = PrimePowerModulus(3, 2)
-        part = class_partition(m)
-        assert part.class_of(2) == 2
-        assert part.class_of(3) is None
-
 
 class TestIndexSetValidation:
     def test_empty_rejected(self):
