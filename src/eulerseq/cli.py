@@ -12,7 +12,6 @@ import sys
 
 from . import complexity, sequences, verify
 from .quotients import PrimePowerModulus
-from .sequences import SequenceParseError
 
 
 _KINDS = ["class", "balanced", "threshold", "level", "mary", "fermat-order"]
@@ -156,16 +155,19 @@ def _print_report(report: complexity.ComplexityReport, fmt: str) -> None:
 
 
 def _cmd_analyze(args) -> int:
+    if args.k_max < 0:
+        raise ValueError(f"--k-max must be >= 0, got {args.k_max}")
     if args.file:
         try:
             with open(args.file) as fh:
                 seq, meta = sequences.read_sequence(fh)
-        except (OSError, SequenceParseError) as exc:
+            report = _analyze_sequence(seq, meta, args)
+        except (OSError, ValueError) as exc:  # a SequenceParseError is a ValueError
             print(f"error: {args.file}: {exc}", file=sys.stderr)
             return 2
     else:
         seq, meta = _make_sequence(args)
-    report = _analyze_sequence(seq, meta, args)
+        report = _analyze_sequence(seq, meta, args)
     _print_report(report, args.format)
     return 0
 

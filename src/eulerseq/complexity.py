@@ -112,6 +112,20 @@ def _bmod(a: int, b: int) -> int:
     return a
 
 
+def _fold(a: int, n: int) -> int:
+    """Remainder of a modulo X^n - 1 in F_2[X], masks as bit vectors.
+
+    X^s == 1 for every multiple s of n, so the bits from s upward are
+    XOR-ed onto the bits below s. Taking s near half the length each time
+    needs O(log) big-integer steps instead of one per bit.
+    """
+    while a.bit_length() > n:
+        half = (a.bit_length() + 1) // 2
+        s = -(-half // n) * n  # the least multiple of n that is >= half
+        a = (a & ((1 << s) - 1)) ^ (a >> s)
+    return a
+
+
 def _bgcd(a: int, b: int) -> int:
     while b:
         a, b = b, _bmod(a, b)
@@ -138,12 +152,19 @@ def linear_complexity(seq: PeriodicSequence) -> tuple[int, str]:
     """Linear complexity over the sequence's prime alphabet, with its engine.
 
     Binary sequences take the bitmask F_2[X] gcd ("bitmask_gcd"); any other
-    alphabet takes Berlekamp-Massey over F_p ("berlekamp_massey"), which
-    raises ValueError when the alphabet size is not prime.
+    alphabet takes Berlekamp-Massey over F_p ("berlekamp_massey"). Raises
+    ValueError when the alphabet size is not prime.
     """
     if seq.alphabet_size == 2:
         return lc_binary(_seq_mask(seq), seq.period), "bitmask_gcd"
-    return berlekamp_massey(seq, PrimeField(seq.alphabet_size)), "berlekamp_massey"
+    try:
+        fieldp = PrimeField(seq.alphabet_size)
+    except ValueError:
+        raise ValueError(
+            f"alphabet size {seq.alphabet_size} is not prime: "
+            "linear complexity needs a prime field F_p"
+        ) from None
+    return berlekamp_massey(seq, fieldp), "berlekamp_massey"
 
 
 # --- k-error linear complexity -------------------------------------------
@@ -452,24 +473,23 @@ def check_root_group_lemmas(m: PrimePowerModulus) -> bool:
     (a) (X^{p^r}-1)/(X^p-1) divides D_l(X) mod (X^{p^r}-1);
     (b) D_l(X) == 1 modulo (X^p-1)/(X-1);
     (c) D_l(1) = 0, i.e. |D_l| is even.
+
+    A divisor c(X) of X^n - 1 divides A(X) exactly when X^n - 1 divides
+    A(X) (X^n - 1)/c(X), so (a) is tested as (X^{p^r}-1) | D_l(X)(X^p-1)
+    and (b) as (X^p-1) | (D_l(X)-1)(X-1), each with one _fold.
     """
     if m.r < 2:
         raise ValueError(f"root-group lemmas need r >= 2, got r={m.r}")
-    p, r = m.p, m.r
-    pr = p**r
-    xn1 = (1 << pr) | 1
-    lam = 0
-    for b in range(p ** (r - 1)):
-        lam |= 1 << (b * p)
-    cyclo_p = (1 << p) - 1  # 1 + X + ... + X^{p-1}
+    p, pr = m.p, m.modulus
     partition = class_partition(m)
     for d_class in partition.classes:
         d_mask = 0
         for u in d_class:
             d_mask |= 1 << u
-        if _bmod(_bmod(d_mask, xn1), lam) != 0:
+        if _fold(d_mask ^ (d_mask << p), pr) != 0:
             return False
-        if _bmod(d_mask ^ 1, cyclo_p) != 0:
+        off_one = d_mask ^ 1  # D_l(X) - 1
+        if _fold(off_one ^ (off_one << 1), p) != 0:
             return False
         if len(d_class) % 2 != 0:
             return False

@@ -5,10 +5,21 @@ For gcd(u, p) = 1 the Euler quotient is (u^phi(p^r) - 1)/p^r reduced into
 [0, p^r); it is 0 by convention when p divides u. Its base-p digits are the
 level values a_0(u), ..., a_{r-1}(u); the top digit a_{r-1}(u) = H_{r-1}(u)
 generates a sequence of least period p^{r+1}.
+
+euler_quotient computes one value from its definition, one modular power
+with exponent phi(p^r) per residue. quotient_table computes a whole period
+at once from two facts: Q_r(u) depends only on u mod p^{r+1}, and Q_r is
+logarithmic, Q_r(uv) == Q_r(u) + Q_r(v) mod p^r. With g a primitive root
+modulo p^{r+1}, Q_r(g^k) = k Q_r(g) mod p^r, so walking the powers of g
+fills the table with one multiplication and one addition per unit, after a
+single modular power for Q_r(g). The table holds p^{r+1} machine integers
+(8 bytes each) and is rebuilt on every call.
 """
 
 from __future__ import annotations
 
+import itertools
+from array import array
 from dataclasses import dataclass
 
 import sympy
@@ -55,6 +66,28 @@ def euler_quotient(m: PrimePowerModulus, u: int) -> int:
     pr = m.modulus
     t = pow(u, m.phi, pr * pr)
     return (t - 1) // pr % pr
+
+
+def quotient_table(m: PrimePowerModulus) -> array:
+    """Q_r(u) for every u in [0, p^{r+1}), with 0 where p divides u.
+
+    g is the smallest primitive root modulo p^2, which is a primitive root
+    modulo every power of the odd prime p, so x = g^k mod p^{r+1} runs over
+    all units as k runs over [0, phi(p^{r+1})), and Q_r(x) = k Q_r(g) mod p^r.
+    """
+    p, pr = m.p, m.modulus
+    n = m.sequence_period
+    g = next(c for c in itertools.count(2) if sympy.is_primitive_root(c, p * p))
+    step = euler_quotient(m, g)
+    table = array("Q", [0]) * n
+    x, q = 1, 0
+    for _ in range(n - n // p):
+        table[x] = q
+        x = x * g % n
+        q += step
+        if q >= pr:
+            q -= pr
+    return table
 
 
 def new_quotient_h(m: PrimePowerModulus, u: int) -> int:

@@ -8,13 +8,12 @@ sequence, and the binary sequences from order-i Fermat quotients.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import IO, Iterable
 
 import sympy
 
-from .quotients import PrimePowerModulus, euler_quotient, fermat_quotient_order, new_quotient_h
+from .quotients import PrimePowerModulus, fermat_quotient_order, quotient_table
 
 
 @dataclass(frozen=True)
@@ -73,19 +72,22 @@ class ClassPartition:
     multiples: frozenset[int]
 
 
+def _top_digits(m: PrimePowerModulus) -> list[int]:
+    """H_{r-1}(u) for every u in [0, p^{r+1}), 0 where p divides u."""
+    base = m.p ** (m.r - 1)
+    return [q // base for q in quotient_table(m)]
+
+
 def class_partition(m: PrimePowerModulus) -> ClassPartition:
     """Compute the D_l / P partition of residues modulo p^{r+1}."""
     classes: list[set[int]] = [set() for _ in range(m.p)]
-    multiples = set()
-    for u in range(m.sequence_period):
-        if u % m.p == 0:
-            multiples.add(u)
-        else:
-            classes[new_quotient_h(m, u)].add(u)
+    for u, h in enumerate(_top_digits(m)):
+        if u % m.p:
+            classes[h].add(u)
     return ClassPartition(
         modulus=m,
         classes=tuple(frozenset(c) for c in classes),
-        multiples=frozenset(multiples),
+        multiples=frozenset(range(0, m.sequence_period, m.p)),
     )
 
 
@@ -112,34 +114,32 @@ def level_sequence(m: PrimePowerModulus, j: int) -> PeriodicSequence:
     if not 0 <= j < m.r:
         raise ValueError(f"level index j must lie in [0, {m.r}), got {j}")
     sub = PrimePowerModulus(m.p, j + 1)
-    period = sub.sequence_period
     return PeriodicSequence(
         alphabet_size=m.p,
-        period=period,
-        symbols=tuple(new_quotient_h(sub, u) for u in range(period)),
+        period=sub.sequence_period,
+        symbols=tuple(_top_digits(sub)),
     )
+
+
+def _class_indicator(
+    m: PrimePowerModulus, levels: Iterable[int], on_multiples: int
+) -> PeriodicSequence:
+    """1 on the classes D_l with l in I, on_multiples on P, 0 elsewhere."""
+    members = validate_index_set(m.p, levels)
+    hit = [1 if l in members else 0 for l in range(m.p)]
+    symbols = [hit[h] for h in _top_digits(m)]
+    symbols[:: m.p] = [on_multiples] * m.modulus
+    return PeriodicSequence(2, m.sequence_period, tuple(symbols))
 
 
 def binary_class_sequence(m: PrimePowerModulus, levels: Iterable[int]) -> PeriodicSequence:
     """Binary sequence with f(u) = 1 iff u mod p^{r+1} lies in some D_l, l in I."""
-    members = validate_index_set(m.p, levels)
-    period = m.sequence_period
-    symbols = tuple(
-        1 if u % m.p != 0 and new_quotient_h(m, u) in members else 0
-        for u in range(period)
-    )
-    return PeriodicSequence(2, period, symbols)
+    return _class_indicator(m, levels, 0)
 
 
 def balanced_class_sequence(m: PrimePowerModulus, levels: Iterable[int]) -> PeriodicSequence:
     """Balance-adjusted variant: additionally 1 on the multiples P."""
-    members = validate_index_set(m.p, levels)
-    period = m.sequence_period
-    symbols = tuple(
-        1 if u % m.p == 0 or new_quotient_h(m, u) in members else 0
-        for u in range(period)
-    )
-    return PeriodicSequence(2, period, symbols)
+    return _class_indicator(m, levels, 1)
 
 
 def threshold_sequence(m: PrimePowerModulus) -> PeriodicSequence:
@@ -148,29 +148,9 @@ def threshold_sequence(m: PrimePowerModulus) -> PeriodicSequence:
     Integer comparison 2*Q_r(u) >= p^r; one stored period of length p^{r+1}
     (always a period, without any least-period claim).
     """
-    period = m.sequence_period
     pr = m.modulus
-    symbols = tuple(
-        1 if 2 * euler_quotient(m, u) >= pr else 0 for u in range(period)
-    )
-    return PeriodicSequence(2, period, symbols)
-
-
-def _bsgs_dlog(g: int, h: int, modulus: int, order: int) -> int:
-    """Baby-step giant-step discrete log of h base g in (Z/modulus)*."""
-    step = math.isqrt(order) + 1
-    baby = {}
-    e = 1
-    for j in range(step):
-        baby.setdefault(e, j)
-        e = e * g % modulus
-    giant = pow(g, -step, modulus)
-    gamma = h % modulus
-    for i in range(step + 1):
-        if gamma in baby:
-            return i * step + baby[gamma]
-        gamma = gamma * giant % modulus
-    raise ValueError(f"{h} is not in the subgroup generated by {g} mod {modulus}")
+    symbols = tuple(1 if 2 * q >= pr else 0 for q in quotient_table(m))
+    return PeriodicSequence(2, m.sequence_period, symbols)
 
 
 def mary_sequence(m: PrimePowerModulus, order: int) -> PeriodicSequence:
@@ -185,15 +165,13 @@ def mary_sequence(m: PrimePowerModulus, order: int) -> PeriodicSequence:
     if m.phi % order != 0:
         raise ValueError(f"order {order} does not divide phi(p^r) = {m.phi}")
     g = int(sympy.primitive_root(m.modulus))
-    period = m.sequence_period
-    symbols = []
-    for u in range(period):
-        q = euler_quotient(m, u)
-        if q % m.p == 0:
-            symbols.append(0)
-        else:
-            symbols.append(_bsgs_dlog(g, q, m.modulus, m.phi) % order)
-    return PeriodicSequence(order, period, tuple(symbols))
+    character = [0] * m.modulus  # ind_g(x) mod order on units, 0 on the rest
+    x = 1
+    for k in range(m.phi):
+        character[x] = k % order
+        x = x * g % m.modulus
+    symbols = tuple(character[q] for q in quotient_table(m))
+    return PeriodicSequence(order, m.sequence_period, symbols)
 
 
 def order_i_binary_sequence(p: int, i: int, levels: Iterable[int]) -> PeriodicSequence:

@@ -13,10 +13,10 @@ from .complexity import (
     check_root_group_lemmas,
     kerror_profile,
     lc_via_gcd,
-    two_is_primitive_root_mod_p2,
+    theorem_precondition_error,
 )
 from .fieldarith import PrimeField, multiplicative_order
-from .quotients import PrimePowerModulus, new_quotient_h, verify_congruence_qrs
+from .quotients import PrimePowerModulus, euler_quotient, quotient_table
 from .sequences import PeriodicSequence, binary_class_sequence, level_sequence
 
 CheckResult = tuple[str, bool, str]
@@ -25,13 +25,15 @@ CheckResult = tuple[str, bool, str]
 def suite_theorem_hh(p: int, r: int, seed: int = 0) -> list[CheckResult]:
     """Shift law H(v + k p^r) == H(v) - k v^{p-2} mod p, exhaustively."""
     m = PrimePowerModulus(p, r)
+    table = quotient_table(m)
+    base = p ** (r - 1)
     failures = 0
     for v in range(m.modulus):
         if v % p == 0:
             continue
-        hv = new_quotient_h(m, v)
+        hv = table[v] // base
         for k in range(p):
-            lhs = new_quotient_h(m, v + k * m.modulus)
+            lhs = table[v + k * m.modulus] // base
             if lhs != (hv - k * pow(v, p - 2, p)) % p:
                 failures += 1
     return [
@@ -58,14 +60,20 @@ def suite_hh_period(p: int, r: int, seed: int = 0) -> list[CheckResult]:
 
 
 def suite_qrs(p: int, r: int, seed: int = 0) -> list[CheckResult]:
-    """Congruence Q_r == Q_s mod p^s for all u in one period, all 0 < s < r."""
+    """Congruence Q_r == Q_s mod p^s for all u in one period, all 0 < s < r.
+
+    Q_r comes from quotient_table and each Q_s from its definition,
+    euler_quotient, so the check covers the table at every u.
+    """
     if r < 2:
         return [(f"q-r-s at (p={p}, r={r})", True, "vacuous for r < 2")]
     m = PrimePowerModulus(p, r)
+    table = quotient_table(m)
+    lowers = [PrimePowerModulus(p, s) for s in range(1, r)]
     ok = all(
-        verify_congruence_qrs(m, s, u)
-        for s in range(1, r)
-        for u in range(m.sequence_period)
+        q % lower.modulus == euler_quotient(lower, u)
+        for lower in lowers
+        for u, q in enumerate(table)
     )
     return [(f"q-r-s at (p={p}, r={r})", ok, f"u < {m.sequence_period}, s < {r}")]
 
@@ -109,17 +117,10 @@ def suite_lemmas(p: int, r: int, seed: int = 0) -> list[CheckResult]:
 
 def suite_klc(p: int, r: int, seed: int = 0) -> list[CheckResult]:
     """k-error profile of the I={0} class sequence against the theorem."""
-    if not two_is_primitive_root_mod_p2(p):
-        order = multiplicative_order(2, p * p)
-        return [
-            (
-                f"klc at (p={p}, r={r})",
-                True,
-                f"refused: 2 is not a primitive root modulo {p}^2 "
-                f"(order {order}); no profile asserted",
-            )
-        ]
     m = PrimePowerModulus(p, r)
+    reason = theorem_precondition_error(m, 1)
+    if reason:
+        return [(f"klc at (p={p}, r={r})", True, f"refused: {reason}")]
     seq = binary_class_sequence(m, {0})
     weight = seq.weight
     try:

@@ -122,7 +122,24 @@ class TestAnalyze:
         assert f.read_text().startswith("seq 4 25 ")
         code, _, stderr = run(capsys, "analyze", "--file", str(f))
         assert code == 2
-        assert "not prime" in stderr
+        assert stderr.startswith(f"error: {f}: alphabet size 4 is not prime")
+
+    def test_non_prime_alphabet_inline(self, capsys):
+        code, _, stderr = run(
+            capsys, "analyze", "--p", "5", "--r", "1", "--kind", "mary", "--order", "4"
+        )
+        assert code == 2
+        assert "alphabet size 4 is not prime" in stderr
+        assert "prime field" in stderr
+
+    def test_negative_k_max(self, capsys):
+        code, stdout, stderr = run(
+            capsys, "analyze", "--p", "3", "--r", "2", "--kind", "class",
+            "--I", "0", "--k-max", "-3",
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "--k-max" in stderr
 
     def test_file_round_trip(self, tmp_path, capsys):
         out = tmp_path / "s.txt"
@@ -185,8 +202,15 @@ class TestVerify:
     def test_klc_refusal_p7(self, capsys):
         code, stdout, _ = run(capsys, "verify", "--suite", "klc", "--p", "7", "--r", "2")
         assert code == 0
-        assert "refused" in stdout
-        assert "primitive root" in stdout
+        assert stdout.startswith("PASS klc at (p=7, r=2) — refused: ")
+        assert "2 is not a primitive root modulo 7^2" in stdout
+
+    def test_klc_refusal_r1(self, capsys):
+        # every failed precondition gives the same refusal line, exit 0
+        code, stdout, _ = run(capsys, "verify", "--suite", "klc", "--p", "3", "--r", "1")
+        assert code == 0
+        assert stdout.startswith("PASS klc at (p=3, r=1) — refused: ")
+        assert "needs r >= 2" in stdout
 
     def test_oracles_seeded(self, capsys):
         code, stdout, _ = run(capsys, "verify", "--suite", "oracles", "--seed", "5")

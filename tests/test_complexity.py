@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulerseq import complexity
 from eulerseq.complexity import (
     ComplexityReport,
     ErrorPattern,
@@ -23,7 +24,13 @@ from eulerseq.complexity import (
 )
 from eulerseq.fieldarith import PrimeField
 from eulerseq.quotients import PrimePowerModulus
-from eulerseq.sequences import PeriodicSequence, binary_class_sequence, level_sequence
+from eulerseq.sequences import (
+    ClassPartition,
+    PeriodicSequence,
+    binary_class_sequence,
+    class_partition,
+    level_sequence,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -292,6 +299,24 @@ class TestLemmas:
     @pytest.mark.parametrize("p,r", [(3, 2), (5, 2), (3, 3)])
     def test_root_group_lemmas(self, p, r):
         assert check_root_group_lemmas(PrimePowerModulus(p, r))
+
+    # Flipped coefficients of D_0(X) at (3,2), where p^r = 9:
+    # one coefficient breaks (a), (b) and (c); X + X^4 (distance p) keeps
+    # (b) and (c) but breaks (a); (1 + X)(1 + X^3 + X^6), with
+    # 1 + X^3 + X^6 = (X^9-1)/(X^3-1), keeps (a) and (c) but breaks (b).
+    @pytest.mark.parametrize("flips", [{5}, {1, 4}, {0, 3, 6, 1, 4, 7}])
+    def test_root_group_lemmas_detect_flips(self, flips, monkeypatch):
+        m = PrimePowerModulus(3, 2)
+        part = class_partition(m)
+        perturbed = ClassPartition(
+            m, (part.classes[0] ^ frozenset(flips),) + part.classes[1:], part.multiples
+        )
+        monkeypatch.setattr(complexity, "class_partition", lambda _: perturbed)
+        assert not check_root_group_lemmas(m)
+
+    @given(st.integers(1, 80), st.integers(0, 2**400))
+    def test_fold_is_remainder_mod_xn_minus_1(self, n, a):
+        assert complexity._fold(a, n) == complexity._bmod(a, (1 << n) | 1)
 
     def test_root_group_needs_r2(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from eulerseq.quotients import (
     euler_quotient,
     fermat_quotient_order,
     new_quotient_h,
+    quotient_table,
     verify_congruence_qrs,
 )
 from eulerseq.sequences import level_sequence
@@ -47,6 +48,27 @@ class TestEulerQuotient:
                     continue
                 direct = (u**m.phi - 1) // m.modulus % m.modulus
                 assert euler_quotient(m, u) == direct
+
+
+class TestQuotientTable:
+    """The one-pass table against the per-residue definition euler_quotient."""
+
+    @pytest.mark.parametrize(
+        "p,r", [(3, 2), (3, 3), (3, 5), (5, 2), (5, 3), (7, 2), (11, 2), (13, 2)]
+    )
+    def test_exhaustive(self, p, r):
+        m = PrimePowerModulus(p, r)
+        table = quotient_table(m)
+        assert len(table) == m.sequence_period
+        assert list(table) == [euler_quotient(m, u) for u in range(m.sequence_period)]
+
+    @given(
+        st.sampled_from([(3, 1), (3, 4), (5, 1), (5, 2), (7, 3), (17, 1)]),
+        st.integers(0, 10**12),
+    )
+    def test_depends_on_u_mod_p_r_plus_1(self, pr_pair, u):
+        m = PrimePowerModulus(*pr_pair)
+        assert quotient_table(m)[u % m.sequence_period] == euler_quotient(m, u)
 
 
 M53 = PrimePowerModulus(5, 3)

@@ -214,22 +214,22 @@ class TestMarySequence:
         assert e[0] == 0 and e[3] == 0
 
     def test_character_multiplicativity(self):
-        # symbols come from a group character: ind(ab) = ind(a)+ind(b) mod order
+        # symbols come from a group character: ind(ab) = ind(a)+ind(b) mod order,
+        # with the index taken by sympy's independent discrete logarithm
         import sympy
 
-        m = PrimePowerModulus(5, 2)
-        order = 4
-        e = mary_sequence(m, order)
-        g = int(sympy.primitive_root(25))
         from eulerseq.quotients import euler_quotient
-        from eulerseq.sequences import _bsgs_dlog
 
-        for u in range(125):
-            q = euler_quotient(m, u)
-            if q % 5 == 0:
-                assert e[u] == 0
-            else:
-                assert e[u] == _bsgs_dlog(g, q, 25, 20) % order
+        for p, r, order in [(5, 2, 4), (3, 3, 6), (7, 2, 3)]:
+            m = PrimePowerModulus(p, r)
+            e = mary_sequence(m, order)
+            g = int(sympy.primitive_root(m.modulus))
+            for u in range(m.sequence_period):
+                q = euler_quotient(m, u)
+                if q % p == 0:
+                    assert e[u] == 0
+                else:
+                    assert e[u] == sympy.discrete_log(m.modulus, q, g) % order
 
 
 class TestOrderIBinarySequence:
