@@ -129,13 +129,15 @@ def _analyze_sequence(seq, meta, args) -> complexity.ComplexityReport:
         if seq.alphabet_size != 2:
             raise ValueError("k-error analysis is defined for binary sequences only")
         m = _theorem_modulus(meta, args)
+        # an inline sequence was just built from these arguments; a file may
+        # hold anything under its class header
+        if m is not None and args.file and seq != sequences.binary_class_sequence(m, args.I):
+            raise ValueError("sequence is not the binary class sequence for (p, r, I)")
+        report.kerror_profile = complexity.kerror_lc_profile(
+            seq, args.k_max, budget=args.budget
+        )
         if m is not None:
-            theorem = complexity.kerror_profile(seq, m, args.I, args.k_max)
-            report.kerror_profile = theorem.kerror_profile
-        else:
-            report.kerror_profile = complexity.kerror_lc_profile(
-                seq, args.k_max, budget=args.budget
-            )
+            complexity.check_theorem_profile(report.kerror_profile, m, args.I)
     return report
 
 
@@ -232,6 +234,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a computed value contradicts the theorem
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -12,9 +12,10 @@ a cost-carrying block recursion that is exact for every k; for any other
 period it runs one exhaustive error-pattern pass under a pattern budget,
 using bitmask F_2[X] arithmetic. An entry is "exact" when one of these two
 proven engines computed it. Exhaustive search also stays available as the
-named oracle kerror_lc_bruteforce. Profiles of binary class sequences are
-compared against the piecewise-constant profile predicted when 2 is a
-primitive root modulo p^2.
+named oracle kerror_lc_bruteforce. check_theorem_profile compares a
+computed profile of a binary class sequence with the piecewise-constant
+profile that theorem_kerror_lc predicts when 2 is a primitive root modulo
+p^2.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .fieldarith import PrimeField, multiplicative_order, poly_gcd
 from .quotients import PrimePowerModulus
-from .sequences import PeriodicSequence, binary_class_sequence, class_partition, validate_index_set
+from .sequences import PeriodicSequence, class_partition, validate_index_set
 
 
 class PatternBudgetExceeded(RuntimeError):
@@ -139,13 +140,22 @@ def lc_binary(mask: int, period: int) -> int:
     return period - _bdeg(_bgcd((1 << period) | 1, mask))
 
 
+_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _mask(bits: Sequence[int]) -> int:
+    """0/1 values as an F_2[X] bitmask, bit i holding bits[i].
+
+    One int parse of the reversed bits as ASCII digits: linear in the
+    length, where OR-ing in one bit at a time is quadratic.
+    """
+    return int(bytes(bits[::-1]).translate(_ASCII_BITS), 2)
+
+
 def _seq_mask(seq: PeriodicSequence) -> int:
     if seq.alphabet_size != 2:
         raise ValueError("binary sequence required")
-    mask = 0
-    for i, s in enumerate(seq.symbols):
-        mask |= s << i
-    return mask
+    return _mask(seq.symbols)
 
 
 def linear_complexity(seq: PeriodicSequence) -> tuple[int, str]:
@@ -423,45 +433,24 @@ class ComplexityReport:
         }
 
 
-def kerror_profile(
-    seq: PeriodicSequence,
-    m: PrimePowerModulus,
-    levels,
-    k_max: int,
-) -> ComplexityReport:
-    """k-error LC profile of a binary class sequence, checked against the theorem.
+def check_theorem_profile(
+    profile: list[tuple[int, int, bool]], m: PrimePowerModulus, levels
+) -> None:
+    """Check a computed k-error profile of a class sequence against the theorem.
 
-    Requires 2 primitive modulo p^2, r >= 2 and 1 <= |I| <= (p-1)/2, which
-    theorem_kerror_lc enforces. The period p^{r+1} then takes the structural
-    engine of kerror_lc_profile, so every entry is exact, LC_0 included. A
-    disagreement between the computed profile and the theorem raises
-    RuntimeError.
+    profile holds (k, lc_k, exact) entries from kerror_lc_profile. Raises
+    ValueError, through theorem_kerror_lc, unless the theorem's
+    preconditions hold, and RuntimeError at the first entry whose lc_k
+    contradicts the predicted value.
     """
-    members = validate_index_set(m.p, levels, enforce_half=True)
-    theorem_kerror_lc(m, len(members), 0)  # raises unless the theorem applies
-    expected = binary_class_sequence(m, members)
-    if seq.symbols != expected.symbols:
-        raise ValueError("sequence is not the binary class sequence for (p, r, I)")
-
-    profile = kerror_lc_profile(seq, k_max)
+    members = sorted(validate_index_set(m.p, levels))
     for k, lc, _ in profile:
         predicted = theorem_kerror_lc(m, len(members), k)
         if lc != predicted:
             raise RuntimeError(
                 f"computed LC_{k} = {lc} contradicts "
-                f"predicted {predicted} at (p={m.p}, r={m.r}, I={sorted(members)})"
+                f"predicted {predicted} at (p={m.p}, r={m.r}, I={members})"
             )
-    return ComplexityReport(
-        sequence_id={
-            "p": m.p,
-            "r": m.r,
-            "kind": "class",
-            "I": sorted(members),
-        },
-        lc=profile[0][1],
-        method="structural",
-        kerror_profile=profile,
-    )
 
 
 # --- lemma-level divisibility checks over F_2 -----------------------------
@@ -483,9 +472,7 @@ def check_root_group_lemmas(m: PrimePowerModulus) -> bool:
     p, pr = m.p, m.modulus
     partition = class_partition(m)
     for d_class in partition.classes:
-        d_mask = 0
-        for u in d_class:
-            d_mask |= 1 << u
+        d_mask = _mask([u in d_class for u in range(m.sequence_period)])
         if _fold(d_mask ^ (d_mask << p), pr) != 0:
             return False
         off_one = d_mask ^ 1  # D_l(X) - 1

@@ -32,9 +32,6 @@ class PrimeField:
         if not sympy.isprime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
-    def inv(self, a: int) -> int:
-        return pow(a, -1, self.p)
-
 
 def _trim(coeffs: list[int]) -> list[int]:
     while coeffs and coeffs[-1] == 0:

@@ -44,7 +44,7 @@ class PeriodicSequence:
 
     def least_period(self) -> int:
         """Measured least period (a divisor of the stored period)."""
-        for d in sorted(sympy.divisors(self.period)):
+        for d in sympy.divisors(self.period)[:-1]:  # d = period always matches
             if all(self.symbols[i] == self.symbols[i % d] for i in range(self.period)):
                 return d
         return self.period
@@ -91,17 +91,13 @@ def class_partition(m: PrimePowerModulus) -> ClassPartition:
     )
 
 
-def validate_index_set(p: int, levels: Iterable[int], enforce_half: bool = False) -> frozenset[int]:
-    """Normalize a level index set; optionally enforce |I| <= (p-1)/2."""
+def validate_index_set(p: int, levels: Iterable[int]) -> frozenset[int]:
+    """Normalize a level index set: non-empty, members in [0, p)."""
     members = frozenset(levels)
     if not members:
         raise ValueError("index set must be non-empty")
     if any(not 0 <= l < p for l in members):
         raise ValueError(f"index set members must lie in [0, {p})")
-    if enforce_half and len(members) > (p - 1) // 2:
-        raise ValueError(
-            f"index set size {len(members)} exceeds (p-1)/2 = {(p - 1) // 2}"
-        )
     return members
 
 

@@ -11,7 +11,8 @@ from .complexity import (
     berlekamp_massey,
     check_poly_p_lemma,
     check_root_group_lemmas,
-    kerror_profile,
+    check_theorem_profile,
+    kerror_lc_profile,
     lc_via_gcd,
     theorem_precondition_error,
 )
@@ -123,26 +124,30 @@ def suite_klc(p: int, r: int, seed: int = 0) -> list[CheckResult]:
         return [(f"klc at (p={p}, r={r})", True, f"refused: {reason}")]
     seq = binary_class_sequence(m, {0})
     weight = seq.weight
+    profile = kerror_lc_profile(seq, weight)
     try:
-        report = kerror_profile(seq, m, {0}, k_max=weight)
+        check_theorem_profile(profile, m, {0})
     except RuntimeError as exc:
         return [(f"klc at (p={p}, r={r})", False, str(exc))]
-    exact = sum(1 for _, _, e in report.kerror_profile if e)
+    exact = sum(1 for _, _, e in profile if e)
     return [
         (
             f"klc at (p={p}, r={r})",
             True,
             f"profile for k <= {weight} matches "
-            f"({exact}/{len(report.kerror_profile)} entries exact)",
+            f"({exact}/{len(profile)} entries exact)",
         )
     ]
 
 
-def suite_oracles(p: int, r: int, seed: int = 0, trials: int = 100) -> list[CheckResult]:
+_ORACLE_TRIALS = 100
+
+
+def suite_oracles(p: int, r: int, seed: int = 0) -> list[CheckResult]:
     """Berlekamp-Massey agrees with the gcd formula on random sequences."""
     rng = random.Random(seed)
     failures = 0
-    for _ in range(trials):
+    for _ in range(_ORACLE_TRIALS):
         char = rng.choice([2, 3])
         period = rng.randint(1, 200)
         seq = PeriodicSequence(
@@ -153,7 +158,7 @@ def suite_oracles(p: int, r: int, seed: int = 0, trials: int = 100) -> list[Chec
             failures += 1
     return [
         (
-            f"oracle equivalence ({trials} random sequences, seed={seed})",
+            f"oracle equivalence ({_ORACLE_TRIALS} random sequences, seed={seed})",
             failures == 0,
             "all agree" if failures == 0 else f"{failures} disagreements",
         )

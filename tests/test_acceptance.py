@@ -12,10 +12,10 @@ from eulerseq.complexity import (
     berlekamp_massey,
     check_poly_p_lemma,
     check_root_group_lemmas,
+    check_theorem_profile,
     constructive_error_pattern,
     kerror_lc_bruteforce,
     kerror_lc_profile,
-    kerror_profile,
     lc_via_gcd,
     theorem_kerror_lc,
 )
@@ -58,9 +58,10 @@ def test_criterion_2_full_kerror_profile_p3():
     """Full k-error profile at (3,2), I={0}: theorem and exhaustive search."""
     m = PrimePowerModulus(3, 2)
     f = binary_class_sequence(m, {0})
-    rep = kerror_profile(f, m, {0}, k_max=6)
-    values = [lc for _, lc, _ in rep.kerror_profile]
-    all_exact = all(exact for _, _, exact in rep.kerror_profile)
+    profile = kerror_lc_profile(f, 6)
+    check_theorem_profile(profile, m, {0})
+    values = [lc for _, lc, _ in profile]
+    all_exact = all(exact for _, _, exact in profile)
     brute = [kerror_lc_bruteforce(f, k) for k in range(7)]
     want = [20, 20, 20, 19, 19, 19, 0]
     ok = values == want and all_exact and brute == want
@@ -241,9 +242,10 @@ def test_criterion_11_full_profiles_at_scale():
     for p, r, levels in cases:
         m = PrimePowerModulus(p, r)
         f = binary_class_sequence(m, levels)
-        rep = kerror_profile(f, m, levels, k_max=f.weight)
+        profile = kerror_lc_profile(f, f.weight)
+        check_theorem_profile(profile, m, levels)
         want = [theorem_kerror_lc(m, len(levels), k) for k in range(f.weight + 1)]
-        got = [lc for _, lc, exact in rep.kerror_profile if exact]
+        got = [lc for _, lc, exact in profile if exact]
         if got != want:
             mismatches[(p, r, tuple(sorted(levels)))] = got
     report(

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from eulerseq import complexity
 from eulerseq.cli import main
 from eulerseq.complexity import kerror_lc_bruteforce
 from eulerseq.quotients import PrimePowerModulus
@@ -105,6 +106,51 @@ class TestAnalyze:
             kerror_lc_bruteforce(f, k) for k in range(3)
         ]
         assert all(e["exact"] for e in doc["kerror"])
+
+    def test_file_not_the_class_sequence(self, tmp_path, capsys):
+        # a class file for I = {1} analyzed as I = {0}: input from outside
+        # the program is checked against the class sequence it claims to be
+        f = tmp_path / "s.txt"
+        run(
+            capsys, "generate", "--p", "3", "--r", "2", "--kind", "class",
+            "--I", "1", "--out", str(f),
+        )
+        code, stdout, stderr = run(
+            capsys, "analyze", "--file", str(f), "--I", "0", "--k-max", "6"
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "not the binary class sequence" in stderr
+
+    def test_file_and_inline_agree(self, tmp_path, capsys):
+        f = tmp_path / "s.txt"
+        spec = ["--p", "5", "--r", "2", "--kind", "class", "--I", "0", "1"]
+        profile = ["--k-max", "40", "--format", "json"]
+        run(capsys, "generate", *spec, "--out", str(f))
+        code, from_file, _ = run(
+            capsys, "analyze", "--file", str(f), "--I", "0", "1", *profile
+        )
+        assert code == 0
+        code, inline, _ = run(capsys, "analyze", *spec, *profile)
+        assert code == 0
+        assert from_file == inline
+
+    def test_contradicted_theorem_exits_1(self, monkeypatch, capsys):
+        real = complexity.theorem_kerror_lc
+        monkeypatch.setattr(
+            complexity,
+            "theorem_kerror_lc",
+            lambda m, size, k: real(m, size, k) + (k == 3),
+        )
+        code, stdout, stderr = run(
+            capsys, "analyze", "--p", "3", "--r", "2", "--kind", "class",
+            "--I", "0", "--k-max", "6",
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr == (
+            "FAIL: computed LC_3 = 19 contradicts predicted 20 at (p=3, r=2, I=[0])\n"
+        )
 
     def test_missing_file(self, tmp_path, capsys):
         missing = tmp_path / "nonexistent.txt"

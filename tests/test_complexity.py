@@ -12,10 +12,10 @@ from eulerseq.complexity import (
     berlekamp_massey,
     check_poly_p_lemma,
     check_root_group_lemmas,
+    check_theorem_profile,
     constructive_error_pattern,
     kerror_lc_bruteforce,
     kerror_lc_profile,
-    kerror_profile,
     lc_binary,
     lc_via_gcd,
     linear_complexity,
@@ -89,6 +89,7 @@ class TestLinearComplexity:
             syms = tuple(rng.randrange(2) for _ in range(T))
             s = PeriodicSequence(2, T, syms)
             mask = sum(b << i for i, b in enumerate(syms))
+            assert complexity._seq_mask(s) == mask  # bit i holds symbol i
             assert lc_binary(mask, T) == lc_via_gcd(s, F2)
 
 
@@ -182,9 +183,10 @@ class TestTheoremProfile:
     def test_full_profile_matches_brute_force(self, levels):
         m = PrimePowerModulus(3, 2)
         f = binary_class_sequence(m, levels)
-        report = kerror_profile(f, m, levels, k_max=6)
-        assert all(exact for _, _, exact in report.kerror_profile)
-        assert [lc for _, lc, _ in report.kerror_profile] == [
+        profile = kerror_lc_profile(f, 6)
+        check_theorem_profile(profile, m, levels)
+        assert all(exact for _, _, exact in profile)
+        assert [lc for _, lc, _ in profile] == [
             20, 20, 20, 19, 19, 19, 0,
         ]
 
@@ -192,19 +194,13 @@ class TestTheoremProfile:
         m = PrimePowerModulus(7, 2)
         f = binary_class_sequence(m, {0})
         with pytest.raises(ValueError, match="primitive root"):
-            kerror_profile(f, m, {0}, k_max=2)
+            check_theorem_profile(kerror_lc_profile(f, 2), m, {0})
 
     def test_refuses_oversized_index_set(self):
         m = PrimePowerModulus(3, 2)
         f = binary_class_sequence(m, {0, 1})
         with pytest.raises(ValueError):
-            kerror_profile(f, m, {0, 1}, k_max=2)
-
-    def test_rejects_mismatched_sequence(self):
-        m = PrimePowerModulus(3, 2)
-        f = binary_class_sequence(m, {1})
-        with pytest.raises(ValueError, match="not the binary class sequence"):
-            kerror_profile(f, m, {0}, k_max=2)
+            check_theorem_profile(kerror_lc_profile(f, 2), m, {0, 1})
 
     def test_budget_exhaustion_marks_inexact(self):
         # 2 has order 21 mod 49, so period 343 has no structural engine and

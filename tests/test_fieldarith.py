@@ -60,11 +60,6 @@ class TestPrimeField:
         with pytest.raises(ValueError):
             PrimeField(9)
 
-    def test_inverse(self):
-        f = PrimeField(7)
-        for a in range(1, 7):
-            assert a * f.inv(a) % 7 == 1
-
 
 class TestPolynomial:
     def test_normalization(self):

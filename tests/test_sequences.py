@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+from eulerseq.complexity import theorem_precondition_error
 from eulerseq.quotients import PrimePowerModulus, new_quotient_h
 from eulerseq.sequences import (
     PeriodicSequence,
@@ -105,9 +106,10 @@ class TestIndexSetValidation:
             validate_index_set(3, [3])
 
     def test_half_bound(self):
-        validate_index_set(5, [0, 1], enforce_half=True)
-        with pytest.raises(ValueError):
-            validate_index_set(5, [0, 1, 2], enforce_half=True)
+        # |I| <= (p-1)/2 is the theorem's precondition, not the index set's
+        m = PrimePowerModulus(5, 2)
+        assert theorem_precondition_error(m, 2) is None
+        assert theorem_precondition_error(m, 3) is not None
 
 
 class TestLevelSequence:
