@@ -136,6 +136,11 @@ def _analyze_sequence(seq, meta, args) -> complexity.ComplexityReport:
         report.kerror_profile = complexity.kerror_lc_profile(
             seq, args.k_max, budget=args.budget
         )
+        lc0 = report.kerror_profile[0][1]
+        if lc0 != lc:  # two engines computed LC_0
+            raise RuntimeError(
+                f"k-error engine LC_0 = {lc0} contradicts LC = {lc} from {method}"
+            )
         if m is not None:
             complexity.check_theorem_profile(report.kerror_profile, m, args.I)
     return report
@@ -234,7 +239,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:  # a computed value contradicts the theorem
+    except RuntimeError as exc:  # two engines, or an engine and the theorem, disagree
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
 

@@ -3,9 +3,11 @@
 linear_complexity is the one entry point for LC. It picks the engine from
 the alphabet: a binary sequence goes to the bitmask F_2[X] gcd lc_binary
 (method "bitmask_gcd"), any other prime alphabet to Berlekamp-Massey
-(method "berlekamp_massey"). The gcd formula LC = T - deg gcd(X^T - 1, S(X))
-on dense polynomials, lc_via_gcd, stays as the audited oracle that
-Berlekamp-Massey is cross-checked against.
+(method "berlekamp_massey"). The gcd formula LC = T - deg gcd(X^T - 1, S(X)),
+lc_via_gcd, stays as the oracle that Berlekamp-Massey is cross-checked
+against: at a period T = p^n it reads the gcd degree as the multiplicity of
+the root 1 in S(X), from a digit-wise Taylor shift (the generalised
+Games-Chan idea); at any other period it calls sympy's gf_gcd over F_p.
 k-error linear complexity over F_2 has one entry point, kerror_lc_profile.
 For a period p^n (p an odd prime) with 2 a primitive root modulo p^n it runs
 a cost-carrying block recursion that is exact for every k; for any other
@@ -26,7 +28,11 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .fieldarith import PrimeField, multiplicative_order, poly_gcd
+import sympy
+from sympy import ZZ
+from sympy.polys.galoistools import gf_gcd, gf_strip
+
+from .fieldarith import PrimeField, multiplicative_order
 from .quotients import PrimePowerModulus
 from .sequences import PeriodicSequence, class_partition, validate_index_set
 
@@ -83,20 +89,48 @@ def berlekamp_massey(seq: PeriodicSequence, fieldp: PrimeField) -> int:
     return L
 
 
+def _root_one_multiplicity(symbols: Sequence[int], p: int) -> int:
+    """Multiplicity of the root 1 in S(X) = sum s_u X^u over F_p, S nonzero.
+
+    The length N must be a power of p. The multiplicity is the index of the
+    first nonzero coefficient of S(X + 1), sum_u C(u, k) s_u. By Lucas'
+    theorem C(u, k) == prod_i C(u_i, k_i) mod p over base-p digits, so S(X + 1)
+    is one p-point Taylor shift per digit: O(p n N) steps for N = p^n. Each
+    pass shifts along the top digit, whose planes are contiguous slices, then
+    interleaves the planes, rotating that digit to the bottom.
+    """
+    c = list(symbols)
+    m = len(c) // p
+    size = 1
+    while size < len(c):
+        planes = [c[j * m : (j + 1) * m] for j in range(p)]
+        for i in range(p - 1):  # V(Y) -> V(Y + 1), Horner style
+            for j in range(p - 2, i - 1, -1):
+                planes[j] = [(x + y) % p for x, y in zip(planes[j], planes[j + 1])]
+        for j in range(p):
+            c[j::p] = planes[j]
+        size *= p
+    return next(k for k, x in enumerate(c) if x)
+
+
 def lc_via_gcd(seq: PeriodicSequence, fieldp: PrimeField) -> int:
-    """Linear complexity as T - deg gcd(X^T - 1, S(X)); 0 for the zero sequence."""
+    """Linear complexity as T - deg gcd(X^T - 1, S(X)); 0 for the zero sequence.
+
+    When T is a power of p, X^T - 1 = (X - 1)^T over F_p, so the gcd degree
+    is the multiplicity of the root 1 in S(X). Any other period takes sympy's
+    Euclidean gf_gcd, whose lists run from the top degree down.
+    """
     if seq.alphabet_size != fieldp.p:
         raise ValueError(
             f"alphabet size {seq.alphabet_size} does not match field F_{fieldp.p}"
         )
-    s_poly = list(seq.symbols)
-    while s_poly and s_poly[-1] == 0:
-        s_poly.pop()
-    if not s_poly:
+    p, T = fieldp.p, seq.period
+    if not any(seq.symbols):
         return 0
-    T = seq.period
-    xt1 = [fieldp.p - 1] + [0] * (T - 1) + [1]
-    return T - (len(poly_gcd(xt1, s_poly, fieldp.p)) - 1)
+    if p ** sympy.multiplicity(p, T) == T:
+        return T - _root_one_multiplicity(seq.symbols, p)
+    xt1 = [1] + [0] * (T - 1) + [p - 1]
+    return T - (len(gf_gcd(xt1, gf_strip(list(seq.symbols[::-1])), p, ZZ)) - 1)
 
 
 # --- bitmask F_2[X] helpers (binary LC, brute force and lemmas) ----------
@@ -228,14 +262,10 @@ def _structural_prime(period: int) -> int | None:
     Then every cyclotomic factor of X^period - 1 is irreducible over F_2,
     which is what the block recursion of _kerror_lc_pn needs.
     """
-    if period < 3:
+    factors = sympy.factorint(period)
+    if len(factors) != 1 or 2 in factors:
         return None
-    p = next(d for d in range(2, period + 1) if period % d == 0)
-    rest = period
-    while rest % p == 0:
-        rest //= p
-    if p == 2 or rest != 1:
-        return None
+    (p,) = factors
     if multiplicative_order(2, period) != period - period // p:
         return None
     return p

@@ -68,6 +68,11 @@ def euler_quotient(m: PrimePowerModulus, u: int) -> int:
     return (t - 1) // pr % pr
 
 
+def primitive_root_mod_p2(p: int) -> int:
+    """The smallest primitive root modulo p^2, hence modulo every power of p."""
+    return next(c for c in itertools.count(2) if sympy.is_primitive_root(c, p * p))
+
+
 def quotient_table(m: PrimePowerModulus) -> array:
     """Q_r(u) for every u in [0, p^{r+1}), with 0 where p divides u.
 
@@ -77,7 +82,7 @@ def quotient_table(m: PrimePowerModulus) -> array:
     """
     p, pr = m.p, m.modulus
     n = m.sequence_period
-    g = next(c for c in itertools.count(2) if sympy.is_primitive_root(c, p * p))
+    g = primitive_root_mod_p2(p)
     step = euler_quotient(m, g)
     table = array("Q", [0]) * n
     x, q = 1, 0

@@ -13,7 +13,7 @@ from typing import IO, Iterable
 
 import sympy
 
-from .quotients import PrimePowerModulus, fermat_quotient_order, quotient_table
+from .quotients import PrimePowerModulus, primitive_root_mod_p2, quotient_table
 
 
 @dataclass(frozen=True)
@@ -173,16 +173,25 @@ def mary_sequence(m: PrimePowerModulus, order: int) -> PeriodicSequence:
 def order_i_binary_sequence(p: int, i: int, levels: Iterable[int]) -> PeriodicSequence:
     """Binary sequence from order-i Fermat quotients, period p^{i+1}.
 
-    f(u) = 1 iff gcd(u, p) = 1 and the order-i quotient value lies in the
-    level set. For i = 1 this is the r = 1 binary class sequence.
+    f(u) = 1 iff gcd(u, p) = 1 and the order-i quotient value, the i-th
+    base-p digit of u^{p-1} mod p^{i+1}, lies in the level set. For i = 1
+    this is the r = 1 binary class sequence. u^{p-1} is multiplicative in u,
+    so walking x = g^k for a primitive root g gives x^{p-1} = (g^{p-1})^k.
     """
     members = validate_index_set(p, levels)
-    period = p ** (i + 1)
-    symbols = tuple(
-        1 if u % p != 0 and fermat_quotient_order(p, i, u) in members else 0
-        for u in range(period)
-    )
-    return PeriodicSequence(2, period, symbols)
+    if i < 1:
+        raise ValueError(f"order i must be >= 1, got {i}")
+    top = PrimePowerModulus(p, i).modulus  # p must be an odd prime
+    period = p * top
+    g = primitive_root_mod_p2(p)
+    step = pow(g, p - 1, period)
+    symbols = [0] * period
+    x, t = 1, 1
+    for _ in range(period - top):
+        symbols[x] = 1 if t // top in members else 0
+        x = x * g % period
+        t = t * step % period
+    return PeriodicSequence(2, period, tuple(symbols))
 
 
 # --- sequence file format -------------------------------------------------

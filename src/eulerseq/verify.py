@@ -95,24 +95,16 @@ def suite_lc_p(p: int, r: int, seed: int = 0) -> list[CheckResult]:
 
 def suite_lemmas(p: int, r: int, seed: int = 0) -> list[CheckResult]:
     """Class-polynomial divisibility lemmas and the G(X) uniqueness lemma."""
-    results: list[CheckResult] = []
+    roots = f"root-group lemmas at (p={p}, r={r})"
     if r >= 2:
-        m = PrimePowerModulus(p, r)
-        ok = check_root_group_lemmas(m)
-        results.append((f"root-group lemmas at (p={p}, r={r})", ok, ""))
+        results = [(roots, check_root_group_lemmas(PrimePowerModulus(p, r)), "")]
     else:
-        results.append((f"root-group lemmas at (p={p}, r={r})", True, "vacuous for r < 2"))
+        results = [(roots, True, "vacuous for r < 2")]
+    uniqueness = f"G(X) uniqueness at p={p}"
     if multiplicative_order(2, p) == p - 1:
-        ok = check_poly_p_lemma(p)
-        results.append((f"G(X) uniqueness at p={p}", ok, ""))
+        results.append((uniqueness, check_poly_p_lemma(p), ""))
     else:
-        results.append(
-            (
-                f"G(X) uniqueness at p={p}",
-                True,
-                f"refused: 2 is not a primitive root modulo {p}",
-            )
-        )
+        results.append((uniqueness, True, f"refused: 2 is not a primitive root modulo {p}"))
     return results
 
 

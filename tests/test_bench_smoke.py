@@ -1,7 +1,7 @@
-"""Smoke test of the benchmark's smallest job list.
+"""Smoke tests of the benchmark's job lists.
 
-Runs every klc-confirm job once and checks its output. It is not a
-performance gate: it guards the eulerseq names and outputs that
+Each runs some of a workload's jobs once and checks their output. They are
+not performance gates: they guard the eulerseq names and outputs that
 perfbench/ relies on.
 """
 
@@ -15,5 +15,14 @@ import workloads  # noqa: E402
 def test_klc_confirm_jobs_pass_their_checks(tmp_path):
     jobs = workloads.build("klc-confirm", 0, tmp_path)
     assert jobs
+    for job in jobs:
+        assert job.check(job.run()) is None, job.label
+
+
+def test_lc_scale_verify_jobs_pass_their_checks(tmp_path):
+    # lc-p at (3,6) and (5,4) must print exactly two PASS lines, oracles one
+    jobs = workloads.build("lc-scale", 0, tmp_path)
+    jobs = [job for job in jobs if job.label.startswith("verify")]
+    assert len(jobs) == 3
     for job in jobs:
         assert job.check(job.run()) is None, job.label

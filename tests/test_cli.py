@@ -152,6 +152,24 @@ class TestAnalyze:
             "FAIL: computed LC_3 = 19 contradicts predicted 20 at (p=3, r=2, I=[0])\n"
         )
 
+    def test_lc0_disagreement_exits_1(self, monkeypatch, capsys):
+        real = complexity.kerror_lc_profile
+
+        def off_by_one_lc0(seq, k_max, budget):
+            (k, lc, exact), *rest = real(seq, k_max, budget)
+            return [(k, lc + 1, exact), *rest]
+
+        monkeypatch.setattr(complexity, "kerror_lc_profile", off_by_one_lc0)
+        code, stdout, stderr = run(
+            capsys, "analyze", "--p", "3", "--r", "2", "--kind", "threshold",
+            "--k-max", "3",
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr == (
+            "FAIL: k-error engine LC_0 = 25 contradicts LC = 24 from bitmask_gcd\n"
+        )
+
     def test_missing_file(self, tmp_path, capsys):
         missing = tmp_path / "nonexistent.txt"
         code, _, stderr = run(capsys, "analyze", "--file", str(missing))

@@ -93,6 +93,56 @@ class TestLinearComplexity:
             assert lc_binary(mask, T) == lc_via_gcd(s, F2)
 
 
+_MAX_DIGITS = {2: 7, 3: 4, 5: 3, 7: 2}  # periods up to 128, 81, 125 and 49
+
+
+@st.composite
+def prime_power_periods(draw):
+    """A sequence over F_p with period p^n; two shapes out of three have low LC."""
+    p = draw(st.sampled_from(sorted(_MAX_DIGITS)))
+    n = draw(st.integers(0, _MAX_DIGITS[p]))
+    T = p**n
+    symbol = st.integers(0, p - 1)
+    shape = draw(st.sampled_from(["random", "block", "sparse"]))
+    if shape == "block":  # a block of length p^j < T repeated: LC <= p^j
+        size = p ** draw(st.integers(0, max(n - 1, 0)))
+        block = draw(st.lists(symbol, min_size=size, max_size=size))
+        symbols = [block[u % size] for u in range(T)]
+    elif shape == "sparse":
+        symbols = [0] * T
+        for u, x in draw(st.lists(st.tuples(st.integers(0, T - 1), symbol), max_size=3)):
+            symbols[u] = x
+    else:
+        symbols = draw(st.lists(symbol, min_size=T, max_size=T))
+    return PeriodicSequence(p, T, tuple(symbols))
+
+
+class TestGcdOracle:
+    """lc_via_gcd reads the root-1 multiplicity when the period is p^n."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(prime_power_periods())
+    def test_matches_berlekamp_massey_at_prime_power_periods(self, seq):
+        fp = PrimeField(seq.alphabet_size)
+        assert lc_via_gcd(seq, fp) == berlekamp_massey(seq, fp)
+
+    def test_edge_cases(self):
+        for p in (2, 3, 5, 7):
+            fp = PrimeField(p)
+            assert lc_via_gcd(PeriodicSequence(p, 1, (0,)), fp) == 0
+            for x in range(1, p):
+                assert lc_via_gcd(PeriodicSequence(p, 1, (x,)), fp) == 1
+            T = p**3
+            assert lc_via_gcd(PeriodicSequence(p, T, (0,) * T), fp) == 0
+            assert lc_via_gcd(PeriodicSequence(p, T, (1,) * T), fp) == 1
+            # an impulse is coprime to X^T - 1 = (X - 1)^T: full LC
+            assert lc_via_gcd(PeriodicSequence(p, T, (1,) + (0,) * (T - 1)), fp) == T
+
+    def test_top_level_sequence_at_3_8(self):
+        seq = level_sequence(PrimePowerModulus(3, 8), 7)  # N = 3^9 = 19,683
+        assert lc_via_gcd(seq, F3) == 3**8 + 2
+
+
 class TestKErrorBruteForce:
     def test_k0_is_lc(self):
         m = PrimePowerModulus(3, 2)

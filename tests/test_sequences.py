@@ -3,7 +3,7 @@ import io
 import pytest
 
 from eulerseq.complexity import theorem_precondition_error
-from eulerseq.quotients import PrimePowerModulus, new_quotient_h
+from eulerseq.quotients import PrimePowerModulus, fermat_quotient_order, new_quotient_h
 from eulerseq.sequences import (
     PeriodicSequence,
     SequenceParseError,
@@ -239,8 +239,6 @@ class TestOrderIBinarySequence:
         f = order_i_binary_sequence(3, 1, {1})
         assert f.period == 9
         # enumerate F^(1)(u) for u in [0,9): weight = #{u : F(u)=1}
-        from eulerseq.quotients import fermat_quotient_order
-
         expected = sum(
             1 for u in range(9) if u % 3 and fermat_quotient_order(3, 1, u) == 1
         )
@@ -255,6 +253,21 @@ class TestOrderIBinarySequence:
                 a = order_i_binary_sequence(p, 1, levels)
                 b = binary_class_sequence(PrimePowerModulus(p, 1), levels)
                 assert a.symbols == b.symbols
+
+    def test_walk_matches_fermat_quotient_order(self):
+        # the primitive-root walk against the per-u definition, every symbol
+        cases = [(3, 1, {0}), (3, 4, {1}), (3, 5, {2}), (5, 3, {0, 3}),
+                 (7, 2, {1, 4, 6}), (11, 2, {10}), (13, 1, {0, 5})]
+        for p, i, levels in cases:
+            f = order_i_binary_sequence(p, i, levels)
+            for u in range(p ** (i + 1)):
+                want = u % p != 0 and fermat_quotient_order(p, i, u) in levels
+                assert f[u] == want, (p, i, levels, u)
+
+    def test_rejects_bad_p_and_i(self):
+        for p, i in [(4, 2), (2, 2), (3, 0), (3, -1)]:
+            with pytest.raises(ValueError):
+                order_i_binary_sequence(p, i, {0})
 
 
 class TestSequenceFileFormat:
