@@ -98,7 +98,7 @@ _MAX_DIGITS = {2: 7, 3: 4, 5: 3, 7: 2}  # periods up to 128, 81, 125 and 49
 
 @st.composite
 def prime_power_periods(draw):
-    """A sequence over F_p with period p^n; two shapes out of three have low LC."""
+    """Period p^n over F_p: random, a short block repeated (low LC), or sparse."""
     p = draw(st.sampled_from(sorted(_MAX_DIGITS)))
     n = draw(st.integers(0, _MAX_DIGITS[p]))
     T = p**n
