@@ -130,8 +130,11 @@ def _analyze_sequence(seq, meta, args) -> complexity.ComplexityReport:
             raise ValueError("k-error analysis is defined for binary sequences only")
         m = _theorem_modulus(meta, args)
         # an inline sequence was just built from these arguments; a file may
-        # hold anything under its class header
-        if m is not None and args.file and seq != sequences.binary_class_sequence(m, args.I):
+        # hold anything under its class header, even a period not its (p, r)'s
+        if m is not None and args.file and (
+            seq.period != m.sequence_period
+            or seq != sequences.binary_class_sequence(m, args.I)
+        ):
             raise ValueError("sequence is not the binary class sequence for (p, r, I)")
         report.kerror_profile = complexity.kerror_lc_profile(
             seq, args.k_max, budget=args.budget

@@ -1,13 +1,13 @@
 """Linear complexity and k-error linear complexity engines.
 
-linear_complexity is the one entry point for LC. It picks the engine from
-the alphabet: a binary sequence goes to the bitmask F_2[X] gcd lc_binary
-(method "bitmask_gcd"), any other prime alphabet to Berlekamp-Massey
+linear_complexity is the one entry point for LC, and the one place that
+picks an LC engine, from the alphabet and the period: a binary sequence goes
+to the bitmask F_2[X] gcd lc_binary (method "bitmask_gcd"); an F_p sequence
+whose period is a power of p goes to the generalised Games-Chan recursion
+(method "games_chan"); any other F_p sequence goes to Berlekamp-Massey
 (method "berlekamp_massey"). The gcd formula LC = T - deg gcd(X^T - 1, S(X)),
-lc_via_gcd, stays as the oracle that Berlekamp-Massey is cross-checked
-against: at a period T = p^n it reads the gcd degree as the multiplicity of
-the root 1 in S(X), from a digit-wise Taylor shift (the generalised
-Games-Chan idea); at any other period it calls sympy's gf_gcd over F_p.
+lc_via_gcd, computed with sympy's gf_gcd over F_p, stays as the oracle the
+engines are cross-checked against.
 k-error linear complexity over F_2 has one entry point, kerror_lc_profile.
 For a period p^n (p an odd prime) with 2 a primitive root modulo p^n it runs
 a cost-carrying block recursion that is exact for every k; for any other
@@ -89,46 +89,42 @@ def berlekamp_massey(seq: PeriodicSequence, fieldp: PrimeField) -> int:
     return L
 
 
-def _root_one_multiplicity(symbols: Sequence[int], p: int) -> int:
-    """Multiplicity of the root 1 in S(X) = sum s_u X^u over F_p, S nonzero.
+def _lc_games_chan(symbols: Sequence[int], p: int) -> int:
+    """Linear complexity over F_p of a sequence whose period N is a power of p.
 
-    The length N must be a power of p. The multiplicity is the index of the
-    first nonzero coefficient of S(X + 1), sum_u C(u, k) s_u. By Lucas'
-    theorem C(u, k) == prod_i C(u_i, k_i) mod p over base-p digits, so S(X + 1)
-    is one p-point Taylor shift per digit: O(p n N) steps for N = p^n. Each
-    pass shifts along the top digit, whose planes are contiguous slices, then
-    interleaves the planes, rotating that digit to the bottom.
+    Generalised Games-Chan (Ding, Xiao, Shan, LNCS 561, 1991), O(pN) steps.
+    With blocks A_j of length m = N/p, S(X) = sum_j A_j(X) Y^j, Y = X^m, and
+    X^N - 1 = (Y - 1)^p = (X - 1)^N over F_p. Shifting Y -> Y + 1 gives
+    S = sum_j B_j(X) (Y - 1)^j. The first nonzero B_j has degree < m, so its
+    root-1 multiplicity is below that of Y - 1 = (X - 1)^m, and LC(S) =
+    (p - 1 - j) m + LC(B_j) at period m. A zero sequence keeps its zero last
+    block, down to LC 0.
     """
-    c = list(symbols)
-    m = len(c) // p
-    size = 1
-    while size < len(c):
-        planes = [c[j * m : (j + 1) * m] for j in range(p)]
-        for i in range(p - 1):  # V(Y) -> V(Y + 1), Horner style
+    lc = 0
+    while len(symbols) > 1:
+        m = len(symbols) // p
+        blocks = [symbols[j * m : (j + 1) * m] for j in range(p)]
+        for i in range(p - 1):  # sum_j A_j Y^j -> sum_j A_j (Y + 1)^j, Horner style
             for j in range(p - 2, i - 1, -1):
-                planes[j] = [(x + y) % p for x, y in zip(planes[j], planes[j + 1])]
-        for j in range(p):
-            c[j::p] = planes[j]
-        size *= p
-    return next(k for k, x in enumerate(c) if x)
+                blocks[j] = [(x + y) % p for x, y in zip(blocks[j], blocks[j + 1])]
+        j = next((j for j in range(p) if any(blocks[j])), p - 1)
+        lc += (p - 1 - j) * m
+        symbols = blocks[j]
+    return lc + (symbols[0] != 0)
 
 
 def lc_via_gcd(seq: PeriodicSequence, fieldp: PrimeField) -> int:
-    """Linear complexity as T - deg gcd(X^T - 1, S(X)); 0 for the zero sequence.
+    """Linear complexity by its definition, T - deg gcd(X^T - 1, S(X)), over F_p.
 
-    When T is a power of p, X^T - 1 = (X - 1)^T over F_p, so the gcd degree
-    is the multiplicity of the root 1 in S(X). Any other period takes sympy's
-    Euclidean gf_gcd, whose lists run from the top degree down.
+    The oracle for the other engines, through sympy's Euclidean gf_gcd,
+    whose lists run from the top degree down. gcd(X^T - 1, 0) = X^T - 1, so
+    the zero sequence gives LC 0.
     """
     if seq.alphabet_size != fieldp.p:
         raise ValueError(
             f"alphabet size {seq.alphabet_size} does not match field F_{fieldp.p}"
         )
     p, T = fieldp.p, seq.period
-    if not any(seq.symbols):
-        return 0
-    if p ** sympy.multiplicity(p, T) == T:
-        return T - _root_one_multiplicity(seq.symbols, p)
     xt1 = [1] + [0] * (T - 1) + [p - 1]
     return T - (len(gf_gcd(xt1, gf_strip(list(seq.symbols[::-1])), p, ZZ)) - 1)
 
@@ -195,8 +191,9 @@ def _seq_mask(seq: PeriodicSequence) -> int:
 def linear_complexity(seq: PeriodicSequence) -> tuple[int, str]:
     """Linear complexity over the sequence's prime alphabet, with its engine.
 
-    Binary sequences take the bitmask F_2[X] gcd ("bitmask_gcd"); any other
-    alphabet takes Berlekamp-Massey over F_p ("berlekamp_massey"). Raises
+    Binary sequences take the bitmask F_2[X] gcd ("bitmask_gcd"); F_p with a
+    period that is a power of p takes Games-Chan ("games_chan"); any other
+    period takes Berlekamp-Massey over F_p ("berlekamp_massey"). Raises
     ValueError when the alphabet size is not prime.
     """
     if seq.alphabet_size == 2:
@@ -208,28 +205,41 @@ def linear_complexity(seq: PeriodicSequence) -> tuple[int, str]:
             f"alphabet size {seq.alphabet_size} is not prime: "
             "linear complexity needs a prime field F_p"
         ) from None
+    p, T = fieldp.p, seq.period
+    if p ** sympy.multiplicity(p, T) == T:
+        return _lc_games_chan(seq.symbols, p), "games_chan"
     return berlekamp_massey(seq, fieldp), "berlekamp_massey"
 
 
 # --- k-error linear complexity -------------------------------------------
 
-def _pattern_count(period: int, k: int) -> int:
-    return sum(math.comb(period, w) for w in range(k + 1))
+def _exhaustive_profile(seq: PeriodicSequence, k_max: int, budget: int) -> list:
+    """(k, lc_k, exact) for k = 0..k_max by one incremental exhaustive pass.
 
-
-def _min_lc_at_weight(mask: int, period: int, w: int) -> int:
-    """Minimum LC over all error patterns of weight exactly w."""
-    best = None
-    for positions in itertools.combinations(range(period), w):
-        e = 0
-        for q in positions:
-            e |= 1 << q
-        lc = lc_binary(mask ^ e, period)
-        if best is None or lc < best:
-            best = lc
-            if best == 0:
-                break
-    return best
+    Weight w is searched once and serves every k >= w. Once the patterns
+    searched would exceed the budget, the remaining entries are inexact and
+    carry the last exact value, which is an upper bound.
+    """
+    mask = _seq_mask(seq)
+    period = seq.period
+    best = lc_binary(mask, period)
+    profile = [(0, best, True)]
+    consumed = 1
+    for k in range(1, k_max + 1):
+        consumed += math.comb(period, k)
+        exact = consumed <= budget
+        if exact and best > 0:
+            for positions in itertools.combinations(range(period), k):
+                e = 0
+                for q in positions:
+                    e |= 1 << q
+                lc = lc_binary(mask ^ e, period)
+                if lc < best:
+                    best = lc
+                    if best == 0:
+                        break
+        profile.append((k, best, exact))
+    return profile
 
 
 def kerror_lc_bruteforce(
@@ -242,18 +252,12 @@ def kerror_lc_bruteforce(
     """
     if not 0 <= k <= seq.period:
         raise ValueError(f"k must lie in [0, {seq.period}], got {k}")
-    total = _pattern_count(seq.period, k)
+    total = sum(math.comb(seq.period, w) for w in range(k + 1))
     if total > budget:
         raise PatternBudgetExceeded(
             f"{total} patterns for k={k}, period={seq.period} exceeds budget {budget}"
         )
-    mask = _seq_mask(seq)
-    best = lc_binary(mask, seq.period)
-    for w in range(1, k + 1):
-        if best == 0:
-            break
-        best = min(best, _min_lc_at_weight(mask, seq.period, w))
-    return best
+    return _exhaustive_profile(seq, k, budget)[k][1]
 
 
 def _structural_prime(period: int) -> int | None:
@@ -312,10 +316,9 @@ def kerror_lc_profile(
 
     The period alone picks the engine. A period p^n with 2 a primitive root
     modulo p^n gets the structural block recursion, and every entry is
-    exact. Any other period gets one incremental exhaustive pass: weight w
-    is searched once and serves every k >= w. Once the patterns searched
-    would exceed the budget, the remaining entries are inexact and carry
-    the last exact value, which is an upper bound.
+    exact. Any other period gets one exhaustive pass under the pattern
+    budget (see _exhaustive_profile), whose entries turn inexact once the
+    budget runs out.
     """
     if seq.alphabet_size != 2:
         raise ValueError("binary sequence required")
@@ -324,17 +327,7 @@ def kerror_lc_profile(
     p = _structural_prime(seq.period)
     if p is not None:
         return [(k, _kerror_lc_pn(seq.symbols, p, k), True) for k in range(k_max + 1)]
-    mask = _seq_mask(seq)
-    best = lc_binary(mask, seq.period)
-    profile = [(0, best, True)]
-    consumed = 1
-    for k in range(1, k_max + 1):
-        consumed += math.comb(seq.period, k)
-        exact = consumed <= budget
-        if exact and best > 0:
-            best = min(best, _min_lc_at_weight(mask, seq.period, k))
-        profile.append((k, best, exact))
-    return profile
+    return _exhaustive_profile(seq, k_max, budget)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from .complexity import (
     check_theorem_profile,
     kerror_lc_profile,
     lc_via_gcd,
+    linear_complexity,
     theorem_precondition_error,
 )
 from .fieldarith import PrimeField, multiplicative_order
@@ -83,10 +84,9 @@ def suite_lc_p(p: int, r: int, seed: int = 0) -> list[CheckResult]:
     """Linear complexity of the highest-level sequence equals p^r + p - 1."""
     m = PrimePowerModulus(p, r)
     seq = level_sequence(m, r - 1)
-    fp = PrimeField(p)
     expected = p**r + p - 1
-    bm = berlekamp_massey(seq, fp)
-    gcd_lc = lc_via_gcd(seq, fp)
+    bm = berlekamp_massey(seq, PrimeField(p))
+    gcd_lc, _ = linear_complexity(seq)  # Games-Chan: the gcd's root-1 multiplicity
     return [
         (f"BM LC at (p={p}, r={r})", bm == expected, f"{bm} vs {expected}"),
         (f"gcd LC at (p={p}, r={r})", gcd_lc == expected, f"{gcd_lc} vs {expected}"),

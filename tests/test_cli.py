@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerseq import complexity
 from eulerseq.cli import main
@@ -89,9 +95,16 @@ class TestAnalyze:
             capsys, "analyze", "--p", "3", "--r", "2", "--kind", "level",
             "--j", "1", "--format", "json",
         )
+        _, mary, _ = run(
+            capsys, "analyze", "--p", "7", "--r", "2", "--kind", "mary",
+            "--order", "3", "--format", "json",
+        )
         assert json.loads(binary)["method"] == "bitmask_gcd"
-        assert json.loads(ternary)["method"] == "berlekamp_massey"
+        assert json.loads(ternary)["method"] == "games_chan"
         assert json.loads(ternary)["lc"] == 11
+        # alphabet 3 at period 7^3, not a power of 3: Berlekamp-Massey
+        assert json.loads(mary)["method"] == "berlekamp_massey"
+        assert json.loads(mary)["lc"] == 42
 
     def test_class_profile_outside_theorem(self, capsys):
         # |I| = 2 > (p-1)/2 = 1: no theorem profile, the k-error engine answers
@@ -121,6 +134,18 @@ class TestAnalyze:
         assert code == 2
         assert stdout == ""
         assert "not the binary class sequence" in stderr
+
+    def test_file_period_not_the_headers(self, tmp_path, capsys):
+        # the header names the class sequence of period 3^501; the file's
+        # period 9 is compared with it before that sequence is built
+        f = tmp_path / "r500.txt"
+        f.write_text("seq 2 9 p=3 r=500 kind=class\n0 1 1 0 1 0 0 1 0\n")
+        code, stdout, stderr = run(
+            capsys, "analyze", "--file", str(f), "--I", "0", "--k-max", "1"
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith(f"error: {f}: ")
 
     def test_file_and_inline_agree(self, tmp_path, capsys):
         f = tmp_path / "s.txt"
@@ -249,6 +274,88 @@ class TestAnalyze:
         # inexact entries carry LC_1, reached with one error: an upper bound
         lc1 = doc["kerror"][1]["lc"]
         assert [e["lc"] for e in doc["kerror"][2:]] == [lc1, lc1]
+
+
+def exit_code(argv) -> int:
+    """cli.main's exit code, its output discarded."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        return main(argv)
+
+
+small_ints = st.integers(-1, 5)
+index_sets = st.lists(small_ints.map(str), min_size=1, max_size=3)
+
+
+@st.composite
+def sequence_files(draw):
+    """A sequence file: a genuine class sequence under its theorem-valid
+    header, or small contents under a header whose p, r and kind come from
+    small sets, r = 500 among them. Most files parse, so that the draws
+    reach the analysis; the rest hold a wrong count or a symbol outside the
+    alphabet."""
+    if draw(st.booleans()):
+        p, r = draw(st.sampled_from([(3, 2), (5, 2)]))
+        levels = draw(st.sets(st.integers(0, p - 1), min_size=1))
+        seq = binary_class_sequence(PrimePowerModulus(p, r), levels)
+        header = f"seq 2 {seq.period} p={p} r={r} kind=class"
+        symbols = list(seq.symbols)
+    else:
+        alphabet = draw(st.sampled_from([2, 2, 3, 1]))
+        period = draw(st.integers(0, 30))
+        p = draw(st.sampled_from([3, 5, 4]))
+        r = draw(st.sampled_from([500, 1, 2]))
+        kind = draw(st.sampled_from(["class", "level", "threshold"]))
+        header = f"seq {alphabet} {period} p={p} r={r} kind={kind}"
+        count = draw(st.sampled_from([period, period, period + 1]))
+        top = draw(st.sampled_from([alphabet - 1, alphabet - 1, alphabet]))
+        symbols = draw(st.lists(st.integers(0, top), min_size=count, max_size=count))
+    return header + "\n" + " ".join(map(str, symbols)) + "\n"
+
+
+options = st.fixed_dictionaries({
+    "--k-max": st.sampled_from(["1", "2", "0", "-1"]),
+    "--budget": st.sampled_from(["1000", "1"]),
+    "--format": st.sampled_from(["text", "json"]),
+})
+
+
+class TestExitCodeContract:
+    """No input ends in a traceback: every exit code is 0, 1 or 2. Drawn
+    values keep periods small, so no draw allocates much."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sequence_files(), options, st.one_of(st.just(["0"]), st.none(), index_sets))
+    def test_fuzzed_sequence_files(self, text, opts, levels):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "seq.txt"
+            path.write_text(text)
+            argv = ["analyze", "--file", str(path)]
+            argv += [x for kv in opts.items() for x in kv]
+            if levels:
+                argv += ["--I", *levels]
+            assert exit_code(argv) in (0, 1, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(["1", "2", "3", "4", "5"]),
+        st.integers(0, 3),
+        st.sampled_from(
+            ["class", "balanced", "threshold", "level", "mary", "fermat-order"]
+        ),
+        st.fixed_dictionaries({}, optional={
+            "--I": index_sets,
+            "--j": small_ints.map(str),
+            "--i": st.integers(-1, 3).map(str),
+            "--order": small_ints.map(str),
+        }),
+        options,
+    )
+    def test_fuzzed_analyze_argv(self, p, r, kind, kind_args, opts):
+        argv = ["analyze", "--p", p, "--r", str(r), "--kind", kind]
+        for key, value in {**kind_args, **opts}.items():
+            argv += [key, *value] if isinstance(value, list) else [key, value]
+        assert exit_code(argv) in (0, 1, 2)
 
 
 class TestVerify:

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,7 +80,12 @@ class TestLinearComplexity:
             fp = PrimeField(char)
             lc = lc_via_gcd(s, fp)
             assert berlekamp_massey(s, fp) == lc
-            method = "bitmask_gcd" if char == 2 else "berlekamp_massey"
+            if char == 2:
+                method = "bitmask_gcd"
+            elif 3 ** sympy.multiplicity(3, T) == T:
+                method = "games_chan"
+            else:
+                method = "berlekamp_massey"
             assert linear_complexity(s) == (lc, method)
 
     def test_binary_fast_path_matches_reference(self):
@@ -117,30 +123,40 @@ def prime_power_periods(draw):
     return PeriodicSequence(p, T, tuple(symbols))
 
 
+def lc_and_oracle(seq):
+    """linear_complexity's LC after checking its engine against lc_via_gcd."""
+    lc, _ = linear_complexity(seq)
+    assert lc == lc_via_gcd(seq, PrimeField(seq.alphabet_size))
+    return lc
+
+
 class TestGcdOracle:
-    """lc_via_gcd reads the root-1 multiplicity when the period is p^n."""
+    """At p^n periods linear_complexity takes Games-Chan for odd p; the
+    gcd definition and Berlekamp-Massey check it."""
 
     @settings(max_examples=300, deadline=None)
     @given(prime_power_periods())
     def test_matches_berlekamp_massey_at_prime_power_periods(self, seq):
         fp = PrimeField(seq.alphabet_size)
-        assert lc_via_gcd(seq, fp) == berlekamp_massey(seq, fp)
+        bm = berlekamp_massey(seq, fp)
+        assert lc_via_gcd(seq, fp) == bm
+        method = "bitmask_gcd" if seq.alphabet_size == 2 else "games_chan"
+        assert linear_complexity(seq) == (bm, method)
 
     def test_edge_cases(self):
         for p in (2, 3, 5, 7):
-            fp = PrimeField(p)
-            assert lc_via_gcd(PeriodicSequence(p, 1, (0,)), fp) == 0
+            assert lc_and_oracle(PeriodicSequence(p, 1, (0,))) == 0
             for x in range(1, p):
-                assert lc_via_gcd(PeriodicSequence(p, 1, (x,)), fp) == 1
+                assert lc_and_oracle(PeriodicSequence(p, 1, (x,))) == 1
             T = p**3
-            assert lc_via_gcd(PeriodicSequence(p, T, (0,) * T), fp) == 0
-            assert lc_via_gcd(PeriodicSequence(p, T, (1,) * T), fp) == 1
+            assert lc_and_oracle(PeriodicSequence(p, T, (0,) * T)) == 0
+            assert lc_and_oracle(PeriodicSequence(p, T, (1,) * T)) == 1
             # an impulse is coprime to X^T - 1 = (X - 1)^T: full LC
-            assert lc_via_gcd(PeriodicSequence(p, T, (1,) + (0,) * (T - 1)), fp) == T
+            assert lc_and_oracle(PeriodicSequence(p, T, (1,) + (0,) * (T - 1))) == T
 
     def test_top_level_sequence_at_3_8(self):
         seq = level_sequence(PrimePowerModulus(3, 8), 7)  # N = 3^9 = 19,683
-        assert lc_via_gcd(seq, F3) == 3**8 + 2
+        assert linear_complexity(seq) == (3**8 + 2, "games_chan")
 
 
 class TestKErrorBruteForce:
@@ -244,7 +260,7 @@ class TestTheoremProfile:
         m = PrimePowerModulus(7, 2)
         f = binary_class_sequence(m, {0})
         with pytest.raises(ValueError, match="primitive root"):
-            check_theorem_profile(kerror_lc_profile(f, 2), m, {0})
+            check_theorem_profile(kerror_lc_profile(f, 0), m, {0})
 
     def test_refuses_oversized_index_set(self):
         m = PrimePowerModulus(3, 2)
