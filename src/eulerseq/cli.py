@@ -119,12 +119,13 @@ def _theorem_modulus(meta, args) -> PrimePowerModulus | None:
     return None if complexity.theorem_precondition_error(m, len(set(args.I))) else m
 
 
-def _analyze_sequence(seq, meta, args) -> complexity.ComplexityReport:
+def _analyze_sequence(seq, meta, args) -> dict:
+    """The analysis report as its JSON document; _print_report renders it."""
     lc, method = complexity.linear_complexity(seq)
     sequence_id = dict(meta)
     if args.I:
         sequence_id["I"] = sorted(set(args.I))
-    report = complexity.ComplexityReport(sequence_id=sequence_id, lc=lc, method=method)
+    profile = []
     if args.k_max > 0:
         if seq.alphabet_size != 2:
             raise ValueError("k-error analysis is defined for binary sequences only")
@@ -136,32 +137,39 @@ def _analyze_sequence(seq, meta, args) -> complexity.ComplexityReport:
             or seq != sequences.binary_class_sequence(m, args.I)
         ):
             raise ValueError("sequence is not the binary class sequence for (p, r, I)")
-        report.kerror_profile = complexity.kerror_lc_profile(
-            seq, args.k_max, budget=args.budget
-        )
-        lc0 = report.kerror_profile[0][1]
+        profile = complexity.kerror_lc_profile(seq, args.k_max, budget=args.budget)
+        lc0 = profile[0][1]
         if lc0 != lc:  # two engines computed LC_0
             raise RuntimeError(
                 f"k-error engine LC_0 = {lc0} contradicts LC = {lc} from {method}"
             )
         if m is not None:
-            complexity.check_theorem_profile(report.kerror_profile, m, args.I)
-    return report
+            complexity.check_theorem_profile(profile, m, args.I)
+    return {
+        "sequence": sequence_id,
+        "lc": lc,
+        "method": method,
+        "kerror": [{"k": k, "lc": lc_k, "exact": exact} for k, lc_k, exact in profile],
+    }
 
 
-def _print_report(report: complexity.ComplexityReport, fmt: str) -> None:
+def _print_report(doc: dict, fmt: str) -> None:
+    """Print an analysis report as JSON or as text.
+
+    An inexact k-error entry is an upper bound: exhaustive search ran out of
+    pattern budget.
+    """
     if fmt == "json":
-        print(json.dumps(report.to_json_dict()))
+        print(json.dumps(doc))
         return
-    sid = report.sequence_id
-    desc = " ".join(f"{k}={v}" for k, v in sid.items())
+    desc = " ".join(f"{k}={v}" for k, v in doc["sequence"].items())
     print(f"sequence: {desc}")
-    print(f"linear complexity: {report.lc}  (method: {report.method})")
-    if report.kerror_profile:
+    print(f"linear complexity: {doc['lc']}  (method: {doc['method']})")
+    if doc["kerror"]:
         print("k-error profile:")
         print("  k   lc_k  exact")
-        for k, lc, exact in report.kerror_profile:
-            print(f"  {k:<3} {lc:<5} {'yes' if exact else 'no'}")
+        for e in doc["kerror"]:
+            print(f"  {e['k']:<3} {e['lc']:<5} {'yes' if e['exact'] else 'no'}")
 
 
 def _cmd_analyze(args) -> int:

@@ -10,14 +10,14 @@ lc_via_gcd, computed with sympy's gf_gcd over F_p, stays as the oracle the
 engines are cross-checked against.
 k-error linear complexity over F_2 has one entry point, kerror_lc_profile.
 For a period p^n (p an odd prime) with 2 a primitive root modulo p^n it runs
-a cost-carrying block recursion that is exact for every k; for any other
-period it runs one exhaustive error-pattern pass under a pattern budget,
-using bitmask F_2[X] arithmetic. An entry is "exact" when one of these two
-proven engines computed it. Exhaustive search also stays available as the
-named oracle kerror_lc_bruteforce. check_theorem_profile compares a
-computed profile of a binary class sequence with the piecewise-constant
-profile that theorem_kerror_lc predicts when 2 is a primitive root modulo
-p^2.
+one pass of a cost-carrying block recursion that returns the exact values
+LC_0..LC_k_max together; for any other period it runs one exhaustive
+error-pattern pass under a pattern budget, using bitmask F_2[X] arithmetic.
+An entry is "exact" when one of these two proven engines computed it.
+Exhaustive search also stays available as the named oracle
+kerror_lc_bruteforce. check_theorem_profile compares a computed profile of a
+binary class sequence with the piecewise-constant profile that
+theorem_kerror_lc predicts when 2 is a primitive root modulo p^2.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import functools
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import sympy
 from sympy import ZZ
@@ -164,9 +164,7 @@ def _bgcd(a: int, b: int) -> int:
 
 
 def lc_binary(mask: int, period: int) -> int:
-    """Linear complexity over F_2 of the period given as a bitmask."""
-    if mask == 0:
-        return 0
+    """LC over F_2 of the period given as a bitmask; gcd(X^N + 1, 0) gives LC 0."""
     return period - _bdeg(_bgcd((1 << period) | 1, mask))
 
 
@@ -275,38 +273,42 @@ def _structural_prime(period: int) -> int | None:
     return p
 
 
-def _kerror_lc_pn(bits: Sequence[int], p: int, k: int) -> int:
-    """Exact k-error LC over F_2 of a p^n-periodic sequence, 2 primitive mod p^n.
+def _kerror_lc_pn(
+    bits: Sequence[int], cost: Sequence[int], p: int, k_max: int
+) -> list[int]:
+    """Exact LC_0..LC_k_max over F_2 of a p^n-periodic sequence, 2 primitive mod p^n.
 
     Block recursion for p^n-periodic LC (Xiao, Wei, Lam, Imamura, IEEE
     Trans. IT 46, 2000) carrying flip costs as in Stamp and Martin (IEEE
     Trans. IT 39, 1993). With period pM and blocks A_0..A_{p-1} of length M,
     LC = LC(A_0) when all blocks are equal and (p-1)M + LC(A_0 + ... +
     A_{p-1}) otherwise. Equal blocks leave LC <= M < (p-1)M, so making them
-    equal is optimal whenever the remaining k pays for it. cost[i] is the
-    number of original flips needed to flip bits[i].
+    equal, at a price of spend flips, is optimal whenever k >= spend. That is
+    the only decision that depends on k, so one pass follows each branch for
+    its own k range (as in Lauder and Paterson's one-pass error spectrum, IEEE
+    Trans. IT 49, 2003): the sum branch for k < spend, the equal branch,
+    with spend flips used, for k >= spend. An empty range prunes a branch, and each branch
+    works on 1/p of its input, so the whole profile costs at most about
+    p/(p-2) single-k runs. cost[i] is the flips needed to flip bits[i].
     """
-    cost = [1] * len(bits)
-    lc = 0
-    while len(bits) > 1:
-        m = len(bits) // p
-        to0 = []  # cost of making column i all 0
-        to1 = []
-        for i in range(m):
-            col_cost = cost[i::m]
-            ones = sum(c for b, c in zip(bits[i::m], col_cost) if b)
-            to0.append(ones)
-            to1.append(sum(col_cost) - ones)
-        spend = sum(map(min, to0, to1))
-        if spend <= k:
-            k -= spend
-            bits = [int(c1 < c0) for c0, c1 in zip(to0, to1)]
-            cost = [abs(c1 - c0) for c0, c1 in zip(to0, to1)]
-        else:
-            lc += (p - 1) * m
-            bits = [sum(bits[i::m]) & 1 for i in range(m)]
-            cost = [min(cost[i::m]) for i in range(m)]
-    return lc + (bits[0] == 1 and cost[0] > k)
+    if k_max < 0:
+        return []
+    if len(bits) == 1:
+        return [int(bits[0] == 1 and cost[0] > k) for k in range(k_max + 1)]
+    m = len(bits) // p
+    to0 = []  # cost of making column i all 0
+    to1 = []
+    for i in range(m):
+        col_cost = cost[i::m]
+        ones = sum(c for b, c in zip(bits[i::m], col_cost) if b)
+        to0.append(ones)
+        to1.append(sum(col_cost) - ones)
+    spend = sum(map(min, to0, to1))
+    summed = _kerror_lc_pn([sum(bits[i::m]) & 1 for i in range(m)],
+                           [min(cost[i::m]) for i in range(m)], p, min(spend - 1, k_max))
+    equal = _kerror_lc_pn([int(c1 < c0) for c0, c1 in zip(to0, to1)],
+                          [abs(c1 - c0) for c0, c1 in zip(to0, to1)], p, k_max - spend)
+    return [(p - 1) * m + lc for lc in summed] + equal
 
 
 def kerror_lc_profile(
@@ -315,18 +317,19 @@ def kerror_lc_profile(
     """k-error LC of a binary sequence as (k, lc_k, exact) for k = 0..k_max.
 
     The period alone picks the engine. A period p^n with 2 a primitive root
-    modulo p^n gets the structural block recursion, and every entry is
-    exact. Any other period gets one exhaustive pass under the pattern
-    budget (see _exhaustive_profile), whose entries turn inexact once the
-    budget runs out.
+    modulo p^n gets one pass of the structural block recursion, and every
+    entry is exact. Any other period gets one exhaustive pass under the
+    pattern budget (see _exhaustive_profile), whose entries turn inexact
+    once the budget runs out. Raises ValueError unless 0 <= k_max <= period.
     """
     if seq.alphabet_size != 2:
         raise ValueError("binary sequence required")
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    if not 0 <= k_max <= seq.period:
+        raise ValueError(f"k_max must lie in [0, {seq.period}], got {k_max}")
     p = _structural_prime(seq.period)
     if p is not None:
-        return [(k, _kerror_lc_pn(seq.symbols, p, k), True) for k in range(k_max + 1)]
+        lcs = _kerror_lc_pn(seq.symbols, [1] * seq.period, p, k_max)
+        return [(k, lc, True) for k, lc in enumerate(lcs)]
     return _exhaustive_profile(seq, k_max, budget)
 
 
@@ -429,33 +432,6 @@ def theorem_kerror_lc(m: PrimePowerModulus, index_size: int, k: int) -> int:
     return p ** (r + 1) - p**r
 
 
-@dataclass
-class ComplexityReport:
-    """Linear complexity result with an optional k-error profile.
-
-    kerror_profile entries are (k, lc_k, exact); exact means computed by a
-    proven exact engine (the structural recursion or exhaustive search).
-    An inexact lc_k is an upper bound: the last exact value before the
-    exhaustive search ran out of pattern budget.
-    """
-
-    sequence_id: dict
-    lc: int
-    method: str
-    kerror_profile: list[tuple[int, int, bool]] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sequence": self.sequence_id,
-            "lc": self.lc,
-            "method": self.method,
-            "kerror": [
-                {"k": k, "lc": lc, "exact": exact}
-                for k, lc, exact in self.kerror_profile
-            ],
-        }
-
-
 def check_theorem_profile(
     profile: list[tuple[int, int, bool]], m: PrimePowerModulus, levels
 ) -> None:
@@ -506,23 +482,30 @@ def check_root_group_lemmas(m: PrimePowerModulus) -> bool:
     return True
 
 
+def poly_p_precondition_error(p: int) -> str | None:
+    """Why check_poly_p_lemma refuses p, or None if it runs.
+
+    The lemma needs 2 primitive modulo p, and the exhaustive search covers
+    p <= 13. Raises ValueError when p < 2 or p is even.
+    """
+    if multiplicative_order(2, p) != p - 1:
+        return f"2 is not a primitive root modulo {p}"
+    if p > 13:
+        return f"exhaustive G(X) search needs p <= 13, got p={p}"
+    return None
+
+
 def check_poly_p_lemma(p: int) -> bool:
     """Uniqueness of G with 1 <= deg G < p and G == 1 mod (X^p-1)/(X-1).
 
-    Requires 2 primitive modulo p, making 1 + X + ... + X^{p-1} irreducible
-    over F_2; the unique such G must be X + X^2 + ... + X^{p-1}. Verified by
-    exhaustive search over all nonconstant candidates for p <= 13, by direct
-    congruence check otherwise.
+    2 primitive modulo p makes 1 + X + ... + X^{p-1} irreducible over F_2;
+    the unique such G must be X + X^2 + ... + X^{p-1}. Verified by
+    exhaustive search over all nonconstant candidates. Raises ValueError
+    when poly_p_precondition_error refuses p.
     """
-    if multiplicative_order(2, p) != p - 1:
-        raise ValueError(f"2 is not a primitive root modulo {p}")
+    reason = poly_p_precondition_error(p)
+    if reason:
+        raise ValueError(reason)
     cyclo_p = (1 << p) - 1
-    target = (1 << p) - 2  # X + X^2 + ... + X^{p-1}
-    if p <= 13:
-        matches = [
-            g
-            for g in range(2, 1 << p)
-            if _bdeg(g) >= 1 and _bmod(g ^ 1, cyclo_p) == 0
-        ]
-        return matches == [target]
-    return _bmod(target ^ 1, cyclo_p) == 0
+    matches = [g for g in range(2, 1 << p) if _bmod(g ^ 1, cyclo_p) == 0]
+    return matches == [(1 << p) - 2]  # X + X^2 + ... + X^{p-1}

@@ -15,9 +15,10 @@ from .complexity import (
     kerror_lc_profile,
     lc_via_gcd,
     linear_complexity,
+    poly_p_precondition_error,
     theorem_precondition_error,
 )
-from .fieldarith import PrimeField, multiplicative_order
+from .fieldarith import PrimeField
 from .quotients import PrimePowerModulus, euler_quotient, quotient_table
 from .sequences import PeriodicSequence, binary_class_sequence, level_sequence
 
@@ -101,10 +102,11 @@ def suite_lemmas(p: int, r: int, seed: int = 0) -> list[CheckResult]:
     else:
         results = [(roots, True, "vacuous for r < 2")]
     uniqueness = f"G(X) uniqueness at p={p}"
-    if multiplicative_order(2, p) == p - 1:
-        results.append((uniqueness, check_poly_p_lemma(p), ""))
+    reason = poly_p_precondition_error(p)
+    if reason:
+        results.append((uniqueness, True, f"refused: {reason}"))
     else:
-        results.append((uniqueness, True, f"refused: 2 is not a primitive root modulo {p}"))
+        results.append((uniqueness, check_poly_p_lemma(p), ""))
     return results
 
 

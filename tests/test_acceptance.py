@@ -237,7 +237,7 @@ def test_criterion_10_oracle_equivalence():
 
 def test_criterion_11_full_profiles_at_scale():
     """Every profile entry exact and equal to the theorem, k = 0..weight."""
-    cases = [(5, 2, {0}), (5, 2, {0, 1}), (13, 2, {4})]
+    cases = [(5, 2, {0}), (5, 2, {0, 1}), (13, 2, {4}), (3, 8, {0}), (13, 3, {0})]
     mismatches = {}
     for p, r, levels in cases:
         m = PrimePowerModulus(p, r)

@@ -82,6 +82,9 @@ class TestAnalyze:
         )
         assert code == 0
         doc = json.loads(stdout)
+        assert list(doc) == ["sequence", "lc", "method", "kerror"]
+        assert list(doc["sequence"]) == ["p", "r", "kind", "I"]
+        assert doc["kerror"][3] == {"k": 3, "lc": 19, "exact": True}
         assert doc["lc"] == 20
         assert [e["lc"] for e in doc["kerror"]] == [20, 20, 20, 19, 19, 19, 0]
         assert all(e["exact"] for e in doc["kerror"])
@@ -230,6 +233,22 @@ class TestAnalyze:
         assert stdout == ""
         assert "--k-max" in stderr
 
+    def test_k_max_up_to_the_period(self, tmp_path, capsys):
+        argv = ["--p", "3", "--r", "2", "--kind", "class", "--I", "0", "--format", "json"]
+        code, stdout, _ = run(capsys, "analyze", *argv, "--k-max", "27")
+        assert code == 0
+        assert json.loads(stdout)["kerror"][-1] == {"k": 27, "lc": 0, "exact": True}
+        code, stdout, stderr = run(capsys, "analyze", *argv, "--k-max", "28")
+        assert (code, stdout) == (2, "")
+        assert "k_max must lie in [0, 27], got 28" in stderr
+        f = tmp_path / "s.txt"
+        run(capsys, "generate", *argv[:-2], "--out", str(f))
+        code, stdout, stderr = run(
+            capsys, "analyze", "--file", str(f), "--I", "0", "--k-max", "28"
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith(f"error: {f}: k_max must lie in [0, 27]")
+
     def test_file_round_trip(self, tmp_path, capsys):
         out = tmp_path / "s.txt"
         run(
@@ -369,6 +388,11 @@ class TestVerify:
         code, stdout, _ = run(capsys, "verify", "--suite", "lemmas", "--p", "5", "--r", "2")
         assert code == 0
         assert stdout.count("PASS") == 2
+
+    def test_lemmas_suite_refuses_p_past_search(self, capsys):
+        code, stdout, _ = run(capsys, "verify", "--suite", "lemmas", "--p", "19", "--r", "1")
+        assert code == 0
+        assert "PASS G(X) uniqueness at p=19 — refused: " in stdout
 
     def test_klc_refusal_p7(self, capsys):
         code, stdout, _ = run(capsys, "verify", "--suite", "klc", "--p", "7", "--r", "2")

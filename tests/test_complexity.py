@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from eulerseq import complexity
 from eulerseq.complexity import (
-    ComplexityReport,
     ErrorPattern,
     PatternBudgetExceeded,
     berlekamp_massey,
@@ -341,20 +340,9 @@ class TestStructuralKError:
         assert values[0] == lc_binary(mask, seq.period) == lc_via_gcd(seq, F2)
         assert values == sorted(values, reverse=True)
         assert all(lc == 0 for lc in values[seq.weight:])
-
-
-class TestComplexityReportSerialization:
-    def test_json_shape(self):
-        report = ComplexityReport(
-            sequence_id={"p": 3, "r": 2, "kind": "class", "I": [0]},
-            lc=20,
-            method="gcd_formula",
-            kerror_profile=[(0, 20, True), (3, 19, True)],
-        )
-        doc = report.to_json_dict()
-        assert list(doc) == ["sequence", "lc", "method", "kerror"]
-        assert list(doc["sequence"]) == ["p", "r", "kind", "I"]
-        assert doc["kerror"][1] == {"k": 3, "lc": 19, "exact": True}
+        # a smaller k_max prunes the recursion's k ranges, not its values
+        for j in {0, 1, seq.weight // 2, seq.period - 1}:
+            assert kerror_lc_profile(seq, j, budget=1) == profile[: j + 1]
 
 
 class TestLemmas:
@@ -391,3 +379,8 @@ class TestLemmas:
     def test_poly_p_refuses_p7(self):
         with pytest.raises(ValueError, match="primitive root"):
             check_poly_p_lemma(7)
+
+    def test_poly_p_refuses_p_past_search(self):
+        # 2 is primitive modulo 19, but the exhaustive search stops at 13
+        with pytest.raises(ValueError, match="p <= 13"):
+            check_poly_p_lemma(19)
