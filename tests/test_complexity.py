@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerseq import complexity
+from eulerseq.cli import main
 from eulerseq.complexity import (
     ErrorPattern,
     PatternBudgetExceeded,
@@ -343,6 +345,22 @@ class TestStructuralKError:
         # a smaller k_max prunes the recursion's k ranges, not its values
         for j in {0, 1, seq.weight // 2, seq.period - 1}:
             assert kerror_lc_profile(seq, j, budget=1) == profile[: j + 1]
+
+
+class TestComplexityReportSerialization:
+    def test_json_shape(self, capsys):
+        code = main([
+            "analyze", "--p", "3", "--r", "2", "--kind", "class",
+            "--I", "0", "--k-max", "3", "--format", "json",
+        ])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["sequence", "lc", "method", "kerror"]
+        assert list(doc["sequence"]) == ["p", "r", "kind", "I"]
+        assert doc["sequence"] == {"p": 3, "r": 2, "kind": "class", "I": [0]}
+        assert doc["lc"] == 20
+        assert doc["kerror"][0] == {"k": 0, "lc": 20, "exact": True}
+        assert doc["kerror"][3] == {"k": 3, "lc": 19, "exact": True}
 
 
 class TestLemmas:
