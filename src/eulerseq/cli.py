@@ -175,6 +175,8 @@ def _print_report(doc: dict, fmt: str) -> None:
 def _cmd_analyze(args) -> int:
     if args.k_max < 0:
         raise ValueError(f"--k-max must be >= 0, got {args.k_max}")
+    if args.budget < 0:
+        raise ValueError(f"--budget must be >= 0, got {args.budget}")
     if args.file:
         try:
             with open(args.file) as fh:

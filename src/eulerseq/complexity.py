@@ -5,7 +5,9 @@ picks an LC engine, from the alphabet and the period: a binary sequence goes
 to the bitmask F_2[X] gcd lc_binary (method "bitmask_gcd"); an F_p sequence
 whose period is a power of p goes to the generalised Games-Chan recursion
 (method "games_chan"); any other F_p sequence goes to Berlekamp-Massey
-(method "berlekamp_massey"). The gcd formula LC = T - deg gcd(X^T - 1, S(X)),
+(method "berlekamp_massey"), which packs its polynomials into bytes for
+p <= 13 (a popcount per bit plane for each discrepancy, one big-int
+multiply-add for each update). The gcd formula LC = T - deg gcd(X^T - 1, S(X)),
 lc_via_gcd, computed with sympy's gf_gcd over F_p, stays as the oracle the
 engines are cross-checked against.
 k-error linear complexity over F_2 has one entry point, kerror_lc_profile.
@@ -47,16 +49,23 @@ DEFAULT_PATTERN_BUDGET = 10**7
 # --- linear complexity ----------------------------------------------------
 
 def berlekamp_massey(seq: PeriodicSequence, fieldp: PrimeField) -> int:
-    """Linear complexity over F_p via Berlekamp-Massey.
+    """Linear complexity over F_p via Berlekamp-Massey (Massey, IEEE Trans. IT 15, 1969).
 
     Runs on two concatenated periods, which guarantees convergence to the
-    least recurrence order of the periodic extension.
+    least recurrence order of the periodic extension. When p(p - 1) < 256,
+    that is p <= 13, the polynomials are packed one coefficient per byte and
+    _berlekamp_massey_packed runs: popcounts of bit planes give each
+    discrepancy, and one big-int multiply-add gives each update, whose byte
+    slots sum to at most p(p - 1) and so never carry. Larger alphabets take
+    the coefficient-list loop below, the only path that can hold them.
     """
     if seq.alphabet_size != fieldp.p:
         raise ValueError(
             f"alphabet size {seq.alphabet_size} does not match field F_{fieldp.p}"
         )
     p = fieldp.p
+    if p * (p - 1) < 256:
+        return _berlekamp_massey_packed(seq.symbols, p)
     s = seq.symbols * 2
     c = [1]
     b = [1]
@@ -86,6 +95,63 @@ def berlekamp_massey(seq: PeriodicSequence, fieldp: PrimeField) -> int:
             for i, bi in enumerate(b):
                 c[i + gap] = (c[i + gap] - coef * bi) % p
             gap += 1
+    return L
+
+
+# Plane a maps a byte to ASCII "1" when its bit a is set, else "0"; the
+# symbols of F_p, p <= 13, fit in four planes.
+_BIT_PLANES = tuple(bytes(48 + (v >> a & 1) for v in range(256)) for a in range(4))
+
+
+def _berlekamp_massey_packed(symbols: Sequence[int], p: int) -> int:
+    """Berlekamp-Massey over F_p, p(p - 1) < 256, on byte-packed polynomials.
+
+    The connection polynomial c and the previous polynomial b are bytes,
+    byte i holding coefficient i. Each value splits into nb = (p-1).bit_length()
+    binary planes, so the discrepancy sum_{i <= L} c_i s_{n-i} is
+    sum_{a,b} 2^{a+b} popcount(C_b & W_a) mod p: C_b is plane b of c as a
+    bitmask, and W_a = R_a >> (2N - 1 - n), where R_a is plane a of the
+    doubled sequence reversed, so bit i of W_a is plane a of s_{n-i} for
+    i <= n and no bit lies above n. That covers c, since deg c <= L <= n in
+    Berlekamp-Massey. The update c - coef X^gap b is one big-int multiply-add,
+    c + (p - coef) X^gap b, reduced by one mod-p byte table: a byte slot sums
+    to at most (p-1) + (p-1)^2 = p(p-1) < 256, so no slot carries into the next.
+    """
+    s = bytes(symbols) * 2
+    planes = _BIT_PLANES[: (p - 1).bit_length()]
+    seq_planes = [int(s.translate(t), 2) for t in planes]  # bit j holds s[2N-1-j]
+    mod_p = bytes(v % p for v in range(256))
+    c = b = b"\x01"
+    c_planes = [1] + [0] * (len(planes) - 1)
+    L = 0
+    gap = 1
+    last_disc = 1
+    top = len(s) - 1
+    for n in range(len(s)):
+        d = 0
+        for a, r in enumerate(seq_planes):
+            w = r >> (top - n)
+            for bb, cb in enumerate(c_planes):
+                d += (cb & w).bit_count() << (a + bb)
+        d %= p
+        if d == 0:
+            gap += 1
+            continue
+        coef = d * pow(last_disc, -1, p) % p
+        update = int.from_bytes(c, "little") + (p - coef) * (
+            int.from_bytes(b, "little") << 8 * gap
+        )
+        new = update.to_bytes(max(len(c), len(b) + gap), "little").translate(mod_p)
+        if 2 * L <= n:
+            L = n + 1 - L
+            b = c
+            last_disc = d
+            gap = 1
+        else:
+            gap += 1
+        c = new
+        reversed_c = c[::-1]
+        c_planes = [int(reversed_c.translate(t), 2) for t in planes]
     return L
 
 

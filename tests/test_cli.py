@@ -233,6 +233,15 @@ class TestAnalyze:
         assert stdout == ""
         assert "--k-max" in stderr
 
+    def test_negative_budget(self, capsys):
+        # period 343 takes exhaustive search, which reported an inexact LC_1
+        code, stdout, stderr = run(
+            capsys, "analyze", "--p", "7", "--r", "2", "--kind", "class",
+            "--I", "0", "--k-max", "1", "--budget", "-5",
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: --budget must be >= 0, got -5\n"
+
     def test_k_max_up_to_the_period(self, tmp_path, capsys):
         argv = ["--p", "3", "--r", "2", "--kind", "class", "--I", "0", "--format", "json"]
         code, stdout, _ = run(capsys, "analyze", *argv, "--k-max", "27")

@@ -33,6 +33,7 @@ from eulerseq.sequences import (
     class_partition,
     level_sequence,
 )
+from eulerseq.verify import suite_lc_p
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -72,10 +73,18 @@ class TestLinearComplexity:
         seq = level_sequence(m, 1)
         assert berlekamp_massey(seq, F3) == 11  # p^r + p - 1
 
+    def test_lc_p_suite_at_3_8(self):
+        # N = 3^9 = 19,683: Berlekamp-Massey and Games-Chan both give p^r + p - 1
+        assert suite_lc_p(3, 8) == [
+            ("BM LC at (p=3, r=8)", True, "6563 vs 6563"),
+            ("gcd LC at (p=3, r=8)", True, "6563 vs 6563"),
+        ]
+
     def test_cross_oracle_random(self):
+        # Berlekamp-Massey packs bytes for p <= 13 and loops over lists above
         rng = random.Random(1234)
         for _ in range(200):
-            char = rng.choice([2, 3])
+            char = rng.choice([2, 3, 5, 7, 11, 13, 17, 19])
             T = rng.randint(1, 120)
             s = PeriodicSequence(char, T, tuple(rng.randrange(char) for _ in range(T)))
             fp = PrimeField(char)
@@ -83,11 +92,30 @@ class TestLinearComplexity:
             assert berlekamp_massey(s, fp) == lc
             if char == 2:
                 method = "bitmask_gcd"
-            elif 3 ** sympy.multiplicity(3, T) == T:
+            elif char ** sympy.multiplicity(char, T) == T:
                 method = "games_chan"
             else:
                 method = "berlekamp_massey"
             assert linear_complexity(s) == (lc, method)
+
+    @pytest.mark.parametrize("p", [13, 17])
+    def test_packing_boundary(self, p):
+        # 13 is the largest prime the byte-packed kernel takes (p(p-1) < 256),
+        # 17 the smallest the list loop takes. Every nonzero symbol is p - 1;
+        # at p = 13 the random cases drive an update's byte slot to its
+        # largest sum, p(p - 1) = 156.
+        fp = PrimeField(p)
+        top = p - 1
+        rng = random.Random(p)
+        cases = [(0,), (top,), (0,) * 9, (top,) * 9, (top,) + (0,) * 8]
+        cases += [tuple(top * (u % 3 == 0) for u in range(T)) for T in (5, 7, 10)]
+        cases += [
+            tuple(top * rng.randrange(2) for _ in range(rng.randint(1, 120)))
+            for _ in range(20)
+        ]
+        for symbols in cases:
+            s = PeriodicSequence(p, len(symbols), symbols)
+            assert berlekamp_massey(s, fp) == lc_via_gcd(s, fp), symbols
 
     def test_binary_fast_path_matches_reference(self):
         rng = random.Random(99)
