@@ -28,7 +28,6 @@ import functools
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import sympy
 from sympy import ZZ
@@ -67,34 +66,27 @@ def berlekamp_massey(seq: PeriodicSequence, fieldp: PrimeField) -> int:
     if p * (p - 1) < 256:
         return _berlekamp_massey_packed(seq.symbols, p)
     s = seq.symbols * 2
-    c = [1]
-    b = [1]
+    c = b = [1]
     L = 0
     gap = 1
     last_disc = 1
     for n in range(len(s)):
-        d = 0
-        for i in range(L + 1):
-            d += c[i] * s[n - i]
-        d %= p
+        d = sum(c[i] * s[n - i] for i in range(L + 1)) % p
         if d == 0:
             gap += 1
             continue
         coef = d * pow(last_disc, -1, p) % p
-        if len(c) < len(b) + gap:
-            c.extend([0] * (len(b) + gap - len(c)))
+        new = c + [0] * (len(b) + gap - len(c))
+        for i, bi in enumerate(b):
+            new[i + gap] = (new[i + gap] - coef * bi) % p
         if 2 * L <= n:
-            prev = c.copy()
-            for i, bi in enumerate(b):
-                c[i + gap] = (c[i + gap] - coef * bi) % p
             L = n + 1 - L
-            b = prev
+            b = c
             last_disc = d
             gap = 1
         else:
-            for i, bi in enumerate(b):
-                c[i + gap] = (c[i + gap] - coef * bi) % p
             gap += 1
+        c = new
     return L
 
 
@@ -399,32 +391,11 @@ def kerror_lc_profile(
     return _exhaustive_profile(seq, k_max, budget)
 
 
-@dataclass(frozen=True)
-class ErrorPattern:
-    """Positions to flip in one period of a binary sequence."""
-
-    period: int
-    positions: tuple[int, ...]
-
-    def __post_init__(self):
-        pos = tuple(sorted(set(p % self.period for p in self.positions)))
-        if len(pos) != len(self.positions):
-            raise ValueError("error positions must be distinct modulo the period")
-        object.__setattr__(self, "positions", pos)
-
-    @property
-    def weight(self) -> int:
-        return len(self.positions)
-
-    def apply(self, seq: PeriodicSequence) -> PeriodicSequence:
-        if seq.period != self.period:
-            raise ValueError(f"pattern period {self.period} != sequence period {seq.period}")
-        return seq.flip(self.positions)
-
-
-def constructive_error_pattern(m: PrimePowerModulus, kind: str) -> ErrorPattern:
+def constructive_error_pattern(m: PrimePowerModulus, kind: str) -> tuple[int, ...]:
     """Theorem-derived error patterns achieving the k-error LC drops.
 
+    A pattern is the sorted tuple of positions to flip in one period p^{r+1};
+    its weight is its length, and seq.flip(pattern) applies it.
     kind="lambda": multiples of p below p^r (weight p^{r-1}); flipping these
     drops the LC of an odd-|I| class sequence to p^{r+1} - p^r + 1.
     kind="lambda_times_full": units below p^r congruent to 1..p-1 modulo p
@@ -433,18 +404,15 @@ def constructive_error_pattern(m: PrimePowerModulus, kind: str) -> ErrorPattern:
     """
     if m.r < 2:
         raise ValueError(f"constructive patterns need r >= 2, got r={m.r}")
-    period = m.sequence_period
     if kind == "lambda":
-        positions = tuple(b * m.p for b in range(m.p ** (m.r - 1)))
-    elif kind == "lambda_times_full":
-        positions = tuple(
+        return tuple(b * m.p for b in range(m.p ** (m.r - 1)))
+    if kind == "lambda_times_full":
+        return tuple(
             a + b * m.p
             for b in range(m.p ** (m.r - 1))
             for a in range(1, m.p)
         )
-    else:
-        raise ValueError(f"unknown pattern kind {kind!r}")
-    return ErrorPattern(period=period, positions=positions)
+    raise ValueError(f"unknown pattern kind {kind!r}")
 
 
 # --- theorem profile for binary class sequences ---------------------------

@@ -118,10 +118,3 @@ def fermat_quotient_order(p: int, i: int, u: int) -> int:
     t = pow(u, p - 1, p ** (i + 1))
     return t // p**i % p
 
-
-def verify_congruence_qrs(m: PrimePowerModulus, s: int, u: int) -> bool:
-    """Whether Q_r(u) == Q_s(u) mod p^s for the lower exponent 0 < s < r."""
-    if not 0 < s < m.r:
-        raise ValueError(f"need 0 < s < r, got s={s}, r={m.r}")
-    lower = PrimePowerModulus(m.p, s)
-    return euler_quotient(m, u) % lower.modulus == euler_quotient(lower, u)

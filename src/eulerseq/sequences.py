@@ -64,7 +64,7 @@ class ClassPartition:
     """Partition of [0, p^{r+1}) into classes D_0..D_{p-1} and multiples P.
 
     D_l holds the units u with top quotient digit H_{r-1}(u) = l; P holds
-    the p^r multiples of p. Each D_l has exactly p^r(p-1) elements.
+    the p^r multiples of p. Each D_l has exactly p^{r-1}(p-1) elements.
     """
 
     modulus: PrimePowerModulus

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerseq import complexity
+from eulerseq import complexity, verify
 from eulerseq.cli import main
 from eulerseq.complexity import kerror_lc_bruteforce
 from eulerseq.quotients import PrimePowerModulus
@@ -415,6 +415,31 @@ class TestVerify:
         assert code == 0
         assert stdout.startswith("PASS klc at (p=3, r=1) — refused: ")
         assert "needs r >= 2" in stdout
+
+    @pytest.mark.parametrize("p,weight", [(3, 6), (5, 20)])
+    def test_klc_suite_matches_theorem(self, p, weight):
+        assert verify.suite_klc(p, 2) == [(
+            f"klc at (p={p}, r=2)",
+            True,
+            f"profile for k <= {weight} matches ({weight + 1}/{weight + 1} entries exact)",
+        )]
+
+    def test_klc_contradiction_exits_1(self, monkeypatch, capsys):
+        real = verify.kerror_lc_profile
+
+        def off_by_one_lc3(seq, k_max):
+            profile = real(seq, k_max)
+            k, lc, exact = profile[3]
+            profile[3] = (k, lc + 1, exact)
+            return profile
+
+        monkeypatch.setattr(verify, "kerror_lc_profile", off_by_one_lc3)
+        code, stdout, _ = run(capsys, "verify", "--suite", "klc", "--p", "3", "--r", "2")
+        assert code == 1
+        assert stdout == (
+            "FAIL klc at (p=3, r=2) — computed LC_3 = 20 contradicts "
+            "predicted 19 at (p=3, r=2, I=[0])\n"
+        )
 
     def test_oracles_seeded(self, capsys):
         code, stdout, _ = run(capsys, "verify", "--suite", "oracles", "--seed", "5")

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from eulerseq import complexity
 from eulerseq.cli import main
 from eulerseq.complexity import (
-    ErrorPattern,
     PatternBudgetExceeded,
     berlekamp_massey,
     check_poly_p_lemma,
@@ -77,7 +76,14 @@ class TestLinearComplexity:
         # N = 3^9 = 19,683: Berlekamp-Massey and Games-Chan both give p^r + p - 1
         assert suite_lc_p(3, 8) == [
             ("BM LC at (p=3, r=8)", True, "6563 vs 6563"),
-            ("gcd LC at (p=3, r=8)", True, "6563 vs 6563"),
+            ("games_chan LC at (p=3, r=8)", True, "6563 vs 6563"),
+        ]
+
+    def test_lc_p_suite_skips_bm_past_cap(self):
+        # N = 3^11 = 177,147: Berlekamp-Massey would take about 49 s here
+        assert suite_lc_p(3, 10) == [
+            ("BM LC at (p=3, r=10)", True, "skipped: N > 59049"),
+            ("games_chan LC at (p=3, r=10)", True, "59051 vs 59051"),
         ]
 
     def test_cross_oracle_random(self):
@@ -220,23 +226,26 @@ class TestKErrorBruteForce:
         with pytest.raises(ValueError):
             kerror_lc_bruteforce(bits(1, 0), 3)
 
+    def test_rejects_non_binary(self):
+        # a p^n period over F_3: the structural engine would read its symbols
+        # as bits and report [20, 20, 20], although its LC is 11
+        seq = level_sequence(PrimePowerModulus(3, 2), 1)
+        with pytest.raises(ValueError, match="binary sequence required"):
+            kerror_lc_profile(seq, 2)
+        with pytest.raises(ValueError, match="binary sequence required"):
+            kerror_lc_bruteforce(seq, 2)
+
 
 class TestErrorPatterns:
-    def test_pattern_validation(self):
-        with pytest.raises(ValueError):
-            ErrorPattern(period=9, positions=(1, 10))  # collide mod 9
-
     def test_lambda_positions(self):
         m = PrimePowerModulus(3, 2)
         pat = constructive_error_pattern(m, "lambda")
-        assert pat.positions == (0, 3, 6)
-        assert pat.weight == 3  # p^{r-1}
+        assert pat == (0, 3, 6)  # weight p^{r-1}
 
     def test_lambda_times_full_positions(self):
         m = PrimePowerModulus(3, 2)
         pat = constructive_error_pattern(m, "lambda_times_full")
-        assert pat.positions == (1, 2, 4, 5, 7, 8)
-        assert pat.weight == 6  # p^{r-1}(p-1)
+        assert pat == (1, 2, 4, 5, 7, 8)  # weight p^{r-1}(p-1)
 
     def test_requires_r2(self):
         with pytest.raises(ValueError):
@@ -253,9 +262,9 @@ class TestErrorPatterns:
         base = p ** (r + 1) - p**r
         assert lc_via_gcd(f, F2) == base + p - 1
         lam = constructive_error_pattern(m, "lambda")
-        assert lc_via_gcd(lam.apply(f), F2) == base + 1
+        assert lc_via_gcd(f.flip(lam), F2) == base + 1
         full = constructive_error_pattern(m, "lambda_times_full")
-        assert lc_via_gcd(full.apply(f), F2) == base
+        assert lc_via_gcd(f.flip(full), F2) == base
 
 
 class TestTheoremProfile:
@@ -284,6 +293,20 @@ class TestTheoremProfile:
         assert [lc for _, lc, _ in profile] == [
             20, 20, 20, 19, 19, 19, 0,
         ]
+
+    @pytest.mark.parametrize("p,levels", [(11, {0, 3, 7}), (13, {1, 2, 4, 8, 11})])
+    def test_odd_index_set_past_first_drops(self, p, levels):
+        # odd |I| >= 3 is the only way to reach p^{r-1}(p-1) <= k < weight,
+        # where the theorem predicts p^{r+1} - p^r
+        m = PrimePowerModulus(p, 2)
+        f = binary_class_sequence(m, levels)
+        profile = kerror_lc_profile(f, f.weight)
+        check_theorem_profile(profile, m, levels)
+        assert all(exact for _, _, exact in profile)
+        base, k = p**3 - p**2, p * (p - 1)
+        assert f.weight == k * len(levels)
+        assert [lc for _, lc, _ in profile[k - 1 : k + 1]] == [base + 1, base]
+        assert [lc for _, lc, _ in profile[-2:]] == [base, 0]
 
     def test_refuses_non_primitive_p(self):
         m = PrimePowerModulus(7, 2)

@@ -8,9 +8,9 @@ from eulerseq.quotients import (
     fermat_quotient_order,
     new_quotient_h,
     quotient_table,
-    verify_congruence_qrs,
 )
 from eulerseq.sequences import level_sequence
+from eulerseq.verify import suite_qrs
 
 
 class TestPrimePowerModulus:
@@ -205,18 +205,13 @@ class TestFermatQuotientOrder:
 
 
 class TestCongruenceQrs:
+    # verify's q-r-s suite compares quotient_table's Q_r with euler_quotient's
+    # Q_s at every u in one period and every 0 < s < r
     def test_examples(self):
-        assert verify_congruence_qrs(PrimePowerModulus(3, 2), 1, 2)
-        assert verify_congruence_qrs(PrimePowerModulus(5, 3), 2, 7)
-        assert verify_congruence_qrs(PrimePowerModulus(5, 3), 2, 10)
-
-    def test_bad_s(self):
-        with pytest.raises(ValueError):
-            verify_congruence_qrs(PrimePowerModulus(3, 2), 2, 5)
+        assert suite_qrs(3, 2) == [("q-r-s at (p=3, r=2)", True, "u < 27, s < 2")]
+        assert suite_qrs(5, 3) == [("q-r-s at (p=5, r=3)", True, "u < 625, s < 3")]
+        assert suite_qrs(3, 1) == [("q-r-s at (p=3, r=1)", True, "vacuous for r < 2")]
 
     @pytest.mark.parametrize("p,r", [(3, 3), (3, 4), (5, 3)])
     def test_exhaustive(self, p, r):
-        m = PrimePowerModulus(p, r)
-        for s in range(1, r):
-            for u in range(m.sequence_period):
-                assert verify_congruence_qrs(m, s, u)
+        assert all(passed for _, passed, _ in suite_qrs(p, r))
