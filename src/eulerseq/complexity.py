@@ -13,13 +13,14 @@ engines are cross-checked against.
 k-error linear complexity over F_2 has one entry point, kerror_lc_profile.
 For a period p^n (p an odd prime) with 2 a primitive root modulo p^n it runs
 one pass of a cost-carrying block recursion that returns the exact values
-LC_0..LC_k_max together; for any other period it runs one exhaustive
-error-pattern pass under a pattern budget, using bitmask F_2[X] arithmetic.
-An entry is "exact" when one of these two proven engines computed it.
-Exhaustive search also stays available as the named oracle
-kerror_lc_bruteforce. check_theorem_profile compares a computed profile of a
-binary class sequence with the piecewise-constant profile that
-theorem_kerror_lc predicts when 2 is a primitive root modulo p^2.
+LC_0..LC_k_max together; for any other period it runs the exhaustive oracle
+kerror_lc_bruteforce, one error-pattern pass under a pattern budget, using
+bitmask F_2[X] arithmetic. Both return the same (k, lc_k, exact) profile, so
+the tests compare them entry by entry. An entry is "exact" when one of these
+two proven engines computed it. check_theorem_profile compares a computed
+profile of a binary class sequence with the piecewise-constant profile that
+theorem_kerror_lc predicts when 2 is a primitive root modulo p^2. Orders and
+primitive roots come from sympy's n_order and is_primitive_root.
 """
 
 from __future__ import annotations
@@ -33,13 +34,9 @@ import sympy
 from sympy import ZZ
 from sympy.polys.galoistools import gf_gcd, gf_strip
 
-from .fieldarith import PrimeField, multiplicative_order
+from .fieldarith import PrimeField
 from .quotients import PrimePowerModulus
 from .sequences import PeriodicSequence, class_partition, validate_index_set
-
-
-class PatternBudgetExceeded(RuntimeError):
-    """Raised when an exhaustive error-pattern search would exceed its budget."""
 
 
 DEFAULT_PATTERN_BUDGET = 10**7
@@ -238,12 +235,6 @@ def _mask(bits: Sequence[int]) -> int:
     return int(bytes(bits[::-1]).translate(_ASCII_BITS), 2)
 
 
-def _seq_mask(seq: PeriodicSequence) -> int:
-    if seq.alphabet_size != 2:
-        raise ValueError("binary sequence required")
-    return _mask(seq.symbols)
-
-
 def linear_complexity(seq: PeriodicSequence) -> tuple[int, str]:
     """Linear complexity over the sequence's prime alphabet, with its engine.
 
@@ -253,7 +244,7 @@ def linear_complexity(seq: PeriodicSequence) -> tuple[int, str]:
     ValueError when the alphabet size is not prime.
     """
     if seq.alphabet_size == 2:
-        return lc_binary(_seq_mask(seq), seq.period), "bitmask_gcd"
+        return lc_binary(_mask(seq.symbols), seq.period), "bitmask_gcd"
     try:
         fieldp = PrimeField(seq.alphabet_size)
     except ValueError:
@@ -269,14 +260,26 @@ def linear_complexity(seq: PeriodicSequence) -> tuple[int, str]:
 
 # --- k-error linear complexity -------------------------------------------
 
-def _exhaustive_profile(seq: PeriodicSequence, k_max: int, budget: int) -> list:
-    """(k, lc_k, exact) for k = 0..k_max by one incremental exhaustive pass.
+def _check_kerror_args(seq: PeriodicSequence, k_max: int) -> None:
+    if seq.alphabet_size != 2:
+        raise ValueError("binary sequence required")
+    if not 0 <= k_max <= seq.period:
+        raise ValueError(f"k_max must lie in [0, {seq.period}], got {k_max}")
 
-    Weight w is searched once and serves every k >= w. Once the patterns
-    searched would exceed the budget, the remaining entries are inexact and
-    carry the last exact value, which is an upper bound.
+
+def kerror_lc_bruteforce(
+    seq: PeriodicSequence, k_max: int, budget: int = DEFAULT_PATTERN_BUDGET
+) -> list[tuple[int, int, bool]]:
+    """k-error LC of a binary sequence by exhaustion, as (k, lc_k, exact) for k = 0..k_max.
+
+    One incremental pass minimizes LC over the error patterns of each
+    weight: weight w is searched once and serves every k >= w. Once the
+    patterns searched would exceed the budget, the remaining entries are
+    inexact and carry the last exact value, which is an upper bound. Raises
+    ValueError unless the sequence is binary and 0 <= k_max <= period.
     """
-    mask = _seq_mask(seq)
+    _check_kerror_args(seq, k_max)
+    mask = _mask(seq.symbols)
     period = seq.period
     best = lc_binary(mask, period)
     profile = [(0, best, True)]
@@ -298,24 +301,6 @@ def _exhaustive_profile(seq: PeriodicSequence, k_max: int, budget: int) -> list:
     return profile
 
 
-def kerror_lc_bruteforce(
-    seq: PeriodicSequence, k: int, budget: int = DEFAULT_PATTERN_BUDGET
-) -> int:
-    """Exact k-error linear complexity of a binary sequence by exhaustion.
-
-    Minimizes LC over every error pattern of weight at most k. Raises
-    PatternBudgetExceeded when the pattern count would exceed the budget.
-    """
-    if not 0 <= k <= seq.period:
-        raise ValueError(f"k must lie in [0, {seq.period}], got {k}")
-    total = sum(math.comb(seq.period, w) for w in range(k + 1))
-    if total > budget:
-        raise PatternBudgetExceeded(
-            f"{total} patterns for k={k}, period={seq.period} exceeds budget {budget}"
-        )
-    return _exhaustive_profile(seq, k, budget)[k][1]
-
-
 def _structural_prime(period: int) -> int | None:
     """The odd prime p when period = p^n and 2 is a primitive root mod p^n.
 
@@ -326,9 +311,7 @@ def _structural_prime(period: int) -> int | None:
     if len(factors) != 1 or 2 in factors:
         return None
     (p,) = factors
-    if multiplicative_order(2, period) != period - period // p:
-        return None
-    return p
+    return p if sympy.is_primitive_root(2, period) else None
 
 
 def _kerror_lc_pn(
@@ -376,19 +359,17 @@ def kerror_lc_profile(
 
     The period alone picks the engine. A period p^n with 2 a primitive root
     modulo p^n gets one pass of the structural block recursion, and every
-    entry is exact. Any other period gets one exhaustive pass under the
-    pattern budget (see _exhaustive_profile), whose entries turn inexact
-    once the budget runs out. Raises ValueError unless 0 <= k_max <= period.
+    entry is exact. Any other period gets the exhaustive oracle
+    kerror_lc_bruteforce under the pattern budget, whose entries turn
+    inexact once the budget runs out. Raises ValueError unless the sequence
+    is binary and 0 <= k_max <= period.
     """
-    if seq.alphabet_size != 2:
-        raise ValueError("binary sequence required")
-    if not 0 <= k_max <= seq.period:
-        raise ValueError(f"k_max must lie in [0, {seq.period}], got {k_max}")
+    _check_kerror_args(seq, k_max)
     p = _structural_prime(seq.period)
-    if p is not None:
-        lcs = _kerror_lc_pn(seq.symbols, [1] * seq.period, p, k_max)
-        return [(k, lc, True) for k, lc in enumerate(lcs)]
-    return _exhaustive_profile(seq, k_max, budget)
+    if p is None:
+        return kerror_lc_bruteforce(seq, k_max, budget)
+    lcs = _kerror_lc_pn(seq.symbols, [1] * seq.period, p, k_max)
+    return [(k, lc, True) for k, lc in enumerate(lcs)]
 
 
 def constructive_error_pattern(m: PrimePowerModulus, kind: str) -> tuple[int, ...]:
@@ -418,26 +399,22 @@ def constructive_error_pattern(m: PrimePowerModulus, kind: str) -> tuple[int, ..
 # --- theorem profile for binary class sequences ---------------------------
 
 @functools.lru_cache(maxsize=64)
-def two_is_primitive_root_mod_p2(p: int) -> bool:
-    return multiplicative_order(2, p * p) == p * (p - 1)
-
-
 def theorem_precondition_error(m: PrimePowerModulus, index_size: int) -> str | None:
     """Why the theorem profile does not hold for (p, r, |I|), or None if it does.
 
     The theorem needs r >= 2, 1 <= |I| <= (p-1)/2 and 2 a primitive root
-    modulo p^2.
+    modulo p^2. Cached, since check_theorem_profile asks once per entry.
     """
     p, r = m.p, m.r
     if r < 2:
         return f"theorem profile needs r >= 2, got r={r}"
     if not 1 <= index_size <= (p - 1) // 2:
         return f"index set size {index_size} outside [1, (p-1)/2 = {(p - 1) // 2}]"
-    if not two_is_primitive_root_mod_p2(p):
+    order = sympy.n_order(2, p * p)
+    if order != p * (p - 1):
         return (
             f"2 is not a primitive root modulo {p}^2 "
-            f"(order {multiplicative_order(2, p * p)} != {p * (p - 1)}); "
-            "no profile asserted"
+            f"(order {order} != {p * (p - 1)}); no profile asserted"
         )
     return None
 
@@ -520,9 +497,11 @@ def poly_p_precondition_error(p: int) -> str | None:
     """Why check_poly_p_lemma refuses p, or None if it runs.
 
     The lemma needs 2 primitive modulo p, and the exhaustive search covers
-    p <= 13. Raises ValueError when p < 2 or p is even.
+    p <= 13. Raises ValueError when p < 2 or p is even. The test is on the
+    order, not sympy.is_primitive_root, so that a composite p is refused:
+    2 is a primitive root modulo 9, but its order there is 6, not 8.
     """
-    if multiplicative_order(2, p) != p - 1:
+    if sympy.n_order(2, p) != p - 1:
         return f"2 is not a primitive root modulo {p}"
     if p > 13:
         return f"exhaustive G(X) search needs p <= 13, got p={p}"

@@ -227,17 +227,17 @@ def read_sequence(fh: IO[str]) -> tuple[PeriodicSequence, dict]:
     parts = header.split()
     if len(parts) != 6 or parts[0] != "seq":
         raise SequenceParseError(1, f"bad header: {header.strip()!r}")
+    meta = {}
+    for field in parts[3:]:  # three distinct keys: p, r and kind, each once
+        key, _, value = field.partition("=")
+        if key not in ("p", "r", "kind") or key in meta or not value:
+            raise SequenceParseError(1, f"bad header field: {field!r}")
+        meta[key] = value
     try:
-        alphabet = int(parts[1])
-        period = int(parts[2])
+        alphabet, period = int(parts[1]), int(parts[2])
+        meta["p"], meta["r"] = int(meta["p"]), int(meta["r"])
     except ValueError:
         raise SequenceParseError(1, f"bad header numbers: {header.strip()!r}") from None
-    meta = {}
-    for idx, field in enumerate(parts[3:6]):
-        key, _, value = field.partition("=")
-        if key not in ("p", "r", "kind") or not value:
-            raise SequenceParseError(1, f"bad header field: {field!r}")
-        meta[key] = int(value) if key in ("p", "r") else value
     symbols: list[int] = []
     lineno = 1
     for line in fh:

@@ -68,9 +68,9 @@ def suite_qrs(p: int, r: int, seed: int = 0) -> list[CheckResult]:
     Q_r comes from quotient_table and each Q_s from its definition,
     euler_quotient, so the check covers the table at every u.
     """
+    m = PrimePowerModulus(p, r)
     if r < 2:
         return [(f"q-r-s at (p={p}, r={r})", True, "vacuous for r < 2")]
-    m = PrimePowerModulus(p, r)
     table = quotient_table(m)
     lowers = [PrimePowerModulus(p, s) for s in range(1, r)]
     ok = all(
@@ -111,9 +111,10 @@ def suite_lc_p(p: int, r: int, seed: int = 0) -> list[CheckResult]:
 
 def suite_lemmas(p: int, r: int, seed: int = 0) -> list[CheckResult]:
     """Class-polynomial divisibility lemmas and the G(X) uniqueness lemma."""
+    m = PrimePowerModulus(p, r)
     roots = f"root-group lemmas at (p={p}, r={r})"
     if r >= 2:
-        results = [(roots, check_root_group_lemmas(PrimePowerModulus(p, r)), "")]
+        results = [(roots, check_root_group_lemmas(m), "")]
     else:
         results = [(roots, True, "vacuous for r < 2")]
     uniqueness = f"G(X) uniqueness at p={p}"

@@ -27,3 +27,11 @@ def test_lc_scale_jobs_pass_their_checks(tmp_path):
     assert sum(job.label.startswith("verify") for job in jobs) == 3
     for job in jobs:
         assert job.check(job.run()) is None, job.label
+
+
+def test_gen_props_jobs_pass_their_checks(tmp_path):
+    # generation at N of 6e4 to 1.8e5 with file writes and reads back
+    jobs = workloads.build("gen-props", 0, tmp_path)
+    assert jobs
+    for job in jobs:
+        assert job.check(job.run()) is None, job.label

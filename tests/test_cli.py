@@ -12,7 +12,7 @@ from eulerseq import complexity, verify
 from eulerseq.cli import main
 from eulerseq.complexity import kerror_lc_bruteforce
 from eulerseq.quotients import PrimePowerModulus
-from eulerseq.sequences import binary_class_sequence
+from eulerseq.sequences import binary_class_sequence, read_sequence
 
 
 def run(capsys, *argv):
@@ -32,6 +32,17 @@ class TestGenerate:
         assert "period 27 weight 6" in stdout
         header = out.read_text().splitlines()[0]
         assert header == "seq 2 27 p=3 r=2 kind=class"
+
+    def test_class_sequence_to_stdout(self, capsys):
+        code, stdout, stderr = run(
+            capsys, "generate", "--p", "3", "--r", "2", "--kind", "class", "--I", "0"
+        )
+        assert code == 0
+        assert stderr == "period 27 weight 6\n"
+        seq = binary_class_sequence(PrimePowerModulus(3, 2), {0})
+        assert read_sequence(io.StringIO(stdout)) == (
+            seq, {"p": 3, "r": 2, "kind": "class"}
+        )
 
     def test_level_sequence(self, tmp_path, capsys):
         out = tmp_path / "lvl.txt"
@@ -118,10 +129,10 @@ class TestAnalyze:
         assert code == 0, stderr
         doc = json.loads(stdout)
         f = binary_class_sequence(PrimePowerModulus(3, 2), {0, 1})
-        assert [e["lc"] for e in doc["kerror"]] == [
-            kerror_lc_bruteforce(f, k) for k in range(3)
+        assert doc["kerror"] == [
+            {"k": k, "lc": lc, "exact": exact}
+            for k, lc, exact in kerror_lc_bruteforce(f, 2)
         ]
-        assert all(e["exact"] for e in doc["kerror"])
 
     def test_file_not_the_class_sequence(self, tmp_path, capsys):
         # a class file for I = {1} analyzed as I = {0}: input from outside
@@ -277,6 +288,39 @@ class TestAnalyze:
         assert code == 0
         assert "linear complexity: 0" in stdout
 
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty file"),
+        ("seq 2 x p=3 r=1 kind=class\n0 1 1\n", "bad header numbers"),
+        ("seq 2 3 p=x r=1 kind=class\n0 1 1\n", "bad header numbers"),
+        ("seq 2 3 q=3 r=1 kind=class\n0 1 1\n", "bad header field: 'q=3'"),
+        # p twice leaves r missing
+        ("seq 2 27 p=3 p=3 kind=class\n" + "0 " * 27 + "\n", "bad header field: 'p=3'"),
+    ])
+    def test_bad_header(self, tmp_path, capsys, text, message):
+        f = tmp_path / "bad.txt"
+        f.write_text(text)
+        code, stdout, stderr = run(
+            capsys, "analyze", "--file", str(f), "--I", "0", "--k-max", "1"
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith(f"error: {f}: line 1: {message}")
+
+    def test_no_sequence_given(self, capsys):
+        code, stdout, stderr = run(capsys, "analyze", "--k-max", "1")
+        assert (code, stdout) == (2, "")
+        assert "needs --p and --kind (or use --file)" in stderr
+
+    @pytest.mark.parametrize("order,message", [
+        ([], "kind=mary requires --order"),
+        (["--order", "1"], "character order must be > 1, got 1"),
+    ])
+    def test_mary_order(self, capsys, order, message):
+        code, stdout, stderr = run(
+            capsys, "analyze", "--p", "5", "--r", "1", "--kind", "mary", *order
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {message}\n"
+
     def test_malformed_file(self, tmp_path, capsys):
         f = tmp_path / "bad.txt"
         f.write_text("seq 2 3 p=3 r=1 kind=class\n0 x 1\n")
@@ -320,13 +364,13 @@ def sequence_files(draw):
     """A sequence file: a genuine class sequence under its theorem-valid
     header, or small contents under a header whose p, r and kind come from
     small sets, r = 500 among them. Most files parse, so that the draws
-    reach the analysis; the rest hold a wrong count or a symbol outside the
-    alphabet."""
+    reach the analysis; the rest hold a wrong count, a symbol outside the
+    alphabet, a header field repeated, missing or unknown, or nothing."""
     if draw(st.booleans()):
         p, r = draw(st.sampled_from([(3, 2), (5, 2)]))
         levels = draw(st.sets(st.integers(0, p - 1), min_size=1))
         seq = binary_class_sequence(PrimePowerModulus(p, r), levels)
-        header = f"seq 2 {seq.period} p={p} r={r} kind=class"
+        alphabet, period, kind = 2, seq.period, "class"
         symbols = list(seq.symbols)
     else:
         alphabet = draw(st.sampled_from([2, 2, 3, 1]))
@@ -334,10 +378,20 @@ def sequence_files(draw):
         p = draw(st.sampled_from([3, 5, 4]))
         r = draw(st.sampled_from([500, 1, 2]))
         kind = draw(st.sampled_from(["class", "level", "threshold"]))
-        header = f"seq {alphabet} {period} p={p} r={r} kind={kind}"
         count = draw(st.sampled_from([period, period, period + 1]))
         top = draw(st.sampled_from([alphabet - 1, alphabet - 1, alphabet]))
         symbols = draw(st.lists(st.integers(0, top), min_size=count, max_size=count))
+    fields = [f"p={p}", f"r={r}", f"kind={kind}"]
+    fault = draw(st.sampled_from([None, None, "repeated", "missing", "unknown", "empty"]))
+    if fault == "empty":
+        return ""
+    if fault == "repeated":  # p twice and no r
+        fields[1] = fields[0]
+    elif fault == "missing":
+        del fields[draw(st.integers(0, 2))]
+    elif fault == "unknown":
+        fields[draw(st.integers(0, 2))] = "q=1"
+    header = " ".join(["seq", str(alphabet), str(period), *fields])
     return header + "\n" + " ".join(map(str, symbols)) + "\n"
 
 
@@ -441,6 +495,42 @@ class TestVerify:
             "predicted 19 at (p=3, r=2, I=[0])\n"
         )
 
+    @pytest.mark.parametrize("suite,p,r,message", [
+        ("q-r-s", 9, 1, "p must be an odd prime, got 9"),
+        ("lemmas", 9, 1, "p must be an odd prime, got 9"),
+        ("lemmas", 3, 0, "r must be >= 1, got 0"),
+    ])
+    def test_invalid_modulus_exits_2(self, capsys, suite, p, r, message):
+        # (p, r) is checked before a suite calls itself vacuous for r < 2
+        code, stdout, stderr = run(
+            capsys, "verify", "--suite", suite, "--p", str(p), "--r", str(r)
+        )
+        assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+
+    def test_shift_law_violation_exits_1(self, monkeypatch, capsys):
+        real = verify.quotient_table
+
+        def off_at_one(m):  # H(1) + 1 breaks the law at v = 1 for k = 1..p-1
+            table = real(m)
+            table[1] += m.p ** (m.r - 1)  # H is the top digit of Q_r
+            return table
+
+        monkeypatch.setattr(verify, "quotient_table", off_at_one)
+        code, stdout, _ = run(
+            capsys, "verify", "--suite", "theorem-hh", "--p", "3", "--r", "2"
+        )
+        assert code == 1
+        assert stdout == "FAIL shift law at (p=3, r=2) — 2 violations\n"
+
+    def test_oracle_disagreement_exits_1(self, monkeypatch, capsys):
+        real = verify.berlekamp_massey
+        monkeypatch.setattr(verify, "berlekamp_massey", lambda seq, fp: real(seq, fp) + 1)
+        code, stdout, _ = run(capsys, "verify", "--suite", "oracles")
+        assert code == 1
+        assert stdout == (
+            "FAIL oracle equivalence (100 random sequences, seed=0) — 100 disagreements\n"
+        )
+
     def test_oracles_seeded(self, capsys):
         code, stdout, _ = run(capsys, "verify", "--suite", "oracles", "--seed", "5")
         assert code == 0
@@ -457,6 +547,20 @@ class TestPartition:
         code, stdout, _ = run(capsys, "partition", "--p", "3", "--r", "2", "--summary")
         assert code == 0
         assert "|D_l| = [6, 6, 6], |P| = 9" in stdout
+
+    def test_json_summary(self, capsys):
+        code, stdout, _ = run(
+            capsys, "partition", "--p", "3", "--r", "2", "--format", "json", "--summary"
+        )
+        assert code == 0
+        assert json.loads(stdout) == {
+            "p": 3, "r": 2, "class_sizes": [6, 6, 6], "multiples_size": 9,
+        }
+
+    def test_text_listing(self, capsys):
+        code, stdout, _ = run(capsys, "partition", "--p", "3", "--r", "1")
+        assert code == 0
+        assert stdout == "D_0: 1 8\nD_1: 2 7\nD_2: 4 5\nP: 0 3 6\n"
 
     def test_json_listing_covers_everything(self, capsys):
         code, stdout, _ = run(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from eulerseq import complexity
 from eulerseq.cli import main
 from eulerseq.complexity import (
-    PatternBudgetExceeded,
     berlekamp_massey,
     check_poly_p_lemma,
     check_root_group_lemmas,
@@ -20,8 +19,9 @@ from eulerseq.complexity import (
     lc_binary,
     lc_via_gcd,
     linear_complexity,
+    poly_p_precondition_error,
     theorem_kerror_lc,
-    two_is_primitive_root_mod_p2,
+    theorem_precondition_error,
 )
 from eulerseq.fieldarith import PrimeField
 from eulerseq.quotients import PrimePowerModulus
@@ -130,7 +130,7 @@ class TestLinearComplexity:
             syms = tuple(rng.randrange(2) for _ in range(T))
             s = PeriodicSequence(2, T, syms)
             mask = sum(b << i for i, b in enumerate(syms))
-            assert complexity._seq_mask(s) == mask  # bit i holds symbol i
+            assert complexity._mask(s.symbols) == mask  # bit i holds symbol i
             assert lc_binary(mask, T) == lc_via_gcd(s, F2)
 
 
@@ -198,29 +198,36 @@ class TestKErrorBruteForce:
     def test_k0_is_lc(self):
         m = PrimePowerModulus(3, 2)
         f = binary_class_sequence(m, {0})
-        assert kerror_lc_bruteforce(f, 0) == lc_via_gcd(f, F2)
+        assert kerror_lc_bruteforce(f, 0) == [(0, lc_via_gcd(f, F2), True)]
 
     def test_k_equals_weight_gives_zero(self):
         s = bits(1, 0, 1, 0, 0, 1, 0)
-        assert kerror_lc_bruteforce(s, s.weight) == 0
+        assert kerror_lc_bruteforce(s, s.weight)[-1] == (s.weight, 0, True)
 
     def test_theorem_value_at_k3(self):
+        # LC_3 = p^{r+1} - p^r + 1; every entry is exact under the default budget
         m = PrimePowerModulus(3, 2)
         f = binary_class_sequence(m, {0})
-        assert kerror_lc_bruteforce(f, 3) == 19  # p^{r+1} - p^r + 1
+        assert kerror_lc_bruteforce(f, 6) == [
+            (k, lc, True) for k, lc in enumerate([20, 20, 20, 19, 19, 19, 0])
+        ]
 
     def test_monotone_in_k(self):
         rng = random.Random(7)
         for _ in range(20):
             T = rng.randint(2, 16)
             s = PeriodicSequence(2, T, tuple(rng.randrange(2) for _ in range(T)))
-            values = [kerror_lc_bruteforce(s, k) for k in range(min(T, 5) + 1)]
+            values = [lc for _, lc, _ in kerror_lc_bruteforce(s, min(T, 5))]
             assert values == sorted(values, reverse=True)
 
     def test_budget_exceeded(self):
+        # 1 + 60 patterns fit in 1000, the 1,770 of weight 2 do not: k <= 1
+        # is exact, and each later entry carries LC_1 as an upper bound
         s = PeriodicSequence(2, 60, tuple(i % 2 for i in range(60)))
-        with pytest.raises(PatternBudgetExceeded):
-            kerror_lc_bruteforce(s, 10, budget=1000)
+        profile = kerror_lc_bruteforce(s, 10, budget=1000)
+        lc1 = profile[1][1]
+        assert profile[:2] == [(0, lc_via_gcd(s, F2), True), (1, lc1, True)]
+        assert profile[2:] == [(k, lc1, False) for k in range(2, 11)]
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
@@ -269,9 +276,11 @@ class TestErrorPatterns:
 
 class TestTheoremProfile:
     def test_primitivity_detection(self):
-        assert two_is_primitive_root_mod_p2(3)
-        assert two_is_primitive_root_mod_p2(5)
-        assert not two_is_primitive_root_mod_p2(7)  # ord(2 mod 49) = 21
+        assert theorem_precondition_error(PrimePowerModulus(3, 2), 1) is None
+        assert theorem_precondition_error(PrimePowerModulus(5, 2), 1) is None
+        assert "(order 21 != 42)" in theorem_precondition_error(PrimePowerModulus(7, 2), 1)
+        # 2 is a primitive root modulo 9, but 9 is not prime: order 6, not 8
+        assert poly_p_precondition_error(9) == "2 is not a primitive root modulo 9"
 
     def test_predicted_values(self):
         m = PrimePowerModulus(3, 2)
@@ -326,10 +335,10 @@ class TestTheoremProfile:
         m = PrimePowerModulus(7, 2)
         f = binary_class_sequence(m, {0})
         profile = kerror_lc_profile(f, k_max=3, budget=1000)  # 1 + 343 patterns fit
+        assert profile == kerror_lc_bruteforce(f, 3, budget=1000)
         assert [exact for _, _, exact in profile] == [True, True, False, False]
-        lc1 = kerror_lc_bruteforce(f, 1)
+        lc1 = profile[1][1]
         assert profile[0][1] == lc_via_gcd(f, F2)
-        assert profile[1][1] == lc1
         # an inexact entry carries the last exact value: LC_1 is achieved
         # with one error, so it bounds LC_2 and LC_3 from above
         assert [lc for _, lc, _ in profile[2:]] == [lc1, lc1]
@@ -371,17 +380,12 @@ class TestStructuralKError:
         # exhaustive k = 3 at period 81 takes seconds per example; it is
         # covered once by test_matches_exhaustive_search_k3_period_81
         k_max = 2 if seq.period == 81 else 3
-        profile = kerror_lc_profile(seq, k_max, budget=1)
-        assert all(exact for _, _, exact in profile)
-        assert [lc for _, lc, _ in profile] == [
-            kerror_lc_bruteforce(seq, k) for k in range(k_max + 1)
-        ]
+        assert kerror_lc_profile(seq, k_max, budget=1) == kerror_lc_bruteforce(seq, k_max)
 
     def test_matches_exhaustive_search_k3_period_81(self):
         rng = random.Random(81)
         seq = PeriodicSequence(2, 81, tuple(rng.randrange(2) for _ in range(81)))
-        lc3 = kerror_lc_profile(seq, 3, budget=1)[3]
-        assert lc3 == (3, kerror_lc_bruteforce(seq, 3), True)
+        assert kerror_lc_profile(seq, 3, budget=1) == kerror_lc_bruteforce(seq, 3)
 
     @settings(max_examples=200, deadline=None)
     @given(qualifying_sequences())
@@ -422,8 +426,11 @@ class TestLemmas:
     # Flipped coefficients of D_0(X) at (3,2), where p^r = 9:
     # one coefficient breaks (a), (b) and (c); X + X^4 (distance p) keeps
     # (b) and (c) but breaks (a); (1 + X)(1 + X^3 + X^6), with
-    # 1 + X^3 + X^6 = (X^9-1)/(X^3-1), keeps (a) and (c) but breaks (b).
-    @pytest.mark.parametrize("flips", [{5}, {1, 4}, {0, 3, 6, 1, 4, 7}])
+    # 1 + X^3 + X^6 = (X^9-1)/(X^3-1), keeps (a) and (c) but breaks (b);
+    # (X^9-1)/(X-1) keeps (a) and (b) but makes |D_0| = 13 odd, breaking (c).
+    @pytest.mark.parametrize(
+        "flips", [{5}, {1, 4}, {0, 3, 6, 1, 4, 7}, set(range(9))]
+    )
     def test_root_group_lemmas_detect_flips(self, flips, monkeypatch):
         m = PrimePowerModulus(3, 2)
         part = class_partition(m)
