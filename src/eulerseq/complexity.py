@@ -501,6 +501,8 @@ def poly_p_precondition_error(p: int) -> str | None:
     order, not sympy.is_primitive_root, so that a composite p is refused:
     2 is a primitive root modulo 9, but its order there is 6, not 8.
     """
+    if p < 2:
+        raise ValueError(f"p must be >= 2, got p={p}")
     if sympy.n_order(2, p) != p - 1:
         return f"2 is not a primitive root modulo {p}"
     if p > 13:

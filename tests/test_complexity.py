@@ -222,10 +222,19 @@ class TestKErrorBruteForce:
 
     def test_budget_exceeded(self):
         # 1 + 60 patterns fit in 1000, the 1,770 of weight 2 do not: k <= 1
-        # is exact, and each later entry carries LC_1 as an upper bound
-        s = PeriodicSequence(2, 60, tuple(i % 2 for i in range(60)))
+        # is exact, and each later entry carries LC_1 as an upper bound.
+        # 0101... with bit 0 flipped: one error takes LC_0 = 60 to LC_1 = 2
+        s = PeriodicSequence(2, 60, tuple(int(i % 2 or i == 0) for i in range(60)))
         profile = kerror_lc_bruteforce(s, 10, budget=1000)
-        lc1 = profile[1][1]
+        assert profile[:2] == kerror_lc_bruteforce(s, 1)
+        # LC_1 independently: the least LC over no flip and each single flip
+        syms = s.symbols
+        flips = [s] + [
+            PeriodicSequence(2, 60, syms[:i] + (1 - syms[i],) + syms[i + 1 :])
+            for i in range(60)
+        ]
+        lc1 = min(lc_via_gcd(f, F2) for f in flips)
+        assert lc1 < lc_via_gcd(s, F2)
         assert profile[:2] == [(0, lc_via_gcd(s, F2), True), (1, lc1, True)]
         assert profile[2:] == [(k, lc1, False) for k in range(2, 11)]
 
@@ -281,6 +290,8 @@ class TestTheoremProfile:
         assert "(order 21 != 42)" in theorem_precondition_error(PrimePowerModulus(7, 2), 1)
         # 2 is a primitive root modulo 9, but 9 is not prime: order 6, not 8
         assert poly_p_precondition_error(9) == "2 is not a primitive root modulo 9"
+        with pytest.raises(ValueError):
+            poly_p_precondition_error(1)
 
     def test_predicted_values(self):
         m = PrimePowerModulus(3, 2)
@@ -335,8 +346,9 @@ class TestTheoremProfile:
         m = PrimePowerModulus(7, 2)
         f = binary_class_sequence(m, {0})
         profile = kerror_lc_profile(f, k_max=3, budget=1000)  # 1 + 343 patterns fit
-        assert profile == kerror_lc_bruteforce(f, 3, budget=1000)
         assert [exact for _, _, exact in profile] == [True, True, False, False]
+        # the exact entries match a search under the default budget
+        assert profile[:2] == kerror_lc_bruteforce(f, 1)
         lc1 = profile[1][1]
         assert profile[0][1] == lc_via_gcd(f, F2)
         # an inexact entry carries the last exact value: LC_1 is achieved
