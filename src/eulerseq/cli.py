@@ -102,8 +102,12 @@ def _make_sequence(args) -> tuple[sequences.PeriodicSequence, dict]:
 def _cmd_generate(args) -> int:
     seq, meta = _make_sequence(args)
     if args.out:
-        with open(args.out, "w") as fh:
-            sequences.write_sequence(fh, seq, meta["p"], meta["r"], meta["kind"])
+        try:
+            with open(args.out, "w") as fh:
+                sequences.write_sequence(fh, seq, meta["p"], meta["r"], meta["kind"])
+        except OSError as exc:
+            print(f"error: {args.out}: {exc}", file=sys.stderr)
+            return 2
         print(f"period {seq.period} weight {seq.weight}")
     else:
         sequences.write_sequence(sys.stdout, seq, meta["p"], meta["r"], meta["kind"])

@@ -2,14 +2,15 @@
 
 linear_complexity is the one entry point for LC, and the one place that
 picks an LC engine, from the alphabet and the period: a binary sequence goes
-to the bitmask F_2[X] gcd lc_binary (method "bitmask_gcd"); an F_p sequence
-whose period is a power of p goes to the generalised Games-Chan recursion
-(method "games_chan"); any other F_p sequence goes to Berlekamp-Massey
-(method "berlekamp_massey"), which packs its polynomials into bytes for
-p <= 13 (a popcount per bit plane for each discrepancy, one big-int
-multiply-add for each update). The gcd formula LC = T - deg gcd(X^T - 1, S(X)),
-lc_via_gcd, computed with sympy's gf_gcd over F_p, stays as the oracle the
-engines are cross-checked against.
+to lc_binary (method "bitmask_gcd"), one Euclid loop on F_2[X] bitmasks with
+the remainder step inlined; an F_p sequence whose period is a power of p
+goes to the generalised Games-Chan recursion (method "games_chan"); any
+other F_p sequence goes to Berlekamp-Massey (method "berlekamp_massey"),
+which packs its polynomials into bytes for p <= 13 (a popcount per bit
+plane for each discrepancy, one big-int multiply-add for each update). The
+gcd formula LC = T - deg gcd(X^T - 1, S(X)), lc_via_gcd, computed with
+sympy's gf_gcd over F_p, stays as the oracle the engines are cross-checked
+against.
 k-error linear complexity over F_2 has one entry point, kerror_lc_profile.
 For a period p^n (p an odd prime) with 2 a primitive root modulo p^n it runs
 one pass of a cost-carrying block recursion that returns the exact values
@@ -186,15 +187,19 @@ def lc_via_gcd(seq: PeriodicSequence, fieldp: PrimeField) -> int:
 
 # --- bitmask F_2[X] helpers (binary LC, brute force and lemmas) ----------
 
-def _bdeg(a: int) -> int:
-    return a.bit_length() - 1
-
-
 def _bmod(a: int, b: int) -> int:
-    """Remainder of a modulo b in F_2[X], masks as bit vectors."""
-    db = _bdeg(b)
-    while a and _bdeg(a) >= db:
-        a ^= b << (_bdeg(a) - db)
+    """Remainder of a modulo b in F_2[X], masks as bit vectors.
+
+    The reduction loop that _bgcd runs inline. Raises ZeroDivisionError
+    when b is 0, as sympy's gf_rem does.
+    """
+    if not b:
+        raise ZeroDivisionError("F_2[X] division by zero")
+    db = b.bit_length()
+    da = a.bit_length()
+    while da >= db:
+        a ^= b << (da - db)
+        da = a.bit_length()
     return a
 
 
@@ -213,14 +218,29 @@ def _fold(a: int, n: int) -> int:
 
 
 def _bgcd(a: int, b: int) -> int:
+    """gcd of a and b in F_2[X], masks as bit vectors.
+
+    One Euclid loop with the remainder step inlined and degrees read from
+    bit_length: exhaustive k-error search runs it once per error pattern,
+    and at periods in the hundreds a function call per step costs more
+    than the XORs.
+    """
     while b:
-        a, b = b, _bmod(a, b)
+        db = b.bit_length()
+        da = a.bit_length()
+        while da >= db:
+            a ^= b << (da - db)
+            da = a.bit_length()
+        a, b = b, a
     return a
 
 
 def lc_binary(mask: int, period: int) -> int:
-    """LC over F_2 of the period given as a bitmask; gcd(X^N + 1, 0) gives LC 0."""
-    return period - _bdeg(_bgcd((1 << period) | 1, mask))
+    """LC over F_2 of the period given as a bitmask, N - deg gcd(X^N + 1, S(X)).
+
+    One Euclid loop on bitmasks (_bgcd); gcd(X^N + 1, 0) gives LC 0.
+    """
+    return period + 1 - _bgcd((1 << period) | 1, mask).bit_length()
 
 
 _ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -274,9 +294,10 @@ def kerror_lc_bruteforce(
 
     One incremental pass minimizes LC over the error patterns of each
     weight: weight w is searched once and serves every k >= w. Once the
-    patterns searched would exceed the budget, the remaining entries are
-    inexact and carry the last exact value, which is an upper bound. Raises
-    ValueError unless the sequence is binary and 0 <= k_max <= period.
+    patterns searched would exceed the budget, the remaining entries carry
+    the last exact value, which is an upper bound; they are inexact unless
+    that value is 0, the least LC there is. Raises ValueError unless the
+    sequence is binary and 0 <= k_max <= period.
     """
     _check_kerror_args(seq, k_max)
     mask = _mask(seq.symbols)
@@ -286,8 +307,8 @@ def kerror_lc_bruteforce(
     consumed = 1
     for k in range(1, k_max + 1):
         consumed += math.comb(period, k)
-        exact = consumed <= budget
-        if exact and best > 0:
+        in_budget = consumed <= budget
+        if in_budget and best > 0:
             for positions in itertools.combinations(range(period), k):
                 e = 0
                 for q in positions:
@@ -297,7 +318,8 @@ def kerror_lc_bruteforce(
                     best = lc
                     if best == 0:
                         break
-        profile.append((k, best, exact))
+        # LC_k never increases and never goes below 0, so a 0 is exact
+        profile.append((k, best, best == 0 or in_budget))
     return profile
 
 
@@ -361,8 +383,8 @@ def kerror_lc_profile(
     modulo p^n gets one pass of the structural block recursion, and every
     entry is exact. Any other period gets the exhaustive oracle
     kerror_lc_bruteforce under the pattern budget, whose entries turn
-    inexact once the budget runs out. Raises ValueError unless the sequence
-    is binary and 0 <= k_max <= period.
+    inexact once the budget runs out before the LC reaches 0. Raises
+    ValueError unless the sequence is binary and 0 <= k_max <= period.
     """
     _check_kerror_args(seq, k_max)
     p = _structural_prime(seq.period)

@@ -30,14 +30,16 @@ def suite_theorem_hh(p: int, r: int, seed: int = 0) -> list[CheckResult]:
     m = PrimePowerModulus(p, r)
     table = quotient_table(m)
     base = p ** (r - 1)
+    pr = m.modulus
     failures = 0
-    for v in range(m.modulus):
+    for v in range(pr):
         if v % p == 0:
             continue
         hv = table[v] // base
+        step = pow(v, p - 2, p)
         for k in range(p):
-            lhs = table[v + k * m.modulus] // base
-            if lhs != (hv - k * pow(v, p - 2, p)) % p:
+            lhs = table[v + k * pr] // base
+            if lhs != (hv - k * step) % p:
                 failures += 1
     return [
         (

@@ -63,6 +63,17 @@ class TestGenerate:
         assert code == 0
         assert out.read_text().startswith("seq 2 9 ")
 
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, target):
+        out = tmp_path / "no" / "x.txt" if target == "missing_dir" else tmp_path
+        code, stdout, stderr = run(
+            capsys, "generate", "--p", "3", "--r", "2", "--kind", "class",
+            "--I", "0", "--out", str(out),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith(f"error: {out}: ")
+
     def test_invalid_p(self, capsys):
         code, _, stderr = run(
             capsys, "generate", "--p", "4", "--r", "1", "--kind", "threshold"

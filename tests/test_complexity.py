@@ -3,8 +3,10 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import ZZ
+from sympy.polys.galoistools import gf_gcd, gf_rem
 
 from eulerseq import complexity
 from eulerseq.cli import main
@@ -36,6 +38,20 @@ from eulerseq.verify import suite_lc_p
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+
+
+def _bitmasks():
+    """F_2[X] bitmasks of up to 600 bits, spread over their bit lengths."""
+    return st.integers(0, 600).flatmap(lambda n: st.integers(0, (1 << n) - 1))
+
+
+def _f2_poly(mask):
+    """A bitmask as sympy's dense F_2[X] list, top degree first."""
+    return [int(c) for c in bin(mask)[2:]] if mask else []
+
+
+def _f2_mask(coeffs):
+    return int("".join(map(str, coeffs)) or "0", 2)
 
 
 def bits(*symbols):
@@ -126,7 +142,7 @@ class TestLinearComplexity:
     def test_binary_fast_path_matches_reference(self):
         rng = random.Random(99)
         for _ in range(300):
-            T = rng.randint(1, 150)
+            T = rng.randint(1, 400)  # reaches N = 343, the (7,2) period
             syms = tuple(rng.randrange(2) for _ in range(T))
             s = PeriodicSequence(2, T, syms)
             mask = sum(b << i for i, b in enumerate(syms))
@@ -237,6 +253,15 @@ class TestKErrorBruteForce:
         assert lc1 < lc_via_gcd(s, F2)
         assert profile[:2] == [(0, lc_via_gcd(s, F2), True), (1, lc1, True)]
         assert profile[2:] == [(k, lc1, False) for k in range(2, 11)]
+
+    def test_zero_lc_is_exact_past_budget(self):
+        # 1 + 10 patterns fit in 11 and one flip zeroes the impulse's LC;
+        # LC_k never increases and never goes below 0, so LC_2 and LC_3
+        # are exact although weights 2 and 3 were not searched
+        s = PeriodicSequence(2, 10, (1,) + (0,) * 9)
+        assert kerror_lc_bruteforce(s, 3, budget=11) == [
+            (0, 10, True), (1, 0, True), (2, 0, True), (3, 0, True)
+        ]
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
@@ -455,6 +480,23 @@ class TestLemmas:
     @given(st.integers(1, 80), st.integers(0, 2**400))
     def test_fold_is_remainder_mod_xn_minus_1(self, n, a):
         assert complexity._fold(a, n) == complexity._bmod(a, (1 << n) | 1)
+
+    _LONG = 2**599 + 2**300 + 1
+
+    @given(_bitmasks(), _bitmasks())
+    @example(0, 0)
+    @example(0, 0b1011)
+    @example(_LONG, 0)
+    @example(_LONG, 1)
+    @example(_LONG, _LONG)
+    def test_bitmask_kernel_matches_sympy(self, a, b):
+        fa, fb = _f2_poly(a), _f2_poly(b)
+        if b:
+            assert complexity._bmod(a, b) == _f2_mask(gf_rem(fa, fb, 2, ZZ))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                complexity._bmod(a, b)
+        assert complexity._bgcd(a, b) == _f2_mask(gf_gcd(fa, fb, 2, ZZ))
 
     def test_root_group_needs_r2(self):
         with pytest.raises(ValueError):
