@@ -131,8 +131,6 @@ def _analyze_sequence(seq, meta, args) -> dict:
         sequence_id["I"] = sorted(set(args.I))
     profile = []
     if args.k_max > 0:
-        if seq.alphabet_size != 2:
-            raise ValueError("k-error analysis is defined for binary sequences only")
         m = _theorem_modulus(meta, args)
         # an inline sequence was just built from these arguments; a file may
         # hold anything under its class header, even a period not its (p, r)'s

@@ -22,6 +22,8 @@ two proven engines computed it. check_theorem_profile compares a computed
 profile of a binary class sequence with the piecewise-constant profile that
 theorem_kerror_lc predicts when 2 is a primitive root modulo p^2. Orders and
 primitive roots come from sympy's n_order and is_primitive_root.
+The lemma checks over F_2 test each divisibility by a quotient
+(X^n - 1)/(X^d - 1) with one _fold, the one F_2[X] remainder routine.
 """
 
 from __future__ import annotations
@@ -185,23 +187,7 @@ def lc_via_gcd(seq: PeriodicSequence, fieldp: PrimeField) -> int:
     return T - (len(gf_gcd(xt1, gf_strip(list(seq.symbols[::-1])), p, ZZ)) - 1)
 
 
-# --- bitmask F_2[X] helpers (binary LC, brute force and lemmas) ----------
-
-def _bmod(a: int, b: int) -> int:
-    """Remainder of a modulo b in F_2[X], masks as bit vectors.
-
-    The reduction loop that _bgcd runs inline. Raises ZeroDivisionError
-    when b is 0, as sympy's gf_rem does.
-    """
-    if not b:
-        raise ZeroDivisionError("F_2[X] division by zero")
-    db = b.bit_length()
-    da = a.bit_length()
-    while da >= db:
-        a ^= b << (da - db)
-        da = a.bit_length()
-    return a
-
+# --- bitmask F_2[X] helpers; _fold is the one remainder routine ----------
 
 def _fold(a: int, n: int) -> int:
     """Remainder of a modulo X^n - 1 in F_2[X], masks as bit vectors.
@@ -293,11 +279,11 @@ def kerror_lc_bruteforce(
     """k-error LC of a binary sequence by exhaustion, as (k, lc_k, exact) for k = 0..k_max.
 
     One incremental pass minimizes LC over the error patterns of each
-    weight: weight w is searched once and serves every k >= w. Once the
-    patterns searched would exceed the budget, the remaining entries carry
-    the last exact value, which is an upper bound; they are inexact unless
-    that value is 0, the least LC there is. Raises ValueError unless the
-    sequence is binary and 0 <= k_max <= period.
+    weight: weight w is searched once and serves every k >= w. The pass
+    stops once the patterns would exceed the budget or the LC reaches 0;
+    the remaining entries carry the last exact value, an upper bound that
+    is inexact unless it is 0, the least LC there is. Raises ValueError
+    unless the sequence is binary and 0 <= k_max <= period.
     """
     _check_kerror_args(seq, k_max)
     mask = _mask(seq.symbols)
@@ -307,19 +293,20 @@ def kerror_lc_bruteforce(
     consumed = 1
     for k in range(1, k_max + 1):
         consumed += math.comb(period, k)
-        in_budget = consumed <= budget
-        if in_budget and best > 0:
-            for positions in itertools.combinations(range(period), k):
-                e = 0
-                for q in positions:
-                    e |= 1 << q
-                lc = lc_binary(mask ^ e, period)
-                if lc < best:
-                    best = lc
-                    if best == 0:
-                        break
-        # LC_k never increases and never goes below 0, so a 0 is exact
-        profile.append((k, best, best == 0 or in_budget))
+        if consumed > budget or best == 0:
+            break
+        for positions in itertools.combinations(range(period), k):
+            e = 0
+            for q in positions:
+                e |= 1 << q
+            lc = lc_binary(mask ^ e, period)
+            if lc < best:
+                best = lc
+                if best == 0:
+                    break
+        profile.append((k, best, True))
+    # LC_k never increases and never goes below 0, so a 0 is exact
+    profile += [(k, best, best == 0) for k in range(len(profile), k_max + 1)]
     return profile
 
 
@@ -537,12 +524,13 @@ def check_poly_p_lemma(p: int) -> bool:
 
     2 primitive modulo p makes 1 + X + ... + X^{p-1} irreducible over F_2;
     the unique such G must be X + X^2 + ... + X^{p-1}. Verified by
-    exhaustive search over all nonconstant candidates. Raises ValueError
-    when poly_p_precondition_error refuses p.
+    exhaustive search over all nonconstant candidates, each tested as lemma
+    (b) is in check_root_group_lemmas, by one _fold:
+    (X^p-1) | (G(X)-1)(X-1) = G(X)(X+1) + X + 1. Raises ValueError when
+    poly_p_precondition_error refuses p.
     """
     reason = poly_p_precondition_error(p)
     if reason:
         raise ValueError(reason)
-    cyclo_p = (1 << p) - 1
-    matches = [g for g in range(2, 1 << p) if _bmod(g ^ 1, cyclo_p) == 0]
+    matches = [g for g in range(2, 1 << p) if _fold(g ^ (g << 1) ^ 3, p) == 0]
     return matches == [(1 << p) - 2]  # X + X^2 + ... + X^{p-1}

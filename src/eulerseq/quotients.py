@@ -18,7 +18,6 @@ single modular power for Q_r(g). The table holds p^{r+1} machine integers
 
 from __future__ import annotations
 
-import itertools
 from array import array
 from dataclasses import dataclass
 
@@ -68,21 +67,16 @@ def euler_quotient(m: PrimePowerModulus, u: int) -> int:
     return (t - 1) // pr % pr
 
 
-def primitive_root_mod_p2(p: int) -> int:
-    """The smallest primitive root modulo p^2, hence modulo every power of p."""
-    return next(c for c in itertools.count(2) if sympy.is_primitive_root(c, p * p))
-
-
 def quotient_table(m: PrimePowerModulus) -> array:
     """Q_r(u) for every u in [0, p^{r+1}), with 0 where p divides u.
 
-    g is the smallest primitive root modulo p^2, which is a primitive root
-    modulo every power of the odd prime p, so x = g^k mod p^{r+1} runs over
-    all units as k runs over [0, phi(p^{r+1})), and Q_r(x) = k Q_r(g) mod p^r.
+    g = sympy.primitive_root(p * p) is a primitive root modulo every power
+    of the odd prime p, so x = g^k mod p^{r+1} runs over all units as k
+    runs over [0, phi(p^{r+1})), and Q_r(x) = k Q_r(g) mod p^r.
     """
     p, pr = m.p, m.modulus
     n = m.sequence_period
-    g = primitive_root_mod_p2(p)
+    g = int(sympy.primitive_root(p * p))
     step = euler_quotient(m, g)
     table = array("Q", [0]) * n
     x, q = 1, 0

@@ -13,7 +13,7 @@ from typing import IO, Iterable
 
 import sympy
 
-from .quotients import PrimePowerModulus, primitive_root_mod_p2, quotient_table
+from .quotients import PrimePowerModulus, quotient_table
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,7 @@ def order_i_binary_sequence(p: int, i: int, levels: Iterable[int]) -> PeriodicSe
         raise ValueError(f"order i must be >= 1, got {i}")
     top = PrimePowerModulus(p, i).modulus  # p must be an odd prime
     period = p * top
-    g = primitive_root_mod_p2(p)
+    g = int(sympy.primitive_root(p * p))
     step = pow(g, p - 1, period)
     symbols = [0] * period
     x, t = 1, 1

@@ -246,6 +246,15 @@ class TestAnalyze:
         assert "alphabet size 4 is not prime" in stderr
         assert "prime field" in stderr
 
+    def test_non_binary_k_max(self, capsys):
+        # the k-error engine's own check answers, not a second one in the CLI
+        code, stdout, stderr = run(
+            capsys, "analyze", "--p", "3", "--r", "2", "--kind", "level",
+            "--j", "1", "--k-max", "2",
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: binary sequence required\n"
+
     def test_negative_k_max(self, capsys):
         code, stdout, stderr = run(
             capsys, "analyze", "--p", "3", "--r", "2", "--kind", "class",

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -6,7 +7,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ
-from sympy.polys.galoistools import gf_gcd, gf_rem
+from sympy.polys.galoistools import gf_gcd, gf_mul, gf_quo, gf_rem
 
 from eulerseq import complexity
 from eulerseq.cli import main
@@ -263,6 +264,21 @@ class TestKErrorBruteForce:
             (0, 10, True), (1, 0, True), (2, 0, True), (3, 0, True)
         ]
 
+    def test_stops_summing_patterns_once_done(self, monkeypatch):
+        # LC_1 = 0 and weight 2 is past the budget: the pattern count for
+        # k = 2..10 is never needed, and each is a binomial sum
+        s = PeriodicSequence(2, 10, (1,) + (0,) * 9)
+        expected = [(0, 10, True)] + [(k, 0, True) for k in range(1, 11)]
+        real_comb, calls = math.comb, []
+
+        def counting_comb(n, k):
+            calls.append(k)
+            return real_comb(n, k)
+
+        monkeypatch.setattr(math, "comb", counting_comb)
+        assert kerror_lc_bruteforce(s, 10, budget=11) == expected
+        assert len(calls) <= 2
+
     def test_bad_k(self):
         with pytest.raises(ValueError):
             kerror_lc_bruteforce(bits(1, 0), 3)
@@ -479,7 +495,25 @@ class TestLemmas:
 
     @given(st.integers(1, 80), st.integers(0, 2**400))
     def test_fold_is_remainder_mod_xn_minus_1(self, n, a):
-        assert complexity._fold(a, n) == complexity._bmod(a, (1 << n) | 1)
+        xn1 = _f2_poly((1 << n) | 1)
+        assert complexity._fold(a, n) == _f2_mask(gf_rem(_f2_poly(a), xn1, 2, ZZ))
+
+    # The lemma checks test c | A, with c = (X^n - 1)/(X^d - 1), as
+    # (X^n - 1) | A (X^d - 1); half the draws are multiples of c.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([(3, 1), (5, 1), (13, 1), (9, 3), (27, 3), (25, 5)]),
+        st.integers(0, 2**60),
+        st.booleans(),
+    )
+    def test_fold_tests_divisibility_by_quotient(self, nd, a, multiple):
+        n, d = nd
+        c = gf_quo(_f2_poly((1 << n) | 1), _f2_poly((1 << d) | 1), 2, ZZ)
+        if multiple:
+            a = _f2_mask(gf_mul(_f2_poly(a), c, 2, ZZ))
+        divides = not gf_rem(_f2_poly(a), c, 2, ZZ)
+        assert divides or not multiple
+        assert (complexity._fold(a ^ (a << d), n) == 0) == divides
 
     _LONG = 2**599 + 2**300 + 1
 
@@ -491,11 +525,6 @@ class TestLemmas:
     @example(_LONG, _LONG)
     def test_bitmask_kernel_matches_sympy(self, a, b):
         fa, fb = _f2_poly(a), _f2_poly(b)
-        if b:
-            assert complexity._bmod(a, b) == _f2_mask(gf_rem(fa, fb, 2, ZZ))
-        else:
-            with pytest.raises(ZeroDivisionError):
-                complexity._bmod(a, b)
         assert complexity._bgcd(a, b) == _f2_mask(gf_gcd(fa, fb, 2, ZZ))
 
     def test_root_group_needs_r2(self):
