@@ -1,69 +1,1 @@
 """Level sequences of Euler quotients: constructions and complexity analysis."""
-
-from .complexity import (
-    berlekamp_massey,
-    check_poly_p_lemma,
-    check_root_group_lemmas,
-    check_theorem_profile,
-    constructive_error_pattern,
-    kerror_lc_bruteforce,
-    kerror_lc_profile,
-    lc_via_gcd,
-    linear_complexity,
-    theorem_kerror_lc,
-    theorem_precondition_error,
-)
-from .fieldarith import PrimeField
-from .quotients import (
-    PrimePowerModulus,
-    euler_quotient,
-    fermat_quotient_order,
-    new_quotient_h,
-    quotient_table,
-)
-from .sequences import (
-    ClassPartition,
-    PeriodicSequence,
-    SequenceParseError,
-    balanced_class_sequence,
-    binary_class_sequence,
-    class_partition,
-    level_sequence,
-    mary_sequence,
-    order_i_binary_sequence,
-    read_sequence,
-    threshold_sequence,
-    write_sequence,
-)
-
-__all__ = [
-    "berlekamp_massey",
-    "check_poly_p_lemma",
-    "check_root_group_lemmas",
-    "check_theorem_profile",
-    "constructive_error_pattern",
-    "kerror_lc_bruteforce",
-    "kerror_lc_profile",
-    "lc_via_gcd",
-    "linear_complexity",
-    "theorem_kerror_lc",
-    "theorem_precondition_error",
-    "PrimeField",
-    "PrimePowerModulus",
-    "euler_quotient",
-    "fermat_quotient_order",
-    "new_quotient_h",
-    "quotient_table",
-    "ClassPartition",
-    "PeriodicSequence",
-    "SequenceParseError",
-    "balanced_class_sequence",
-    "binary_class_sequence",
-    "class_partition",
-    "level_sequence",
-    "mary_sequence",
-    "order_i_binary_sequence",
-    "read_sequence",
-    "threshold_sequence",
-    "write_sequence",
-]

@@ -127,7 +127,7 @@ def _analyze_sequence(seq, meta, args) -> dict:
     """The analysis report as its JSON document; _print_report renders it."""
     lc, method = complexity.linear_complexity(seq)
     sequence_id = dict(meta)
-    if args.I:
+    if args.I and meta["kind"] in ("class", "balanced", "fermat-order"):
         sequence_id["I"] = sorted(set(args.I))
     profile = []
     if args.k_max > 0:
@@ -211,31 +211,27 @@ def _cmd_verify(args) -> int:
 
 def _cmd_partition(args) -> int:
     m = PrimePowerModulus(args.p, args.r)
-    partition = sequences.class_partition(m)
+    classes = sequences.class_partition(m).classes
+    multiples = range(0, m.sequence_period, m.p)
     if args.format == "json":
         if args.summary:
             doc = {
                 "p": m.p,
                 "r": m.r,
-                "class_sizes": [len(c) for c in partition.classes],
-                "multiples_size": len(partition.multiples),
+                "class_sizes": [len(c) for c in classes],
+                "multiples_size": len(multiples),
             }
         else:
-            doc = {
-                "p": m.p,
-                "r": m.r,
-                "classes": [sorted(c) for c in partition.classes],
-                "multiples": sorted(partition.multiples),
-            }
+            doc = {"p": m.p, "r": m.r, "classes": classes, "multiples": list(multiples)}
         print(json.dumps(doc))
         return 0
     if args.summary:
-        sizes = ", ".join(str(len(c)) for c in partition.classes)
-        print(f"|D_l| = [{sizes}], |P| = {len(partition.multiples)}")
+        sizes = ", ".join(str(len(c)) for c in classes)
+        print(f"|D_l| = [{sizes}], |P| = {len(multiples)}")
     else:
-        for l, c in enumerate(partition.classes):
-            print(f"D_{l}: {' '.join(map(str, sorted(c)))}")
-        print(f"P: {' '.join(map(str, sorted(partition.multiples)))}")
+        for l, c in enumerate(classes):
+            print(f"D_{l}: {' '.join(map(str, c))}")
+        print(f"P: {' '.join(map(str, multiples))}")
     return 0
 
 
@@ -254,6 +250,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (OverflowError, MemoryError) as exc:  # a period past what memory holds
+        detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        print(f"error: period too large to build ({detail})", file=sys.stderr)
         return 2
     except RuntimeError as exc:  # two engines, or an engine and the theorem, disagree
         print(f"FAIL: {exc}", file=sys.stderr)

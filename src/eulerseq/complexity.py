@@ -482,16 +482,20 @@ def check_root_group_lemmas(m: PrimePowerModulus) -> bool:
     (b) D_l(X) == 1 modulo (X^p-1)/(X-1);
     (c) D_l(1) = 0, i.e. |D_l| is even.
 
-    A divisor c(X) of X^n - 1 divides A(X) exactly when X^n - 1 divides
-    A(X) (X^n - 1)/c(X), so (a) is tested as (X^{p^r}-1) | D_l(X)(X^p-1)
-    and (b) as (X^p-1) | (D_l(X)-1)(X-1), each with one _fold.
+    Each D_l(X) is built by marking the class's positions in one bytearray
+    of length p^{r+1}. A divisor c(X) of X^n - 1 divides A(X) exactly when
+    X^n - 1 divides A(X) (X^n - 1)/c(X), so (a) is tested as
+    (X^{p^r}-1) | D_l(X)(X^p-1) and (b) as (X^p-1) | (D_l(X)-1)(X-1), each
+    with one _fold.
     """
     if m.r < 2:
         raise ValueError(f"root-group lemmas need r >= 2, got r={m.r}")
     p, pr = m.p, m.modulus
-    partition = class_partition(m)
-    for d_class in partition.classes:
-        d_mask = _mask([u in d_class for u in range(m.sequence_period)])
+    for d_class in class_partition(m).classes:
+        marks = bytearray(m.sequence_period)
+        for u in d_class:
+            marks[u] = 1
+        d_mask = _mask(marks)
         if _fold(d_mask ^ (d_mask << p), pr) != 0:
             return False
         off_one = d_mask ^ 1  # D_l(X) - 1

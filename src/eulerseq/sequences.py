@@ -61,15 +61,15 @@ class PeriodicSequence:
 
 @dataclass(frozen=True)
 class ClassPartition:
-    """Partition of [0, p^{r+1}) into classes D_0..D_{p-1} and multiples P.
+    """The classes D_0..D_{p-1} of units modulo p^{r+1}.
 
-    D_l holds the units u with top quotient digit H_{r-1}(u) = l; P holds
-    the p^r multiples of p. Each D_l has exactly p^{r-1}(p-1) elements.
+    D_l holds the units u with top quotient digit H_{r-1}(u) = l, in
+    ascending order; each has exactly p^{r-1}(p-1) elements. The rest of
+    [0, p^{r+1}) is P = range(0, p^{r+1}, p), the multiples of p.
     """
 
-    modulus: PrimePowerModulus
-    classes: tuple[frozenset[int], ...]
-    multiples: frozenset[int]
+    modulus: PrimePowerModulus  # read by perfbench's tracer to count symbols
+    classes: list[list[int]]
 
 
 def _top_digits(m: PrimePowerModulus) -> list[int]:
@@ -79,16 +79,12 @@ def _top_digits(m: PrimePowerModulus) -> list[int]:
 
 
 def class_partition(m: PrimePowerModulus) -> ClassPartition:
-    """Compute the D_l / P partition of residues modulo p^{r+1}."""
-    classes: list[set[int]] = [set() for _ in range(m.p)]
+    """D_0..D_{p-1} modulo p^{r+1}, each an ascending list, from one pass over u."""
+    classes: list[list[int]] = [[] for _ in range(m.p)]
     for u, h in enumerate(_top_digits(m)):
         if u % m.p:
-            classes[h].add(u)
-    return ClassPartition(
-        modulus=m,
-        classes=tuple(frozenset(c) for c in classes),
-        multiples=frozenset(range(0, m.sequence_period, m.p)),
-    )
+            classes[h].append(u)
+    return ClassPartition(m, classes)
 
 
 def validate_index_set(p: int, levels: Iterable[int]) -> frozenset[int]:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerseq import complexity, verify
+from eulerseq import complexity, sequences, verify
 from eulerseq.cli import main
 from eulerseq.complexity import kerror_lc_bruteforce
 from eulerseq.quotients import PrimePowerModulus
@@ -184,6 +184,18 @@ class TestAnalyze:
         code, inline, _ = run(capsys, "analyze", *spec, *profile)
         assert code == 0
         assert from_file == inline
+
+    @pytest.mark.parametrize(
+        "kind_args", [["--kind", "threshold"], ["--kind", "level", "--j", "1"]]
+    )
+    def test_sequence_omits_unread_I(self, kind_args, capsys):
+        # threshold and level sequences ignore I, so the report leaves it out
+        code, stdout, _ = run(
+            capsys, "analyze", "--p", "3", "--r", "2", *kind_args, "--I", "0",
+            "--format", "json",
+        )
+        assert code == 0
+        assert list(json.loads(stdout)["sequence"]) == ["p", "r", "kind"]
 
     def test_contradicted_theorem_exits_1(self, monkeypatch, capsys):
         real = complexity.theorem_kerror_lc
@@ -458,6 +470,36 @@ class TestExitCodeContract:
         for key, value in {**kind_args, **opts}.items():
             argv += [key, *value] if isinstance(value, list) else [key, value]
         assert exit_code(argv) in (0, 1, 2)
+
+
+    # p^{r+1} at r = 100 (or p^{i+1} at i = 100) overflows an index while
+    # the table is sized, before anything is allocated
+    @pytest.mark.parametrize("argv", [
+        "generate --p 3 --r 100 --kind threshold",
+        "analyze --p 3 --r 100 --kind class --I 0",
+        "partition --p 3 --r 100 --summary",
+        "verify --suite theorem-hh --p 3 --r 100",
+        "generate --p 3 --kind fermat-order --i 100 --I 0",
+    ])
+    def test_absurd_sizes_exit_2(self, argv, capsys):
+        code, stdout, stderr = run(capsys, *argv.split())
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: period too large to build (OverflowError")
+        assert "Traceback" not in stderr
+
+    def test_out_of_memory_exits_2(self, monkeypatch, capsys):
+        # (1000003, 2) would ask for an 8e18-byte table; the stub raises first
+        def out_of_memory(m):
+            raise MemoryError
+
+        monkeypatch.setattr(sequences, "quotient_table", out_of_memory)
+        code, stdout, stderr = run(
+            capsys, "generate", "--p", "1000003", "--r", "2", "--kind", "threshold"
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr == "error: period too large to build (MemoryError)\n"
 
 
 class TestVerify:

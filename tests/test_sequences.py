@@ -49,11 +49,11 @@ class TestClassPartition:
         part = class_partition(m)
         size = p ** (r - 1) * (p - 1)
         assert all(len(c) == size for c in part.classes)
-        assert len(part.multiples) == p**r
-        everything = set(part.multiples)
+        assert all(c == sorted(set(c)) for c in part.classes)
+        everything = set(range(0, m.sequence_period, p))  # P
         for c in part.classes:
-            assert not (everything & c)
-            everything |= c
+            assert not (everything & set(c))
+            everything |= set(c)
         assert everything == set(range(m.sequence_period))
 
     def test_membership_round_trip(self):
