@@ -91,12 +91,10 @@ def _make_sequence(args) -> tuple[sequences.PeriodicSequence, dict]:
         if args.order is None:
             raise ValueError("kind=mary requires --order")
         return sequences.mary_sequence(PrimePowerModulus(args.p, args.r), args.order), meta
-    if kind == "fermat-order":
-        if args.i is None or not args.I:
-            raise ValueError("kind=fermat-order requires --i and --I")
-        meta["r"] = args.i
-        return sequences.order_i_binary_sequence(args.p, args.i, args.I), meta
-    raise ValueError(f"unknown kind {kind!r}")
+    if args.i is None or not args.I:  # argparse's choices leave only fermat-order
+        raise ValueError("kind=fermat-order requires --i and --I")
+    meta["r"] = args.i
+    return sequences.order_i_binary_sequence(args.p, args.i, args.I), meta
 
 
 def _cmd_generate(args) -> int:

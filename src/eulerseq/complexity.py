@@ -10,7 +10,7 @@ which packs its polynomials into bytes for p <= 13 (a popcount per bit
 plane for each discrepancy, one big-int multiply-add for each update). The
 gcd formula LC = T - deg gcd(X^T - 1, S(X)), lc_via_gcd, computed with
 sympy's gf_gcd over F_p, stays as the oracle the engines are cross-checked
-against.
+against; like linear_complexity, it reads p from the prime alphabet size.
 k-error linear complexity over F_2 has one entry point, kerror_lc_profile.
 For a period p^n (p an odd prime) with 2 a primitive root modulo p^n it runs
 one pass of a cost-carrying block recursion that returns the exact values
@@ -171,18 +171,25 @@ def _lc_games_chan(symbols: Sequence[int], p: int) -> int:
     return lc + (symbols[0] != 0)
 
 
-def lc_via_gcd(seq: PeriodicSequence, fieldp: PrimeField) -> int:
+def _field_size(seq: PeriodicSequence) -> int:
+    """The sequence's alphabet size p; ValueError unless p is prime."""
+    p = seq.alphabet_size
+    if not sympy.isprime(p):
+        raise ValueError(
+            f"alphabet size {p} is not prime: linear complexity needs a prime field F_p"
+        )
+    return p
+
+
+def lc_via_gcd(seq: PeriodicSequence) -> int:
     """Linear complexity by its definition, T - deg gcd(X^T - 1, S(X)), over F_p.
 
-    The oracle for the other engines, through sympy's Euclidean gf_gcd,
-    whose lists run from the top degree down. gcd(X^T - 1, 0) = X^T - 1, so
-    the zero sequence gives LC 0.
+    p is the alphabet size, and ValueError is raised unless it is prime. The
+    oracle for the other engines, through sympy's Euclidean gf_gcd, whose
+    lists run from the top degree down. gcd(X^T - 1, 0) = X^T - 1, so the
+    zero sequence gives LC 0.
     """
-    if seq.alphabet_size != fieldp.p:
-        raise ValueError(
-            f"alphabet size {seq.alphabet_size} does not match field F_{fieldp.p}"
-        )
-    p, T = fieldp.p, seq.period
+    p, T = _field_size(seq), seq.period
     xt1 = [1] + [0] * (T - 1) + [p - 1]
     return T - (len(gf_gcd(xt1, gf_strip(list(seq.symbols[::-1])), p, ZZ)) - 1)
 
@@ -229,16 +236,13 @@ def lc_binary(mask: int, period: int) -> int:
     return period + 1 - _bgcd((1 << period) | 1, mask).bit_length()
 
 
-_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
 def _mask(bits: Sequence[int]) -> int:
     """0/1 values as an F_2[X] bitmask, bit i holding bits[i].
 
-    One int parse of the reversed bits as ASCII digits: linear in the
-    length, where OR-ing in one bit at a time is quadratic.
+    One int parse of the reversed bits as ASCII digits, through bit plane 0:
+    linear in the length, where OR-ing in one bit at a time is quadratic.
     """
-    return int(bytes(bits[::-1]).translate(_ASCII_BITS), 2)
+    return int(bytes(bits[::-1]).translate(_BIT_PLANES[0]), 2)
 
 
 def linear_complexity(seq: PeriodicSequence) -> tuple[int, str]:
@@ -251,17 +255,10 @@ def linear_complexity(seq: PeriodicSequence) -> tuple[int, str]:
     """
     if seq.alphabet_size == 2:
         return lc_binary(_mask(seq.symbols), seq.period), "bitmask_gcd"
-    try:
-        fieldp = PrimeField(seq.alphabet_size)
-    except ValueError:
-        raise ValueError(
-            f"alphabet size {seq.alphabet_size} is not prime: "
-            "linear complexity needs a prime field F_p"
-        ) from None
-    p, T = fieldp.p, seq.period
+    p, T = _field_size(seq), seq.period
     if p ** sympy.multiplicity(p, T) == T:
         return _lc_games_chan(seq.symbols, p), "games_chan"
-    return berlekamp_massey(seq, fieldp), "berlekamp_massey"
+    return berlekamp_massey(seq, PrimeField(p)), "berlekamp_massey"
 
 
 # --- k-error linear complexity -------------------------------------------
@@ -373,41 +370,37 @@ def kerror_lc_profile(
     inexact once the budget runs out before the LC reaches 0. Raises
     ValueError unless the sequence is binary and 0 <= k_max <= period.
     """
-    _check_kerror_args(seq, k_max)
     p = _structural_prime(seq.period)
     if p is None:
         return kerror_lc_bruteforce(seq, k_max, budget)
+    _check_kerror_args(seq, k_max)
     lcs = _kerror_lc_pn(seq.symbols, [1] * seq.period, p, k_max)
     return [(k, lc, True) for k, lc in enumerate(lcs)]
 
 
-def constructive_error_pattern(m: PrimePowerModulus, kind: str) -> tuple[int, ...]:
-    """Theorem-derived error patterns achieving the k-error LC drops.
+def constructive_error_patterns(
+    m: PrimePowerModulus,
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The theorem's two error patterns achieving the k-error LC drops, (lam, full).
 
     A pattern is the sorted tuple of positions to flip in one period p^{r+1};
     its weight is its length, and seq.flip(pattern) applies it.
-    kind="lambda": multiples of p below p^r (weight p^{r-1}); flipping these
-    drops the LC of an odd-|I| class sequence to p^{r+1} - p^r + 1.
-    kind="lambda_times_full": units below p^r congruent to 1..p-1 modulo p
-    paired with every multiple-of-p offset (weight p^{r-1}(p-1)); flipping
+    lam, the pattern lambda: the multiples of p below p^r (weight p^{r-1});
+    flipping these drops the LC of an odd-|I| class sequence to
+    p^{r+1} - p^r + 1.
+    full, the pattern lambda x full: b + a for each b in lam and each
+    a = 1..p-1, the units below p^r (weight p^{r-1}(p-1)); flipping these
     drops the LC to p^{r+1} - p^r.
     """
     if m.r < 2:
         raise ValueError(f"constructive patterns need r >= 2, got r={m.r}")
-    if kind == "lambda":
-        return tuple(b * m.p for b in range(m.p ** (m.r - 1)))
-    if kind == "lambda_times_full":
-        return tuple(
-            a + b * m.p
-            for b in range(m.p ** (m.r - 1))
-            for a in range(1, m.p)
-        )
-    raise ValueError(f"unknown pattern kind {kind!r}")
+    lam = tuple(range(0, m.modulus, m.p))
+    return lam, tuple(b + a for b in lam for a in range(1, m.p))
 
 
 # --- theorem profile for binary class sequences ---------------------------
 
-@functools.lru_cache(maxsize=64)
+@functools.cache
 def theorem_precondition_error(m: PrimePowerModulus, index_size: int) -> str | None:
     """Why the theorem profile does not hold for (p, r, |I|), or None if it does.
 

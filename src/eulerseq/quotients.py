@@ -101,14 +101,13 @@ def new_quotient_h(m: PrimePowerModulus, u: int) -> int:
 
 def fermat_quotient_order(p: int, i: int, u: int) -> int:
     """Order-i Fermat quotient: the i-th base-p digit of u^{p-1}; 0 if p | u."""
-    if not sympy.isprime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
     if i < 1:
         raise ValueError(f"order i must be >= 1, got {i}")
+    pi = PrimePowerModulus(p, i).modulus  # p must be an odd prime
     if u < 0:
         raise ValueError(f"u must be nonnegative, got {u}")
     if u % p == 0:
         return 0
-    t = pow(u, p - 1, p ** (i + 1))
-    return t // p**i % p
+    t = pow(u, p - 1, pi * p)
+    return t // pi % p
 

@@ -165,8 +165,7 @@ def suite_oracles(p: int, r: int, seed: int = 0) -> list[CheckResult]:
         seq = PeriodicSequence(
             char, period, tuple(rng.randrange(char) for _ in range(period))
         )
-        fp = PrimeField(char)
-        if berlekamp_massey(seq, fp) != lc_via_gcd(seq, fp):
+        if berlekamp_massey(seq, PrimeField(char)) != lc_via_gcd(seq):
             failures += 1
     return [
         (

@@ -14,7 +14,7 @@ from eulerseq.complexity import (
     check_poly_p_lemma,
     check_root_group_lemmas,
     check_theorem_profile,
-    constructive_error_pattern,
+    constructive_error_patterns,
     kerror_lc_bruteforce,
     kerror_lc_profile,
     lc_via_gcd,
@@ -30,8 +30,6 @@ from eulerseq.sequences import (
 )
 from eulerseq.verify import suite_qrs
 
-F2 = PrimeField(2)
-
 
 def report(num, ok, detail):
     print(f"{'PASS' if ok else 'FAIL'} criterion {num}: {detail}")
@@ -45,8 +43,7 @@ def test_criterion_1_highest_level_lc():
     for (p, r), want in expected.items():
         m = PrimePowerModulus(p, r)
         seq = level_sequence(m, r - 1)
-        fp = PrimeField(p)
-        results[(p, r)] = (berlekamp_massey(seq, fp), lc_via_gcd(seq, fp))
+        results[(p, r)] = (berlekamp_massey(seq, PrimeField(p)), lc_via_gcd(seq))
     ok = all(bm == gd == expected[key] for key, (bm, gd) in results.items())
     report(1, ok, f"highest-level LC (BM, gcd) = {results}, expected {expected}")
 
@@ -74,11 +71,10 @@ def test_criterion_3_partial_verification_p5_odd():
     """(5,2), I={0}: LC_0 = 104, constructive drops to 101 and 100, no early drop."""
     m = PrimePowerModulus(5, 2)
     f = binary_class_sequence(m, {0})
-    lc0 = lc_via_gcd(f, F2)
-    lam = constructive_error_pattern(m, "lambda")
-    full = constructive_error_pattern(m, "lambda_times_full")
-    lam_lc = lc_via_gcd(f.flip(lam), F2)
-    full_lc = lc_via_gcd(f.flip(full), F2)
+    lc0 = lc_via_gcd(f)
+    lam, full = constructive_error_patterns(m)
+    lam_lc = lc_via_gcd(f.flip(lam))
+    full_lc = lc_via_gcd(f.flip(full))
     brute = kerror_lc_bruteforce(f, 2)
     bf2 = [lc for _, lc, _ in brute]
     ok = (
@@ -102,7 +98,7 @@ def test_criterion_4_even_index_branch():
     """(5,2), I={0,1}: LC_0 = 100 and no drop through k = 2."""
     m = PrimePowerModulus(5, 2)
     f = binary_class_sequence(m, {0, 1})
-    lc0 = lc_via_gcd(f, F2)
+    lc0 = lc_via_gcd(f)
     brute = kerror_lc_bruteforce(f, 2)
     bf2 = [lc for _, lc, _ in brute]
     ok = lc0 == 100 and brute == [(k, 100, True) for k in range(3)]
@@ -224,8 +220,7 @@ def test_criterion_10_oracle_equivalence():
         char = rng.choice([2, 3])
         T = rng.randint(1, 200)
         seq = PeriodicSequence(char, T, tuple(rng.randrange(char) for _ in range(T)))
-        fp = PrimeField(char)
-        if berlekamp_massey(seq, fp) != lc_via_gcd(seq, fp):
+        if berlekamp_massey(seq, PrimeField(char)) != lc_via_gcd(seq):
             disagreements += 1
     report(10, disagreements == 0, f"500 random sequences, {disagreements} disagreements")
 

@@ -16,7 +16,7 @@ from eulerseq.complexity import (
     check_poly_p_lemma,
     check_root_group_lemmas,
     check_theorem_profile,
-    constructive_error_pattern,
+    constructive_error_patterns,
     kerror_lc_bruteforce,
     kerror_lc_profile,
     lc_binary,
@@ -63,26 +63,32 @@ class TestLinearComplexity:
     def test_zero_sequence(self):
         z = bits(0, 0, 0, 0, 0)
         assert berlekamp_massey(z, F2) == 0
-        assert lc_via_gcd(z, F2) == 0
+        assert lc_via_gcd(z) == 0
 
     def test_impulse_has_full_lc(self):
         for T in (3, 9, 14):
             s = PeriodicSequence(2, T, (1,) + (0,) * (T - 1))
             assert berlekamp_massey(s, F2) == T
-            assert lc_via_gcd(s, F2) == T
+            assert lc_via_gcd(s) == T
 
     def test_all_ones_odd_period(self):
         for T in (3, 9, 27):
             s = PeriodicSequence(2, T, (1,) * T)
-            assert lc_via_gcd(s, F2) == 1
+            assert lc_via_gcd(s) == 1
             assert berlekamp_massey(s, F2) == 1
 
     def test_alphabet_mismatch(self):
         s = PeriodicSequence(3, 3, (0, 1, 2))
         with pytest.raises(ValueError):
             berlekamp_massey(s, F2)
-        with pytest.raises(ValueError):
-            lc_via_gcd(s, F2)
+
+    def test_composite_alphabet(self):
+        # the oracle and the entry point read p from the alphabet and refuse 4
+        s = PeriodicSequence(4, 3, (0, 1, 3))
+        message = "alphabet size 4 is not prime: linear complexity needs a prime field F_p"
+        for lc in (lc_via_gcd, linear_complexity):
+            with pytest.raises(ValueError, match=message):
+                lc(s)
 
     def test_level_sequence_lc(self):
         m = PrimePowerModulus(3, 2)
@@ -110,9 +116,8 @@ class TestLinearComplexity:
             char = rng.choice([2, 3, 5, 7, 11, 13, 17, 19])
             T = rng.randint(1, 120)
             s = PeriodicSequence(char, T, tuple(rng.randrange(char) for _ in range(T)))
-            fp = PrimeField(char)
-            lc = lc_via_gcd(s, fp)
-            assert berlekamp_massey(s, fp) == lc
+            lc = lc_via_gcd(s)
+            assert berlekamp_massey(s, PrimeField(char)) == lc
             if char == 2:
                 method = "bitmask_gcd"
             elif char ** sympy.multiplicity(char, T) == T:
@@ -138,7 +143,7 @@ class TestLinearComplexity:
         ]
         for symbols in cases:
             s = PeriodicSequence(p, len(symbols), symbols)
-            assert berlekamp_massey(s, fp) == lc_via_gcd(s, fp), symbols
+            assert berlekamp_massey(s, fp) == lc_via_gcd(s), symbols
 
     def test_binary_fast_path_matches_reference(self):
         rng = random.Random(99)
@@ -148,7 +153,7 @@ class TestLinearComplexity:
             s = PeriodicSequence(2, T, syms)
             mask = sum(b << i for i, b in enumerate(syms))
             assert complexity._mask(s.symbols) == mask  # bit i holds symbol i
-            assert lc_binary(mask, T) == lc_via_gcd(s, F2)
+            assert lc_binary(mask, T) == lc_via_gcd(s)
 
 
 _MAX_DIGITS = {2: 7, 3: 4, 5: 3, 7: 2}  # periods up to 128, 81, 125 and 49
@@ -178,7 +183,7 @@ def prime_power_periods(draw):
 def lc_and_oracle(seq):
     """linear_complexity's LC after checking its engine against lc_via_gcd."""
     lc, _ = linear_complexity(seq)
-    assert lc == lc_via_gcd(seq, PrimeField(seq.alphabet_size))
+    assert lc == lc_via_gcd(seq)
     return lc
 
 
@@ -189,9 +194,8 @@ class TestGcdOracle:
     @settings(max_examples=300, deadline=None)
     @given(prime_power_periods())
     def test_matches_berlekamp_massey_at_prime_power_periods(self, seq):
-        fp = PrimeField(seq.alphabet_size)
-        bm = berlekamp_massey(seq, fp)
-        assert lc_via_gcd(seq, fp) == bm
+        bm = berlekamp_massey(seq, PrimeField(seq.alphabet_size))
+        assert lc_via_gcd(seq) == bm
         method = "bitmask_gcd" if seq.alphabet_size == 2 else "games_chan"
         assert linear_complexity(seq) == (bm, method)
 
@@ -215,7 +219,7 @@ class TestKErrorBruteForce:
     def test_k0_is_lc(self):
         m = PrimePowerModulus(3, 2)
         f = binary_class_sequence(m, {0})
-        assert kerror_lc_bruteforce(f, 0) == [(0, lc_via_gcd(f, F2), True)]
+        assert kerror_lc_bruteforce(f, 0) == [(0, lc_via_gcd(f), True)]
 
     def test_k_equals_weight_gives_zero(self):
         s = bits(1, 0, 1, 0, 0, 1, 0)
@@ -250,9 +254,9 @@ class TestKErrorBruteForce:
             PeriodicSequence(2, 60, syms[:i] + (1 - syms[i],) + syms[i + 1 :])
             for i in range(60)
         ]
-        lc1 = min(lc_via_gcd(f, F2) for f in flips)
-        assert lc1 < lc_via_gcd(s, F2)
-        assert profile[:2] == [(0, lc_via_gcd(s, F2), True), (1, lc1, True)]
+        lc1 = min(lc_via_gcd(f) for f in flips)
+        assert lc1 < lc_via_gcd(s)
+        assert profile[:2] == [(0, lc_via_gcd(s), True), (1, lc1, True)]
         assert profile[2:] == [(k, lc1, False) for k in range(2, 11)]
 
     def test_zero_lc_is_exact_past_budget(self):
@@ -283,6 +287,14 @@ class TestKErrorBruteForce:
         with pytest.raises(ValueError):
             kerror_lc_bruteforce(bits(1, 0), 3)
 
+    @pytest.mark.parametrize("period", [1, 16, 45, 60])
+    def test_profile_takes_exhaustive_path_off_odd_prime_powers(self, period):
+        # 1 has no prime factor, 16 is even, 45 and 60 are not prime powers
+        rng = random.Random(period)
+        s = PeriodicSequence(2, period, tuple(rng.randrange(2) for _ in range(period)))
+        k_max = min(period, 2)
+        assert kerror_lc_profile(s, k_max) == kerror_lc_bruteforce(s, k_max)
+
     def test_rejects_non_binary(self):
         # a p^n period over F_3: the structural engine would read its symbols
         # as bits and report [20, 20, 20], although its LC is 11
@@ -295,33 +307,26 @@ class TestKErrorBruteForce:
 
 class TestErrorPatterns:
     def test_lambda_positions(self):
-        m = PrimePowerModulus(3, 2)
-        pat = constructive_error_pattern(m, "lambda")
-        assert pat == (0, 3, 6)  # weight p^{r-1}
+        lam, _ = constructive_error_patterns(PrimePowerModulus(3, 2))
+        assert lam == (0, 3, 6)  # weight p^{r-1}
 
     def test_lambda_times_full_positions(self):
-        m = PrimePowerModulus(3, 2)
-        pat = constructive_error_pattern(m, "lambda_times_full")
-        assert pat == (1, 2, 4, 5, 7, 8)  # weight p^{r-1}(p-1)
+        _, full = constructive_error_patterns(PrimePowerModulus(3, 2))
+        assert full == (1, 2, 4, 5, 7, 8)  # weight p^{r-1}(p-1)
 
     def test_requires_r2(self):
         with pytest.raises(ValueError):
-            constructive_error_pattern(PrimePowerModulus(3, 1), "lambda")
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            constructive_error_pattern(PrimePowerModulus(3, 2), "nope")
+            constructive_error_patterns(PrimePowerModulus(3, 1))
 
     @pytest.mark.parametrize("p,r", [(3, 2), (3, 3), (5, 2)])
     def test_patterns_achieve_theorem_drops(self, p, r):
         m = PrimePowerModulus(p, r)
         f = binary_class_sequence(m, {0})
         base = p ** (r + 1) - p**r
-        assert lc_via_gcd(f, F2) == base + p - 1
-        lam = constructive_error_pattern(m, "lambda")
-        assert lc_via_gcd(f.flip(lam), F2) == base + 1
-        full = constructive_error_pattern(m, "lambda_times_full")
-        assert lc_via_gcd(f.flip(full), F2) == base
+        assert lc_via_gcd(f) == base + p - 1
+        lam, full = constructive_error_patterns(m)
+        assert lc_via_gcd(f.flip(lam)) == base + 1
+        assert lc_via_gcd(f.flip(full)) == base
 
 
 class TestTheoremProfile:
@@ -391,7 +396,7 @@ class TestTheoremProfile:
         # the exact entries match a search under the default budget
         assert profile[:2] == kerror_lc_bruteforce(f, 1)
         lc1 = profile[1][1]
-        assert profile[0][1] == lc_via_gcd(f, F2)
+        assert profile[0][1] == lc_via_gcd(f)
         # an inexact entry carries the last exact value: LC_1 is achieved
         # with one error, so it bounds LC_2 and LC_3 from above
         assert [lc for _, lc, _ in profile[2:]] == [lc1, lc1]
@@ -447,7 +452,7 @@ class TestStructuralKError:
         assert all(exact for _, _, exact in profile)
         values = [lc for _, lc, _ in profile]
         mask = sum(b << i for i, b in enumerate(seq.symbols))
-        assert values[0] == lc_binary(mask, seq.period) == lc_via_gcd(seq, F2)
+        assert values[0] == lc_binary(mask, seq.period) == lc_via_gcd(seq)
         assert values == sorted(values, reverse=True)
         assert all(lc == 0 for lc in values[seq.weight:])
         # a smaller k_max prunes the recursion's k ranges, not its values

@@ -40,6 +40,10 @@ class TestEulerQuotient:
         # 2^6 = 64 = 1 + 7*9, quotient 7
         assert euler_quotient(PrimePowerModulus(3, 2), 2) == 7
 
+    def test_rejects_negative_u(self):
+        with pytest.raises(ValueError, match="u must be nonnegative, got -1"):
+            euler_quotient(PrimePowerModulus(3, 2), -1)
+
     def test_matches_direct_integer_arithmetic(self):
         for (p, r) in [(3, 2), (3, 3), (5, 2), (7, 2)]:
             m = PrimePowerModulus(p, r)
@@ -202,6 +206,15 @@ class TestFermatQuotientOrder:
     def test_bad_order(self):
         with pytest.raises(ValueError):
             fermat_quotient_order(3, 0, 2)
+
+    @pytest.mark.parametrize("p", [9, 2])
+    def test_rejects_p_not_odd_prime(self, p):
+        with pytest.raises(ValueError, match=f"p must be an odd prime, got {p}"):
+            fermat_quotient_order(p, 1, 1)
+
+    def test_rejects_negative_u(self):
+        with pytest.raises(ValueError, match="u must be nonnegative, got -1"):
+            fermat_quotient_order(3, 1, -1)
 
 
 class TestCongruenceQrs:
