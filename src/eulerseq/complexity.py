@@ -12,16 +12,22 @@ gcd formula LC = T - deg gcd(X^T - 1, S(X)), lc_via_gcd, computed with
 sympy's gf_gcd over F_p, stays as the oracle the engines are cross-checked
 against; like linear_complexity, it reads p from the prime alphabet size.
 k-error linear complexity over F_2 has one entry point, kerror_lc_profile.
-For a period p^n (p an odd prime) with 2 a primitive root modulo p^n it runs
-one pass of a cost-carrying block recursion that returns the exact values
-LC_0..LC_k_max together; for any other period it runs the exhaustive oracle
+For a period p^n with p an odd prime that is not a Wieferich prime it runs
+one pass of a cost-carrying block recursion, _kerror_lc_pn, that returns the
+exact values LC_0..LC_k_max together. Its branches are the cyclic codes of
+length p generated by products of the F_2 factors of 1 + Y + ... + Y^{p-1}:
+the two extreme codes are closed forms, the only ones there are when 2 is
+primitive modulo p, and the ones between are enumerated up to
+_CODE_DIMENSION_CAP (below 50 that admits every odd prime but 31, 41, 43
+and 47). For any other period it runs the exhaustive oracle
 kerror_lc_bruteforce, one error-pattern pass under a pattern budget, using
 bitmask F_2[X] arithmetic. Both return the same (k, lc_k, exact) profile, so
 the tests compare them entry by entry. An entry is "exact" when one of these
 two proven engines computed it. check_theorem_profile compares a computed
 profile of a binary class sequence with the piecewise-constant profile that
-theorem_kerror_lc predicts when 2 is a primitive root modulo p^2. Orders and
-primitive roots come from sympy's n_order and is_primitive_root.
+theorem_kerror_lc predicts when 2 is a primitive root modulo p^2. Orders
+come from sympy's n_order, and the factors of 1 + Y + ... + Y^{p-1} over
+F_2 from its gf_factor_sqf.
 The lemma checks over F_2 test each divisibility by a quotient
 (X^n - 1)/(X^d - 1) with one _fold, the one F_2[X] remainder routine.
 """
@@ -35,7 +41,7 @@ from collections.abc import Sequence
 
 import sympy
 from sympy import ZZ
-from sympy.polys.galoistools import gf_gcd, gf_strip
+from sympy.polys.galoistools import gf_factor_sqf, gf_gcd, gf_mul, gf_strip
 
 from .fieldarith import PrimeField
 from .quotients import PrimePowerModulus
@@ -307,36 +313,108 @@ def kerror_lc_bruteforce(
     return profile
 
 
-def _structural_prime(period: int) -> int | None:
-    """The odd prime p when period = p^n and 2 is a primitive root mod p^n.
+# Largest dimension p - deg g_T of an intermediate cyclic code that the
+# k-error block recursion enumerates, 2^12 words per column. Of the odd
+# non-Wieferich primes below 50 with 2 not primitive, 7, 17 and 23 (dimension
+# 4, 9 and 12) are inside it; 31, 41, 43 and 47 (dimension 26, 21, 29 and
+# 24) are not, and their periods keep the exhaustive oracle.
+_CODE_DIMENSION_CAP = 12
 
-    Then every cyclotomic factor of X^period - 1 is irreducible over F_2,
-    which is what the block recursion of _kerror_lc_pn needs.
+
+@functools.cache
+def _cyclic_codes(p: int) -> tuple | None:
+    """The intermediate cyclic codes of length p for _kerror_lc_pn, or None.
+
+    Over F_2, Phi_p(Y) = 1 + Y + ... + Y^{p-1} splits into e = (p-1)/d
+    irreducible factors of degree d = ord_p(2) (Lidl and Niederreiter,
+    Finite Fields, Thm 2.47). When ord_{p^2}(2) = pd, that is when p is not
+    a Wieferich prime, 2 has order p^{j-1}d modulo p^j, so each factor f(Y)
+    stays irreducible as f(X^M) for every M = p^j. Returns (sizes, words).
+    words holds, for each subset T of s = 1..e-1 factors, the words of the
+    cyclic code <g_T> of length p, g_T the product of the factors in T,
+    split by parity into (low halves, high halves): bit j of a word is the
+    coefficient of Y^j, and the halves are the bits below and from
+    (p+1)//2. sizes holds (s d, indices into words) for each s. The empty
+    and the full set are left to closed forms, so e = 1 (2 primitive
+    modulo p) gives ((), ()). None when p is a Wieferich prime or a code
+    has more than 2^_CODE_DIMENSION_CAP words.
     """
-    factors = sympy.factorint(period)
-    if len(factors) != 1 or 2 in factors:
+    d = sympy.n_order(2, p)
+    if sympy.n_order(2, p * p) != p * d:
         return None
-    (p,) = factors
-    return p if sympy.is_primitive_root(2, period) else None
+    if d == p - 1:  # e = 1; factoring Phi_p anyway would take 2 s at p = 509
+        return (), ()
+    if p - d > _CODE_DIMENSION_CAP:
+        return None
+    _, factors = gf_factor_sqf([1] * p, 2, ZZ)
+    h = (p + 1) // 2
+    sizes, words = [], []
+    for s in range(1, len(factors)):
+        subsets = list(itertools.combinations(factors, s))
+        sizes.append((s * d, range(len(words), len(words) + len(subsets))))
+        for subset in subsets:
+            g = functools.reduce(lambda a, f: gf_mul(a, f, 2, ZZ), subset, [1])
+            g = int("".join(map(str, g)), 2)
+            code = [0]
+            for i in range(p - s * d):
+                code += [w ^ (g << i) for w in code]
+            words.append(tuple(
+                ([w & ((1 << h) - 1) for w in ws], [w >> h for w in ws])
+                for ws in ([w for w in code if not w.bit_count() & 1],
+                           [w for w in code if w.bit_count() & 1])
+            ))
+    return tuple(sizes), tuple(words)
+
+
+def _subset_sums(values: Sequence[int]) -> list[int]:
+    """Entry v is the sum of values[b] over the set bits b of v."""
+    sums = [0]
+    for x in values:
+        sums += [a + x for a in sums]
+    return sums
+
+
+def _next_level(cost0: list[int], cost1: list[int]) -> tuple[int, list[int], list[int]]:
+    """A branch's spend, sum_i min(cost0[i], cost1[i]), and the next level's bits and costs.
+
+    Column i becomes parity bit cost1[i] < cost0[i] at the next level, and
+    flipping that bit costs the difference.
+    """
+    return (sum(map(min, cost0, cost1)), [int(y < x) for x, y in zip(cost0, cost1)],
+            [abs(y - x) for x, y in zip(cost0, cost1)])
 
 
 def _kerror_lc_pn(
-    bits: Sequence[int], cost: Sequence[int], p: int, k_max: int
+    bits: Sequence[int], cost: Sequence[int], p: int, codes: tuple, k_max: int
 ) -> list[int]:
-    """Exact LC_0..LC_k_max over F_2 of a p^n-periodic sequence, 2 primitive mod p^n.
+    """Exact LC_0..LC_k_max over F_2 of a p^n-periodic sequence, p non-Wieferich.
 
     Block recursion for p^n-periodic LC (Xiao, Wei, Lam, Imamura, IEEE
     Trans. IT 46, 2000) carrying flip costs as in Stamp and Martin (IEEE
-    Trans. IT 39, 1993). With period pM and blocks A_0..A_{p-1} of length M,
-    LC = LC(A_0) when all blocks are equal and (p-1)M + LC(A_0 + ... +
-    A_{p-1}) otherwise. Equal blocks leave LC <= M < (p-1)M, so making them
-    equal, at a price of spend flips, is optimal whenever k >= spend. That is
+    Trans. IT 39, 1993), extended to p where 2 is not primitive. With period
+    N = pM and Y = X^M, X^N - 1 = (X^M - 1) prod_t f_t(X^M), squarefree,
+    each f_t(X^M) irreducible of degree dM (see _cyclic_codes). Column i is
+    c_i(Y) = sum_j bits[i + jM] Y^j, and f_t(X^M) divides S(X) exactly when
+    f_t(Y) divides every c_i. So for each subset T of the factors, with
+    g_T their product, make every column a codeword of the cyclic code <g_T>;
+    then LC = (p-1-deg g_T) M + LC at period M of the column parities. A
+    column's cost_b is its cheapest codeword of parity b under the flip
+    costs; T spends sum_i min(cost_0, cost_1), and the next level sees bit
+    cost_1 < cost_0 at cost |cost_1 - cost_0|. T = {} (the parities, at the
+    cheapest bit's cost) and T = all factors (all-0 or all-1 columns) are
+    closed forms; only the codes in between are enumerated, 2^{p - deg g_T}
+    words each, through two half-word subset-sum tables per column.
+
+    The LC left at period M is at most M <= dM, so any affordable T with
+    more factors beats every T with fewer: the T of size s serve only
+    k from their spend up to one below the least spend of size s+1. That is
     the only decision that depends on k, so one pass follows each branch for
-    its own k range (as in Lauder and Paterson's one-pass error spectrum, IEEE
-    Trans. IT 49, 2003): the sum branch for k < spend, the equal branch,
-    with spend flips used, for k >= spend. An empty range prunes a branch, and each branch
-    works on 1/p of its input, so the whole profile costs at most about
-    p/(p-2) single-k runs. cost[i] is the flips needed to flip bits[i].
+    its own k range (as in Lauder and Paterson's one-pass error spectrum,
+    IEEE Trans. IT 49, 2003), and branches of one size meet by min. An empty
+    range prunes a branch. For e = 1 the two branches are the sum of the
+    blocks, for k below the spend, and the equal blocks from there on, and
+    the whole profile costs at most about p/(p-2) single-k runs. cost[i] is
+    the flips needed to flip bits[i].
     """
     if k_max < 0:
         return []
@@ -347,15 +425,49 @@ def _kerror_lc_pn(
     to1 = []
     for i in range(m):
         col_cost = cost[i::m]
-        ones = sum(c for b, c in zip(bits[i::m], col_cost) if b)
+        ones = sum(itertools.compress(col_cost, bits[i::m]))
         to0.append(ones)
         to1.append(sum(col_cost) - ones)
-    spend = sum(map(min, to0, to1))
-    summed = _kerror_lc_pn([sum(bits[i::m]) & 1 for i in range(m)],
-                           [min(cost[i::m]) for i in range(m)], p, min(spend - 1, k_max))
-    equal = _kerror_lc_pn([int(c1 < c0) for c0, c1 in zip(to0, to1)],
-                          [abs(c1 - c0) for c0, c1 in zip(to0, to1)], p, k_max - spend)
-    return [(p - 1) * m + lc for lc in summed] + equal
+    # each |T| with deg g_T and, per T, its spend and the next level's input
+    by_size = [(0, [(0, [sum(bits[i::m]) & 1 for i in range(m)],
+                     [min(cost[i::m]) for i in range(m)])])]
+    sizes, words = codes
+    if sizes:
+        h = (p + 1) // 2  # the half-word split of _cyclic_codes
+        memo = {}
+        best = []  # per column, per code and parity, the least sum of gains over its words
+        for i in range(m):
+            # the change in cost from setting bit j of the column
+            gain = tuple(-c if b else c for b, c in zip(bits[i::m], cost[i::m]))
+            if gain not in memo:
+                lo, hi = _subset_sums(gain[:h]), _subset_sums(gain[h:])
+                memo[gain] = [[min(map(int.__add__, map(lo.__getitem__, lows),
+                                       map(hi.__getitem__, highs)))
+                               for lows, highs in code] for code in words]
+            best.append(memo[gain])
+        for deg, indices in sizes:
+            branches = []
+            for t in indices:
+                cost0 = [ones + col[t][0] for ones, col in zip(to0, best)]
+                cost1 = [ones + col[t][1] for ones, col in zip(to0, best)]
+                branches.append(_next_level(cost0, cost1))
+            by_size.append((deg, branches))
+    by_size.append((p - 1, [_next_level(to0, to1)]))
+    profile = []
+    for s, (deg, branches) in enumerate(by_size):
+        top = k_max if s + 1 == len(by_size) else min(
+            k_max, min(spend for spend, _, _ in by_size[s + 1][1]) - 1)
+        start = len(profile)
+        for spend, nbits, ncost in sorted(branches, key=lambda b: b[0]):
+            if spend > top:
+                break
+            lcs = _kerror_lc_pn(nbits, ncost, p, codes, top - spend)
+            lcs = [(p - 1 - deg) * m + lc for lc in lcs]
+            if len(profile) == start:  # the cheapest T of its size
+                profile += lcs
+            else:
+                profile[spend:] = map(min, profile[spend:], lcs)
+    return profile
 
 
 def kerror_lc_profile(
@@ -363,18 +475,21 @@ def kerror_lc_profile(
 ) -> list[tuple[int, int, bool]]:
     """k-error LC of a binary sequence as (k, lc_k, exact) for k = 0..k_max.
 
-    The period alone picks the engine. A period p^n with 2 a primitive root
-    modulo p^n gets one pass of the structural block recursion, and every
-    entry is exact. Any other period gets the exhaustive oracle
+    The period alone picks the engine. A period p^n with p an odd prime that
+    is not a Wieferich prime, and whose cyclic codes of length p fit
+    _CODE_DIMENSION_CAP (below 50, every odd prime but 31, 41, 43 and 47),
+    gets one pass of the structural block recursion _kerror_lc_pn, and
+    every entry is exact. Any other period gets the exhaustive oracle
     kerror_lc_bruteforce under the pattern budget, whose entries turn
     inexact once the budget runs out before the LC reaches 0. Raises
     ValueError unless the sequence is binary and 0 <= k_max <= period.
     """
-    p = _structural_prime(seq.period)
-    if p is None:
+    primes = sympy.primefactors(seq.period)
+    codes = _cyclic_codes(primes[0]) if len(primes) == 1 and primes[0] != 2 else None
+    if codes is None:
         return kerror_lc_bruteforce(seq, k_max, budget)
     _check_kerror_args(seq, k_max)
-    lcs = _kerror_lc_pn(seq.symbols, [1] * seq.period, p, k_max)
+    lcs = _kerror_lc_pn(seq.symbols, [1] * seq.period, primes[0], codes, k_max)
     return [(k, lc, True) for k, lc in enumerate(lcs)]
 
 

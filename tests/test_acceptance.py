@@ -247,15 +247,19 @@ def test_criterion_11_full_profiles_at_scale():
 
 
 def test_criterion_12_engine_follows_period():
-    """Periods p^n with 2 primitive mod p^n are exact under any budget;
-    periods 49 and 343 (ord(2 mod 49) = 21) fall back to budgeted search."""
+    """Periods p^n with p a non-Wieferich odd prime are exact under any budget,
+    both with 2 primitive mod p^n (27, 125, 1331) and without it, through the
+    intermediate cyclic codes (49 and 343, ord(2 mod 49) = 21; 289,
+    ord(2 mod 289) = 136). Period 75 = 3 * 5^2 is not a prime power, and
+    p = 31 needs codes of 2^26 words, past the enumeration cap: both fall
+    back to budgeted search."""
     budget = 1  # exhaustive search gets k = 0 only
     structural = {}
-    for period in (27, 125, 1331):
+    for period in (27, 125, 1331, 49, 343, 289):
         seq = PeriodicSequence(2, period, (1,) * 3 + (0,) * (period - 3))
         structural[period] = [e for _, _, e in kerror_lc_profile(seq, 3, budget)]
     exhaustive = {}
-    for period in (49, 343):
+    for period in (75, 31):
         seq = PeriodicSequence(2, period, (1,) * 3 + (0,) * (period - 3))
         exhaustive[period] = [e for _, _, e in kerror_lc_profile(seq, 3, budget)]
     ok = all(flags == [True] * 4 for flags in structural.values()) and all(

@@ -111,6 +111,21 @@ class TestAnalyze:
         assert [e["lc"] for e in doc["kerror"]] == [20, 20, 20, 19, 19, 19, 0]
         assert all(e["exact"] for e in doc["kerror"])
 
+    def test_class_profile_past_theorem_hypothesis(self, capsys):
+        # 2 is not primitive mod 49, yet period 7^5 = 16,807 takes the
+        # structural engine: every entry up to the weight 2058 is exact, and
+        # its LC_0 agrees with the bitmask gcd
+        code, stdout, stderr = run(
+            capsys, "analyze", "--p", "7", "--r", "4", "--kind", "class",
+            "--I", "0", "--k-max", "2058", "--format", "json",
+        )
+        assert code == 0, stderr
+        doc = json.loads(stdout)
+        assert len(doc["kerror"]) == 2059
+        assert all(e["exact"] for e in doc["kerror"])
+        assert doc["kerror"][0]["lc"] == doc["lc"]
+        assert doc["kerror"][-1]["lc"] == 0
+
     def test_json_method_names_engine(self, capsys):
         _, binary, _ = run(
             capsys, "analyze", "--p", "3", "--r", "2", "--kind", "class",
@@ -277,7 +292,7 @@ class TestAnalyze:
         assert "--k-max" in stderr
 
     def test_negative_budget(self, capsys):
-        # period 343 takes exhaustive search, which reported an inexact LC_1
+        # a usage error whichever engine the period picks
         code, stdout, stderr = run(
             capsys, "analyze", "--p", "7", "--r", "2", "--kind", "class",
             "--I", "0", "--k-max", "1", "--budget", "-5",
@@ -361,11 +376,13 @@ class TestAnalyze:
         assert "line 2" in stderr
 
     def test_budget_exceeded_partial_report(self, tmp_path, capsys):
-        # period 343: 2 has order 21 mod 49, so k-error LC comes from budgeted
-        # exhaustive search, which covers k <= 1 (344 patterns) within 1000
+        # period 961 = 31^2: the cyclic codes of length 31 have up to 2^26
+        # words, past the structural engine's cap, so k-error LC comes from
+        # budgeted exhaustive search, which covers k <= 1 (962 patterns)
+        # within 1000
         f = tmp_path / "s.txt"
         run(
-            capsys, "generate", "--p", "7", "--r", "2", "--kind", "class",
+            capsys, "generate", "--p", "31", "--r", "1", "--kind", "class",
             "--I", "0", "--out", str(f),
         )
         code, stdout, _ = run(

@@ -387,11 +387,11 @@ class TestTheoremProfile:
             check_theorem_profile(kerror_lc_profile(f, 2), m, {0, 1})
 
     def test_budget_exhaustion_marks_inexact(self):
-        # 2 has order 21 mod 49, so period 343 has no structural engine and
-        # the profile comes from budgeted exhaustive search.
-        m = PrimePowerModulus(7, 2)
-        f = binary_class_sequence(m, {0})
-        profile = kerror_lc_profile(f, k_max=3, budget=1000)  # 1 + 343 patterns fit
+        # 75 = 3 * 5^2 is not a prime power, so it has no structural engine
+        # and the profile comes from budgeted exhaustive search.
+        rng = random.Random(75)
+        f = PeriodicSequence(2, 75, tuple(rng.randrange(2) for _ in range(75)))
+        profile = kerror_lc_profile(f, k_max=3, budget=1000)  # 1 + 75 patterns fit
         assert [exact for _, _, exact in profile] == [True, True, False, False]
         # the exact entries match a search under the default budget
         assert profile[:2] == kerror_lc_bruteforce(f, 1)
@@ -415,7 +415,10 @@ class TestTheoremProfile:
             theorem_kerror_lc(PrimePowerModulus(7, 2), 1, 0)
 
 
-QUALIFYING_PERIODS = (3, 9, 27, 81, 5, 25, 11, 13)  # p^n with 2 primitive mod p^n
+# p^n with p a non-Wieferich odd prime: 2 is primitive mod p^n for 3, 5, 11
+# and 13, and has order (p-1)/2 mod p for 7, 17 and 23, so their profiles
+# run through the intermediate cyclic codes of length p
+QUALIFYING_PERIODS = (3, 9, 27, 81, 5, 25, 11, 13, 7, 49, 17, 23)
 
 
 @st.composite
@@ -436,14 +439,35 @@ class TestStructuralKError:
     @given(qualifying_sequences())
     def test_matches_exhaustive_search(self, seq):
         # exhaustive k = 3 at period 81 takes seconds per example; it is
-        # covered once by test_matches_exhaustive_search_k3_period_81
-        k_max = 2 if seq.period == 81 else 3
+        # covered once by test_matches_exhaustive_search_k3_period_81.
+        # Period 49 is capped the same way.
+        k_max = 2 if seq.period in (49, 81) else 3
         assert kerror_lc_profile(seq, k_max, budget=1) == kerror_lc_bruteforce(seq, k_max)
 
     def test_matches_exhaustive_search_k3_period_81(self):
         rng = random.Random(81)
         seq = PeriodicSequence(2, 81, tuple(rng.randrange(2) for _ in range(81)))
         assert kerror_lc_profile(seq, 3, budget=1) == kerror_lc_bruteforce(seq, 3)
+
+    @pytest.mark.parametrize("level", range(7))
+    def test_single_classes_at_7_2(self, level):
+        # 2 has order 21 mod 49: period 343 goes through the codes of length 7
+        f = binary_class_sequence(PrimePowerModulus(7, 2), {level})
+        assert kerror_lc_profile(f, 1, budget=1) == kerror_lc_bruteforce(f, 1)
+
+    def test_no_small_prime_power_reaches_exhaustive_search(self, monkeypatch):
+        def refuse(seq, k_max, budget):
+            raise AssertionError(f"period {seq.period} reached exhaustive search")
+
+        monkeypatch.setattr(complexity, "kerror_lc_bruteforce", refuse)
+        for p in (3, 5, 7, 11, 13, 17, 19, 23):
+            period = p
+            while period < 10**5:
+                seq = PeriodicSequence(2, period, (1,) + (0,) * (period - 1))
+                assert kerror_lc_profile(seq, 1, budget=1) == [
+                    (0, period, True), (1, 0, True)
+                ]
+                period *= p
 
     @settings(max_examples=200, deadline=None)
     @given(qualifying_sequences())
