@@ -14,12 +14,14 @@ against; like linear_complexity, it reads p from the prime alphabet size.
 k-error linear complexity over F_2 has one entry point, kerror_lc_profile.
 For a period p^n with p an odd prime that is not a Wieferich prime it runs
 one pass of a cost-carrying block recursion, _kerror_lc_pn, that returns the
-exact values LC_0..LC_k_max together. Its branches are the cyclic codes of
-length p generated by products of the F_2 factors of 1 + Y + ... + Y^{p-1}:
-the two extreme codes are closed forms, the only ones there are when 2 is
-primitive modulo p, and the ones between are enumerated up to
-_CODE_DIMENSION_CAP (below 50 that admits every odd prime but 31, 41, 43
-and 47). For any other period it runs the exhaustive oracle
+exact values LC_0..LC_k_max together. Its branches form three tiers, by the
+cyclic code of length p each column must become: any word, or all-0 and
+all-1, both closed forms and the only tiers when 2 is primitive modulo p;
+between them, when 1 + Y + ... + Y^{p-1} has e = 2 factors over F_2, the
+two codes they generate, enumerated. _CODE_DIMENSION_CAP admits these only
+at p = 7, 17 and 23 (Hamming [7,4], quadratic-residue [17,9], Golay
+[23,12]): e >= 3 first occurs at p = 31, with codes of dimension at least
+(2p+1)/3. For any other period it runs the exhaustive oracle
 kerror_lc_bruteforce, one error-pattern pass under a pattern budget, using
 bitmask F_2[X] arithmetic. Both return the same (k, lc_k, exact) profile, so
 the tests compare them entry by entry. An entry is "exact" when one of these
@@ -41,7 +43,7 @@ from collections.abc import Sequence
 
 import sympy
 from sympy import ZZ
-from sympy.polys.galoistools import gf_factor_sqf, gf_gcd, gf_mul, gf_strip
+from sympy.polys.galoistools import gf_factor_sqf, gf_gcd, gf_strip
 
 from .fieldarith import PrimeField
 from .quotients import PrimePowerModulus
@@ -313,57 +315,51 @@ def kerror_lc_bruteforce(
     return profile
 
 
-# Largest dimension p - deg g_T of an intermediate cyclic code that the
-# k-error block recursion enumerates, 2^12 words per column. Of the odd
-# non-Wieferich primes below 50 with 2 not primitive, 7, 17 and 23 (dimension
-# 4, 9 and 12) are inside it; 31, 41, 43 and 47 (dimension 26, 21, 29 and
-# 24) are not, and their periods keep the exhaustive oracle.
+# Largest dimension p - d of a factor code <f> that the k-error block
+# recursion enumerates, 2^12 words per column. e = (p-1)/d >= 3 first occurs
+# at p = 31 and forces p - d >= (2p+1)/3 > 12, so only e = 2 passes: at 7, 17
+# and 23 (dimension 4, 9 and 12). Below 50, 31, 41, 43 and 47 (dimension 26,
+# 21, 29 and 24) fail it, and their periods keep the exhaustive oracle.
 _CODE_DIMENSION_CAP = 12
 
 
 @functools.cache
 def _cyclic_codes(p: int) -> tuple | None:
-    """The intermediate cyclic codes of length p for _kerror_lc_pn, or None.
+    """The factor codes of length p for _kerror_lc_pn's middle tier, or None.
 
     Over F_2, Phi_p(Y) = 1 + Y + ... + Y^{p-1} splits into e = (p-1)/d
     irreducible factors of degree d = ord_p(2) (Lidl and Niederreiter,
     Finite Fields, Thm 2.47). When ord_{p^2}(2) = pd, that is when p is not
     a Wieferich prime, 2 has order p^{j-1}d modulo p^j, so each factor f(Y)
-    stays irreducible as f(X^M) for every M = p^j. Returns (sizes, words).
-    words holds, for each subset T of s = 1..e-1 factors, the words of the
-    cyclic code <g_T> of length p, g_T the product of the factors in T,
-    split by parity into (low halves, high halves): bit j of a word is the
-    coefficient of Y^j, and the halves are the bits below and from
-    (p+1)//2. sizes holds (s d, indices into words) for each s. The empty
-    and the full set are left to closed forms, so e = 1 (2 primitive
-    modulo p) gives ((), ()). None when p is a Wieferich prime or a code
-    has more than 2^_CODE_DIMENSION_CAP words.
+    stays irreducible as f(X^M) for every M = p^j. Returns () when e = 1 (2
+    primitive modulo p), else the codes <f_1> and <f_2> of length p, one per
+    factor (e = 2 is the one split _CODE_DIMENSION_CAP lets through), each
+    split by parity into (low halves, high halves) of its words: bit j of a
+    word is the coefficient of Y^j, and the halves are the bits below and
+    from (p+1)//2. None when p is a Wieferich prime or a code has more than
+    2^_CODE_DIMENSION_CAP words.
     """
     d = sympy.n_order(2, p)
     if sympy.n_order(2, p * p) != p * d:
         return None
     if d == p - 1:  # e = 1; factoring Phi_p anyway would take 2 s at p = 509
-        return (), ()
+        return ()
     if p - d > _CODE_DIMENSION_CAP:
         return None
     _, factors = gf_factor_sqf([1] * p, 2, ZZ)
     h = (p + 1) // 2
-    sizes, words = [], []
-    for s in range(1, len(factors)):
-        subsets = list(itertools.combinations(factors, s))
-        sizes.append((s * d, range(len(words), len(words) + len(subsets))))
-        for subset in subsets:
-            g = functools.reduce(lambda a, f: gf_mul(a, f, 2, ZZ), subset, [1])
-            g = int("".join(map(str, g)), 2)
-            code = [0]
-            for i in range(p - s * d):
-                code += [w ^ (g << i) for w in code]
-            words.append(tuple(
-                ([w & ((1 << h) - 1) for w in ws], [w >> h for w in ws])
-                for ws in ([w for w in code if not w.bit_count() & 1],
-                           [w for w in code if w.bit_count() & 1])
-            ))
-    return tuple(sizes), tuple(words)
+    codes = []
+    for f in factors:
+        g = int("".join(map(str, f)), 2)
+        code = [0]
+        for i in range(p - d):
+            code += [w ^ (g << i) for w in code]
+        codes.append(tuple(
+            ([w & ((1 << h) - 1) for w in ws], [w >> h for w in ws])
+            for ws in ([w for w in code if not w.bit_count() & 1],
+                       [w for w in code if w.bit_count() & 1])
+        ))
+    return tuple(codes)
 
 
 def _subset_sums(values: Sequence[int]) -> list[int]:
@@ -395,29 +391,29 @@ def _kerror_lc_pn(
     N = pM and Y = X^M, X^N - 1 = (X^M - 1) prod_t f_t(X^M), squarefree,
     each f_t(X^M) irreducible of degree dM (see _cyclic_codes). Column i is
     c_i(Y) = sum_j bits[i + jM] Y^j, and f_t(X^M) divides S(X) exactly when
-    f_t(Y) divides every c_i. So for each subset T of the factors, with
-    g_T their product, make every column a codeword of the cyclic code <g_T>;
-    then LC = (p-1-deg g_T) M + LC at period M of the column parities. A
-    column's cost_b is its cheapest codeword of parity b under the flip
-    costs; T spends sum_i min(cost_0, cost_1), and the next level sees bit
-    cost_1 < cost_0 at cost |cost_1 - cost_0|. T = {} (the parities, at the
-    cheapest bit's cost) and T = all factors (all-0 or all-1 columns) are
-    closed forms; only the codes in between are enumerated, 2^{p - deg g_T}
-    words each, through two half-word subset-sum tables per column.
+    f_t(Y) divides every c_i. So for a set T of the factors, with g_T their
+    product, make every column a codeword of the cyclic code <g_T>; then
+    LC = (p-1-deg g_T) M + LC at period M of the column parities. A column's
+    cost_b is its cheapest codeword of parity b under the flip costs; T
+    spends sum_i min(cost_0, cost_1), and the next level sees bit
+    cost_1 < cost_0 at cost |cost_1 - cost_0|. The branches form three
+    tiers: T = {} (the parities, at the cheapest bit's cost) and T = all
+    factors (all-0 or all-1 columns) are closed forms; when e = 2 the middle
+    tier, T = {f_1} or {f_2} of degree (p-1)/2, enumerates the 2^{(p+1)/2}
+    words of each code in codes through two half-word subset-sum tables per
+    column.
 
-    The LC left at period M is at most M <= dM, so any affordable T with
-    more factors beats every T with fewer: the T of size s serve only
-    k from their spend up to one below the least spend of size s+1. That is
-    the only decision that depends on k, so one pass follows each branch for
-    its own k range (as in Lauder and Paterson's one-pass error spectrum,
-    IEEE Trans. IT 49, 2003), and branches of one size meet by min. An empty
-    range prunes a branch. For e = 1 the two branches are the sum of the
-    blocks, for k below the spend, and the equal blocks from there on, and
-    the whole profile costs at most about p/(p-2) single-k runs. cost[i] is
-    the flips needed to flip bits[i].
+    The LC left at period M is at most M <= dM, so any affordable T of a
+    higher tier beats every T of a lower one: a tier serves only k from its
+    spend up to one below the least spend of the next tier. That is the
+    only decision that depends on k, so one pass follows each branch for its
+    own k range (as in Lauder and Paterson's one-pass error spectrum, IEEE
+    Trans. IT 49, 2003), and the two branches of the middle tier meet by
+    min. An empty range prunes a branch. For e = 1 the two branches are the
+    sum of the blocks, for k below the spend, and the equal blocks from
+    there on, and the whole profile costs at most about p/(p-2) single-k
+    runs. cost[i] is the flips needed to flip bits[i]; k_max >= 0.
     """
-    if k_max < 0:
-        return []
     if len(bits) == 1:
         return [int(bits[0] == 1 and cost[0] > k) for k in range(k_max + 1)]
     m = len(bits) // p
@@ -428,11 +424,10 @@ def _kerror_lc_pn(
         ones = sum(itertools.compress(col_cost, bits[i::m]))
         to0.append(ones)
         to1.append(sum(col_cost) - ones)
-    # each |T| with deg g_T and, per T, its spend and the next level's input
-    by_size = [(0, [(0, [sum(bits[i::m]) & 1 for i in range(m)],
-                     [min(cost[i::m]) for i in range(m)])])]
-    sizes, words = codes
-    if sizes:
+    # each tier's deg g_T and, per T, its spend and the next level's input
+    tiers = [(0, [(0, [sum(bits[i::m]) & 1 for i in range(m)],
+                   [min(cost[i::m]) for i in range(m)])])]
+    if codes:
         h = (p + 1) // 2  # the half-word split of _cyclic_codes
         memo = {}
         best = []  # per column, per code and parity, the least sum of gains over its words
@@ -443,27 +438,23 @@ def _kerror_lc_pn(
                 lo, hi = _subset_sums(gain[:h]), _subset_sums(gain[h:])
                 memo[gain] = [[min(map(int.__add__, map(lo.__getitem__, lows),
                                        map(hi.__getitem__, highs)))
-                               for lows, highs in code] for code in words]
+                               for lows, highs in code] for code in codes]
             best.append(memo[gain])
-        for deg, indices in sizes:
-            branches = []
-            for t in indices:
-                cost0 = [ones + col[t][0] for ones, col in zip(to0, best)]
-                cost1 = [ones + col[t][1] for ones, col in zip(to0, best)]
-                branches.append(_next_level(cost0, cost1))
-            by_size.append((deg, branches))
-    by_size.append((p - 1, [_next_level(to0, to1)]))
+        tiers.append(((p - 1) // 2, [_next_level(
+            [ones + col[t][0] for ones, col in zip(to0, best)],
+            [ones + col[t][1] for ones, col in zip(to0, best)]) for t in (0, 1)]))
+    tiers.append((p - 1, [_next_level(to0, to1)]))
     profile = []
-    for s, (deg, branches) in enumerate(by_size):
-        top = k_max if s + 1 == len(by_size) else min(
-            k_max, min(spend for spend, _, _ in by_size[s + 1][1]) - 1)
+    for s, (deg, branches) in enumerate(tiers):
+        top = k_max if s + 1 == len(tiers) else min(
+            k_max, min(spend for spend, _, _ in tiers[s + 1][1]) - 1)
         start = len(profile)
         for spend, nbits, ncost in sorted(branches, key=lambda b: b[0]):
             if spend > top:
                 break
             lcs = _kerror_lc_pn(nbits, ncost, p, codes, top - spend)
             lcs = [(p - 1 - deg) * m + lc for lc in lcs]
-            if len(profile) == start:  # the cheapest T of its size
+            if len(profile) == start:  # the cheapest T of its tier
                 profile += lcs
             else:
                 profile[spend:] = map(min, profile[spend:], lcs)
@@ -476,10 +467,12 @@ def kerror_lc_profile(
     """k-error LC of a binary sequence as (k, lc_k, exact) for k = 0..k_max.
 
     The period alone picks the engine. A period p^n with p an odd prime that
-    is not a Wieferich prime, and whose cyclic codes of length p fit
-    _CODE_DIMENSION_CAP (below 50, every odd prime but 31, 41, 43 and 47),
-    gets one pass of the structural block recursion _kerror_lc_pn, and
-    every entry is exact. Any other period gets the exhaustive oracle
+    is not a Wieferich prime gets one pass of the structural block recursion
+    _kerror_lc_pn, and every entry is exact, when 2 is primitive modulo p
+    (two closed-form tiers) or p is 7, 17 or 23 (a middle tier through two
+    Hamming [7,4], quadratic-residue [17,9] or Golay [23,12] codes, the only
+    factor codes _CODE_DIMENSION_CAP admits; below 50 it leaves out 31, 41,
+    43 and 47). Any other period gets the exhaustive oracle
     kerror_lc_bruteforce under the pattern budget, whose entries turn
     inexact once the budget runs out before the LC reaches 0. Raises
     ValueError unless the sequence is binary and 0 <= k_max <= period.

@@ -469,6 +469,26 @@ class TestStructuralKError:
                 ]
                 period *= p
 
+    def test_cyclic_codes_are_the_two_factor_codes(self):
+        # e >= 3 first occurs at p = 31, past the code dimension cap, so below
+        # 10^4 only e = 2 at 7, 17 and 23 gives codes: the Hamming [7,4],
+        # quadratic-residue [17,9] and Golay [23,12] pairs
+        least_weight = {7: 3, 17: 5, 23: 7}
+        shapes = {p: complexity._cyclic_codes(p) for p in sympy.primerange(3, 10**4)}
+        assert all(codes is None or len(codes) in (0, 2) for codes in shapes.values())
+        assert sorted(p for p, codes in shapes.items() if codes) == [7, 17, 23]
+        for p, weight in least_weight.items():
+            h = (p + 1) // 2
+            words = []
+            for even, odd in shapes[p]:
+                even, odd = ({lo | hi << h for lo, hi in zip(*half)} for half in (even, odd))
+                assert len(even) == len(odd) == 2 ** (h - 1)
+                assert {w.bit_count() & 1 for w in even} == {0}
+                assert {w.bit_count() & 1 for w in odd} == {1}
+                assert min(w.bit_count() for w in even | odd if w) == weight
+                words.append(even | odd)
+            assert words[0] & words[1] == {0, (1 << p) - 1}
+
     @settings(max_examples=200, deadline=None)
     @given(qualifying_sequences())
     def test_profile_shape(self, seq):
