@@ -1,8 +1,10 @@
 """The prime field F_p.
 
 Multiplicative orders and primitive roots come from sympy (n_order,
-is_primitive_root), and polynomial arithmetic over F_p, where a gcd needs
-it, from sympy.polys.galoistools (see complexity.lc_via_gcd).
+is_primitive_root). No polynomial arithmetic lives here: the gcd oracle
+complexity.lc_via_gcd runs its F_p Euclid on byte-packed ints for p <= 13,
+p = 2 included, and through sympy.polys.galoistools for larger p, and the
+F_2 engines in complexity work on bitmasks.
 """
 
 from __future__ import annotations

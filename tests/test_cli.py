@@ -601,9 +601,12 @@ class TestVerify:
         assert code == 1
         assert stdout == "FAIL shift law at (p=3, r=2) — 2 violations\n"
 
-    def test_oracle_disagreement_exits_1(self, monkeypatch, capsys):
-        real = verify.berlekamp_massey
-        monkeypatch.setattr(verify, "berlekamp_massey", lambda seq, fp: real(seq, fp) + 1)
+    # the suite calls both engines by their names in verify, so either one
+    # perturbed there must fail every trial
+    @pytest.mark.parametrize("name", ["berlekamp_massey", "lc_via_gcd"])
+    def test_oracle_disagreement_exits_1(self, monkeypatch, capsys, name):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args: real(*args) + 1)
         code, stdout, _ = run(capsys, "verify", "--suite", "oracles")
         assert code == 1
         assert stdout == (

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ
-from sympy.polys.galoistools import gf_gcd, gf_mul, gf_quo, gf_rem
+from sympy.polys.galoistools import gf_gcd, gf_mul, gf_quo, gf_rem, gf_strip
 
 from eulerseq import complexity
 from eulerseq.cli import main
@@ -53,6 +53,32 @@ def _f2_poly(mask):
 
 def _f2_mask(coeffs):
     return int("".join(map(str, coeffs)) or "0", 2)
+
+
+@st.composite
+def _packed_operands(draw):
+    """(p, a, b) with p <= 13 and up to 300 coefficients each, X^i at index i.
+
+    Half the draws multiply a and b by a common factor, so that their gcd
+    is not a unit.
+    """
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+
+    def coeffs(most):
+        size = draw(st.integers(0, most))
+        return draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
+
+    a, b = coeffs(250), coeffs(250)
+    if draw(st.booleans()):
+        c = coeffs(50)[::-1]
+        a = gf_mul(a[::-1], c, p, ZZ)[::-1]
+        b = gf_mul(b[::-1], c, p, ZZ)[::-1]
+    return p, a, b
+
+
+def _pack(coeffs):
+    """Coefficients, X^i at index i, as a byte-packed int, X^i in byte i."""
+    return int.from_bytes(bytes(coeffs), "little")
 
 
 def bits(*symbols):
@@ -128,10 +154,12 @@ class TestLinearComplexity:
 
     @pytest.mark.parametrize("p", [13, 17])
     def test_packing_boundary(self, p):
-        # 13 is the largest prime the byte-packed kernel takes (p(p-1) < 256),
-        # 17 the smallest the list loop takes. Every nonzero symbol is p - 1;
-        # at p = 13 the random cases drive an update's byte slot to its
-        # largest sum, p(p - 1) = 156.
+        # 13 is the largest prime the byte-packed kernels take (p(p-1) < 256),
+        # 17 the smallest that Berlekamp-Massey's list loop and lc_via_gcd's
+        # sympy gf_gcd take, so both engines cross their switches here. Every
+        # nonzero symbol is p - 1; at p = 13 the random cases drive an
+        # update's or remainder step's byte slot to its largest sum,
+        # p(p - 1) = 156.
         fp = PrimeField(p)
         top = p - 1
         rng = random.Random(p)
@@ -574,6 +602,23 @@ class TestLemmas:
     def test_bitmask_kernel_matches_sympy(self, a, b):
         fa, fb = _f2_poly(a), _f2_poly(b)
         assert complexity._bgcd(a, b) == _f2_mask(gf_gcd(fa, fb, 2, ZZ))
+
+    # operands as coefficient lists, X^i at index i; every coefficient 12 at
+    # p = 13 drives a remainder step's byte slot to its largest sum, 156
+    @settings(deadline=None)
+    @given(_packed_operands())
+    @example((2, [], []))
+    @example((7, [3, 0, 5], []))
+    @example((5, [], [0, 1]))
+    @example((11, [4, 0, 7, 1], [4, 0, 7, 1]))
+    @example((5, [4] + [0] * 11 + [1], [4, 0, 0, 0, 1]))  # X^4 - 1 | X^12 - 1
+    @example((13, [12] * 300, [12] * 120))
+    def test_packed_euclid_matches_sympy(self, operands):
+        p, a, b = operands
+        g = complexity._gcd_packed(_pack(a), _pack(b), p, complexity._mod_p_table(p))
+        g = list(g.to_bytes((g.bit_length() + 7) // 8, "little"))[::-1]
+        monic = [c * pow(g[0], -1, p) % p for c in g] if g else []
+        assert monic == gf_gcd(gf_strip(a[::-1]), gf_strip(b[::-1]), p, ZZ)
 
     def test_root_group_needs_r2(self):
         with pytest.raises(ValueError):
