@@ -14,7 +14,17 @@ from . import complexity, sequences, verify
 from .quotients import PrimePowerModulus
 
 
-_KINDS = ["class", "balanced", "threshold", "level", "mary", "fermat-order"]
+# Each kind's builder, named in `sequences` (looked up at call time, so a
+# wrapper patched onto the module sees the call), and the options it reads
+# after its first argument: PrimePowerModulus(p, r), or p for fermat-order.
+_KINDS = {
+    "class": ("binary_class_sequence", ["I"]),
+    "balanced": ("balanced_class_sequence", ["I"]),
+    "threshold": ("threshold_sequence", []),
+    "level": ("level_sequence", ["j"]),
+    "mary": ("mary_sequence", ["order"]),
+    "fermat-order": ("order_i_binary_sequence", ["i", "I"]),
+}
 
 
 def _add_sequence_args(parser: argparse.ArgumentParser, required: bool) -> None:
@@ -47,7 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=complexity.DEFAULT_PATTERN_BUDGET,
-        help="error-pattern budget for exhaustive k-error search "
+        help="error-pattern budget for exhaustive k-error search, each pattern "
+        "charged ceil(N^2 / 2^20) at period N, 1 up to N = 1024 "
         "(used only for periods without the structural engine)",
     )
     ana.add_argument("--format", choices=["text", "json"], default="text")
@@ -70,31 +81,15 @@ def _make_sequence(args) -> tuple[sequences.PeriodicSequence, dict]:
     if args.p is None or args.kind is None:
         raise ValueError("inline analysis needs --p and --kind (or use --file)")
     kind = args.kind
-    meta = {"p": args.p, "r": args.r, "kind": kind}
-    if kind in ("class", "balanced"):
-        if not args.I:
-            raise ValueError(f"kind={kind} requires --I")
-        m = PrimePowerModulus(args.p, args.r)
-        build = (
-            sequences.binary_class_sequence
-            if kind == "class"
-            else sequences.balanced_class_sequence
-        )
-        return build(m, args.I), meta
-    if kind == "threshold":
-        return sequences.threshold_sequence(PrimePowerModulus(args.p, args.r)), meta
-    if kind == "level":
-        if args.j is None:
-            raise ValueError("kind=level requires --j")
-        return sequences.level_sequence(PrimePowerModulus(args.p, args.r), args.j), meta
-    if kind == "mary":
-        if args.order is None:
-            raise ValueError("kind=mary requires --order")
-        return sequences.mary_sequence(PrimePowerModulus(args.p, args.r), args.order), meta
-    if args.i is None or not args.I:  # argparse's choices leave only fermat-order
-        raise ValueError("kind=fermat-order requires --i and --I")
-    meta["r"] = args.i
-    return sequences.order_i_binary_sequence(args.p, args.i, args.I), meta
+    builder, options = _KINDS[kind]
+    values = [getattr(args, o) for o in options]
+    if None in values:
+        raise ValueError(f"kind={kind} requires " + " and ".join(f"--{o}" for o in options))
+    build = getattr(sequences, builder)
+    if kind == "fermat-order":  # its header records the order i as r
+        return build(args.p, *values), {"p": args.p, "r": args.i, "kind": kind}
+    m = PrimePowerModulus(args.p, args.r)
+    return build(m, *values), {"p": args.p, "r": args.r, "kind": kind}
 
 
 def _cmd_generate(args) -> int:
@@ -125,7 +120,7 @@ def _analyze_sequence(seq, meta, args) -> dict:
     """The analysis report as its JSON document; _print_report renders it."""
     lc, method = complexity.linear_complexity(seq)
     sequence_id = dict(meta)
-    if args.I and meta["kind"] in ("class", "balanced", "fermat-order"):
+    if args.I and "I" in _KINDS.get(meta["kind"], (None, []))[1]:
         sequence_id["I"] = sorted(set(args.I))
     profile = []
     if args.k_max > 0:

@@ -24,8 +24,9 @@ two codes they generate, enumerated. _CODE_DIMENSION_CAP admits these only
 at p = 7, 17 and 23 (Hamming [7,4], quadratic-residue [17,9], Golay
 [23,12]): e >= 3 first occurs at p = 31, with codes of dimension at least
 (2p+1)/3. For any other period it runs the exhaustive oracle
-kerror_lc_bruteforce, one error-pattern pass under a pattern budget, using
-bitmask F_2[X] arithmetic. Both return the same (k, lc_k, exact) profile, so
+kerror_lc_bruteforce, one error-pattern pass under a pattern budget that
+charges each pattern by its period's lc_binary cost, using bitmask F_2[X]
+arithmetic. Both return the same (k, lc_k, exact) profile, so
 the tests compare them entry by entry. An entry is "exact" when one of these
 two proven engines computed it. check_theorem_profile compares a computed
 profile of a binary class sequence with the piecewise-constant profile that
@@ -329,20 +330,23 @@ def kerror_lc_bruteforce(
     """k-error LC of a binary sequence by exhaustion, as (k, lc_k, exact) for k = 0..k_max.
 
     One incremental pass minimizes LC over the error patterns of each
-    weight: weight w is searched once and serves every k >= w. The pass
-    stops once the patterns would exceed the budget or the LC reaches 0;
-    the remaining entries carry the last exact value, an upper bound that
-    is inexact unless it is 0, the least LC there is. Raises ValueError
-    unless the sequence is binary and 0 <= k_max <= period.
+    weight: weight w is searched once and serves every k >= w. The budget
+    counts lc_binary calls at their cost: each pattern, the unflipped
+    sequence included, is charged ceil(N^2 / 2^20), the quadratic cost of
+    one call at period N against one at N <= 1024, where the charge is 1.
+    The pass stops once the charges would exceed the budget or the LC
+    reaches 0; the remaining entries carry the last exact value, an upper
+    bound that is inexact unless it is 0, the least LC there is. Raises
+    ValueError unless the sequence is binary and 0 <= k_max <= period.
     """
     _check_kerror_args(seq, k_max)
     mask = _mask(seq.symbols)
     period = seq.period
     best = lc_binary(mask, period)
     profile = [(0, best, True)]
-    consumed = 1
+    consumed = cost = -(-period * period // 2**20)
     for k in range(1, k_max + 1):
-        consumed += math.comb(period, k)
+        consumed += math.comb(period, k) * cost
         if consumed > budget or best == 0:
             break
         for positions in itertools.combinations(range(period), k):
@@ -518,8 +522,9 @@ def kerror_lc_profile(
     Hamming [7,4], quadratic-residue [17,9] or Golay [23,12] codes, the only
     factor codes _CODE_DIMENSION_CAP admits; below 50 it leaves out 31, 41,
     43 and 47). Any other period gets the exhaustive oracle
-    kerror_lc_bruteforce under the pattern budget, whose entries turn
-    inexact once the budget runs out before the LC reaches 0. Raises
+    kerror_lc_bruteforce under the pattern budget, in patterns each charged
+    ceil(N^2 / 2^20) (1 up to N = 1024), whose entries turn inexact once
+    the budget runs out before the LC reaches 0. Raises
     ValueError unless the sequence is binary and 0 <= k_max <= period.
     """
     primes = sympy.primefactors(seq.period)

@@ -89,6 +89,55 @@ class TestGenerate:
         assert "--I" in stderr
 
 
+# the options each kind reads besides --I, and the kinds that read --I
+KIND_OPTIONS = {
+    "class": [],
+    "balanced": [],
+    "threshold": [],
+    "level": ["--j", "1"],
+    "mary": ["--order", "2"],
+    "fermat-order": ["--i", "2"],
+}
+READS_I = {"class", "balanced", "fermat-order"}
+
+
+class TestKindOptions:
+    @pytest.mark.parametrize("command", ["generate", "analyze"])
+    @pytest.mark.parametrize("kind,given,message", [
+        # each kind given every option but its own: threshold reads none
+        ("class", ["--j", "1", "--order", "2", "--i", "2"], "kind=class requires --I"),
+        ("balanced", ["--j", "1", "--order", "2", "--i", "2"],
+         "kind=balanced requires --I"),
+        ("threshold", ["--j", "1", "--order", "2", "--i", "2", "--I", "0"], None),
+        ("level", ["--order", "2", "--i", "2", "--I", "0"], "kind=level requires --j"),
+        ("mary", ["--j", "1", "--i", "2", "--I", "0"], "kind=mary requires --order"),
+        ("fermat-order", ["--j", "1", "--order", "2"],
+         "kind=fermat-order requires --i and --I"),
+        ("fermat-order", ["--i", "2"], "kind=fermat-order requires --i and --I"),
+        ("fermat-order", ["--I", "0"], "kind=fermat-order requires --i and --I"),
+    ])
+    def test_missing_option(self, capsys, command, kind, given, message):
+        code, stdout, stderr = run(
+            capsys, command, "--p", "3", "--r", "2", "--kind", kind, *given
+        )
+        if message is None:
+            assert code == 0
+        else:
+            assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("kind", list(KIND_OPTIONS))
+    def test_I_reported_only_where_read(self, capsys, kind):
+        code, stdout, _ = run(
+            capsys, "analyze", "--p", "3", "--r", "2", "--kind", kind,
+            *KIND_OPTIONS[kind], "--I", "1", "0", "--format", "json",
+        )
+        assert code == 0
+        expected = {"p": 3, "r": 2, "kind": kind}
+        if kind in READS_I:
+            expected["I"] = [0, 1]
+        assert json.loads(stdout)["sequence"] == expected
+
+
 class TestAnalyze:
     def test_level_sequence_lc(self, capsys):
         code, stdout, _ = run(

@@ -311,6 +311,35 @@ class TestKErrorBruteForce:
         assert kerror_lc_bruteforce(s, 10, budget=11) == expected
         assert len(calls) <= 2
 
+    def test_budget_charges_by_period(self, monkeypatch):
+        # (31, 2), N = 29,791: a pattern costs ceil(N^2 / 2^20) = 847, so the
+        # N single flips (25.2e6) overrun the default budget at once; counted
+        # as patterns they fit, and each lc_binary call takes 28-42 ms
+        seq = binary_class_sequence(PrimePowerModulus(31, 2), {0})
+        real, calls = complexity.lc_binary, []
+
+        def counting_lc_binary(mask, period):
+            calls.append(period)
+            if len(calls) > 10:
+                raise AssertionError("exhaustive search ran past the budget")
+            return real(mask, period)
+
+        monkeypatch.setattr(complexity, "lc_binary", counting_lc_binary)
+        lc = real(complexity._mask(seq.symbols), seq.period)
+        assert kerror_lc_bruteforce(seq, 1) == [(0, lc, True), (1, lc, False)]
+
+    def test_budget_charge_above_1024(self):
+        # period 2187: charge ceil(2187^2 / 2^20) = 5 per pattern, so k <= 1
+        # takes 5 * (1 + 2187) units, and one unit less leaves k = 1 unsearched
+        rng = random.Random(2187)
+        s = PeriodicSequence(2, 2187, tuple(rng.randrange(2) for _ in range(2187)))
+        fits = 5 * (1 + 2187)
+        exact = kerror_lc_bruteforce(s, 1, budget=fits)
+        assert [e for _, _, e in exact] == [True, True]
+        assert kerror_lc_bruteforce(s, 1, budget=fits - 1) == [
+            exact[0], (1, exact[0][1], False)
+        ]
+
     def test_bad_k(self):
         with pytest.raises(ValueError):
             kerror_lc_bruteforce(bits(1, 0), 3)
