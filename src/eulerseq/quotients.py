@@ -7,19 +7,23 @@ level values a_0(u), ..., a_{r-1}(u); the top digit a_{r-1}(u) = H_{r-1}(u)
 generates a sequence of least period p^{r+1}.
 
 euler_quotient computes one value from its definition, one modular power
-with exponent phi(p^r) per residue. quotient_table computes a whole period
+with exponent phi(p^r) per residue. quotient_map computes a whole period
 at once from two facts: Q_r(u) depends only on u mod p^{r+1}, and Q_r is
 logarithmic, Q_r(uv) == Q_r(u) + Q_r(v) mod p^r. With g a primitive root
-modulo p^{r+1}, Q_r(g^k) = k Q_r(g) mod p^r, so walking the powers of g
-fills the table with one multiplication and one addition per unit, after a
-single modular power for Q_r(g). The table holds p^{r+1} machine integers
-(8 bytes each) and is rebuilt on every call.
+modulo p^{r+1}, Q_r(g^k) = k Q_r(g) mod p^r, so along the walk over the
+powers of g every quotient-derived symbol repeats with period p^r in k.
+quotient_map makes that p^r-cycle once, at C speed, passing each quotient
+through the caller's map as it goes, and scatter_cycle writes it along the
+walk: one multiplication and two list stores per pair of units u and
+p^{r+1} - u, which share their quotient. quotient_table is quotient_map
+with no map, Q_r itself.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Iterable, Iterator
 
 import sympy
 
@@ -37,11 +41,12 @@ class PrimePowerModulus:
         if self.r < 1:
             raise ValueError(f"r must be >= 1, got {self.r}")
 
-    @property
+    # cached: the q-r-s suite's per-residue oracle reads both at every u
+    @cached_property
     def modulus(self) -> int:
         return self.p**self.r
 
-    @property
+    @cached_property
     def phi(self) -> int:
         """Euler totient of p^r."""
         return self.p ** (self.r - 1) * (self.p - 1)
@@ -67,26 +72,53 @@ def euler_quotient(m: PrimePowerModulus, u: int) -> int:
     return (t - 1) // pr % pr
 
 
-def quotient_table(m: PrimePowerModulus) -> array:
-    """Q_r(u) for every u in [0, p^{r+1}), with 0 where p divides u.
+def scatter_cycle(out: list, g: int, cycle: list) -> list:
+    """Write cycle[k mod len(cycle)] at x = g^k mod n, n = len(out), at every unit x.
 
-    g = sympy.primitive_root(p * p) is a primitive root modulo every power
-    of the odd prime p, so x = g^k mod p^{r+1} runs over all units as k
-    runs over [0, phi(p^{r+1})), and Q_r(x) = k Q_r(g) mod p^r.
+    n = p * len(cycle) is a power of an odd prime p and g a primitive root
+    modulo it, so the walk over k in [0, phi(n)) meets each unit once,
+    lapping the cycle p - 1 times; the multiples of p keep what out held.
+    g^{phi(n)/2} = -1 and phi(n)/2 is a whole number of laps, so the walk's
+    second half writes the first half's entries at n - x: each step of the
+    first half writes both.
     """
+    n = len(out)
+    x = 1
+    for _ in range((n // len(cycle) - 1) // 2):  # (p - 1)/2 laps
+        for s in cycle:
+            out[x] = out[n - x] = s
+            x = x * g % n
+    return out
+
+
+def quotient_map(
+    m: PrimePowerModulus,
+    f: Callable[[Iterator[int]], Iterable[int]] | None = None,
+    on_multiples: int = 0,
+) -> list[int]:
+    """f's image of Q_r(u) for every u in [0, p^{r+1}); on_multiples where p | u.
+
+    f maps the stream of quotients along the p^r-cycle to the stream of
+    symbols (None keeps the quotients). The list is allocated first, so a
+    period past what memory holds fails at once, before f builds any table.
+    Q_r(g^k) = k Q_r(g) mod p^r for g = sympy.primitive_root(p * p), a
+    primitive root modulo every power of the odd prime p. The cycle's
+    quotients are made lazily and pass through f as they go, so only f's
+    values for one cycle are held; scatter_cycle writes them along the walk
+    x = g^k mod p^{r+1}.
+    """
+    out = [on_multiples] * m.sequence_period
     p, pr = m.p, m.modulus
-    n = m.sequence_period
     g = int(sympy.primitive_root(p * p))
     step = euler_quotient(m, g)
-    table = array("Q", [0]) * n
-    x, q = 1, 0
-    for _ in range(n - n // p):
-        table[x] = q
-        x = x * g % n
-        q += step
-        if q >= pr:
-            q -= pr
-    return table
+    quotients = map(pr.__rmod__, range(0, step * pr, step))
+    cycle = list(quotients if f is None else f(quotients))
+    return scatter_cycle(out, g, cycle)
+
+
+def quotient_table(m: PrimePowerModulus) -> list[int]:
+    """Q_r(u) for every u in [0, p^{r+1}), with 0 where p divides u."""
+    return quotient_map(m)
 
 
 def new_quotient_h(m: PrimePowerModulus, u: int) -> int:

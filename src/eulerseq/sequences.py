@@ -8,12 +8,14 @@ sequence, and the binary sequences from order-i Fermat quotients.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import islice
 from typing import IO, Iterable
 
 import sympy
 
-from .quotients import PrimePowerModulus, quotient_table
+from .quotients import PrimePowerModulus, quotient_map, scatter_cycle
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,7 @@ class PeriodicSequence:
             raise ValueError(
                 f"need exactly period={self.period} symbols, got {len(self.symbols)}"
             )
-        if any(not 0 <= s < self.alphabet_size for s in self.symbols):
+        if min(self.symbols) < 0 or max(self.symbols) >= self.alphabet_size:
             raise ValueError("symbol out of alphabet range")
 
     def __getitem__(self, u: int) -> int:
@@ -40,12 +42,13 @@ class PeriodicSequence:
     @property
     def weight(self) -> int:
         """Number of nonzero symbols per period."""
-        return sum(1 for s in self.symbols if s)
+        return self.period - self.symbols.count(0)
 
     def least_period(self) -> int:
         """Measured least period (a divisor of the stored period)."""
+        s = self.symbols
         for d in sympy.divisors(self.period)[:-1]:  # d = period always matches
-            if all(self.symbols[i] == self.symbols[i % d] for i in range(self.period)):
+            if all(map(operator.eq, s, islice(s, d, None))):  # s[i] == s[i + d]
                 return d
         return self.period
 
@@ -72,19 +75,18 @@ class ClassPartition:
     classes: list[list[int]]
 
 
-def _top_digits(m: PrimePowerModulus) -> list[int]:
-    """H_{r-1}(u) for every u in [0, p^{r+1}), 0 where p divides u."""
+def _top_digits(m: PrimePowerModulus, on_multiples: int = 0) -> list[int]:
+    """H_{r-1}(u) for every u in [0, p^{r+1}), on_multiples where p divides u."""
     base = m.p ** (m.r - 1)
-    return [q // base for q in quotient_table(m)]
+    return quotient_map(m, lambda qs: map(base.__rfloordiv__, qs), on_multiples)
 
 
 def class_partition(m: PrimePowerModulus) -> ClassPartition:
     """D_0..D_{p-1} modulo p^{r+1}, each an ascending list, from one pass over u."""
-    classes: list[list[int]] = [[] for _ in range(m.p)]
-    for u, h in enumerate(_top_digits(m)):
-        if u % m.p:
-            classes[h].append(u)
-    return ClassPartition(m, classes)
+    classes: list[list[int]] = [[] for _ in range(m.p + 1)]  # the last one is P
+    for u, h in enumerate(_top_digits(m, on_multiples=m.p)):
+        classes[h].append(u)
+    return ClassPartition(m, classes[:-1])
 
 
 def validate_index_set(p: int, levels: Iterable[int]) -> frozenset[int]:
@@ -119,8 +121,10 @@ def _class_indicator(
     """1 on the classes D_l with l in I, on_multiples on P, 0 elsewhere."""
     members = validate_index_set(m.p, levels)
     hit = [1 if l in members else 0 for l in range(m.p)]
-    symbols = [hit[h] for h in _top_digits(m)]
-    symbols[:: m.p] = [on_multiples] * m.modulus
+    base = m.p ** (m.r - 1)
+    symbols = quotient_map(
+        m, lambda qs: map(hit.__getitem__, map(base.__rfloordiv__, qs)), on_multiples
+    )
     return PeriodicSequence(2, m.sequence_period, tuple(symbols))
 
 
@@ -137,12 +141,14 @@ def balanced_class_sequence(m: PrimePowerModulus, levels: Iterable[int]) -> Peri
 def threshold_sequence(m: PrimePowerModulus) -> PeriodicSequence:
     """Binary threshold sequence: 1 iff the quotient is at least p^r / 2.
 
-    Integer comparison 2*Q_r(u) >= p^r; one stored period of length p^{r+1}
-    (always a period, without any least-period claim).
+    Integer comparison 2*Q_r(u) >= p^r, made as Q_r(u) // half with
+    half = (p^r + 1)/2: p^r is odd, so the quotient is 1 exactly when
+    Q_r(u) >= half, and Q_r(u) < 2 half keeps it below 2. One stored period
+    of length p^{r+1} (always a period, without any least-period claim).
     """
-    pr = m.modulus
-    symbols = tuple(1 if 2 * q >= pr else 0 for q in quotient_table(m))
-    return PeriodicSequence(2, m.sequence_period, symbols)
+    half = (m.modulus + 1) // 2
+    symbols = quotient_map(m, lambda qs: map(half.__rfloordiv__, qs))
+    return PeriodicSequence(2, m.sequence_period, tuple(symbols))
 
 
 def mary_sequence(m: PrimePowerModulus, order: int) -> PeriodicSequence:
@@ -156,14 +162,18 @@ def mary_sequence(m: PrimePowerModulus, order: int) -> PeriodicSequence:
         raise ValueError(f"character order must be > 1, got {order}")
     if m.phi % order != 0:
         raise ValueError(f"order {order} does not divide phi(p^r) = {m.phi}")
-    g = int(sympy.primitive_root(m.modulus))
-    character = [0] * m.modulus  # ind_g(x) mod order on units, 0 on the rest
-    x = 1
-    for k in range(m.phi):
-        character[x] = k % order
-        x = x * g % m.modulus
-    symbols = tuple(character[q] for q in quotient_table(m))
-    return PeriodicSequence(order, m.sequence_period, symbols)
+
+    def characters(qs):  # called once the period's list is allocated
+        g = int(sympy.primitive_root(m.modulus))
+        character = [0] * m.modulus  # ind_g(x) mod order on units, 0 on the rest
+        x = 1
+        for k in range(m.phi):
+            character[x] = k % order
+            x = x * g % m.modulus
+        return map(character.__getitem__, qs)
+
+    symbols = quotient_map(m, characters)
+    return PeriodicSequence(order, m.sequence_period, tuple(symbols))
 
 
 def order_i_binary_sequence(p: int, i: int, levels: Iterable[int]) -> PeriodicSequence:
@@ -172,22 +182,24 @@ def order_i_binary_sequence(p: int, i: int, levels: Iterable[int]) -> PeriodicSe
     f(u) = 1 iff gcd(u, p) = 1 and the order-i quotient value, the i-th
     base-p digit of u^{p-1} mod p^{i+1}, lies in the level set. For i = 1
     this is the r = 1 binary class sequence. u^{p-1} is multiplicative in u,
-    so walking x = g^k for a primitive root g gives x^{p-1} = (g^{p-1})^k.
+    so walking x = g^k for a primitive root g gives x^{p-1} = (g^{p-1})^k,
+    and g^{p-1} has order p^i modulo p^{i+1}: the symbols along the walk
+    repeat with period p^i in k, and scatter_cycle writes that cycle.
     """
     members = validate_index_set(p, levels)
     if i < 1:
         raise ValueError(f"order i must be >= 1, got {i}")
     top = PrimePowerModulus(p, i).modulus  # p must be an odd prime
     period = p * top
+    symbols = [0] * period  # sized first, so a period past memory fails at once
     g = int(sympy.primitive_root(p * p))
     step = pow(g, p - 1, period)
-    symbols = [0] * period
-    x, t = 1, 1
-    for _ in range(period - top):
-        symbols[x] = 1 if t // top in members else 0
-        x = x * g % period
+    cycle = [0] * top
+    t = 1
+    for k in range(top):
+        cycle[k] = 1 if t // top in members else 0
         t = t * step % period
-    return PeriodicSequence(2, period, tuple(symbols))
+    return PeriodicSequence(2, period, tuple(scatter_cycle(symbols, g, cycle)))
 
 
 # --- sequence file format -------------------------------------------------
@@ -197,14 +209,21 @@ def order_i_binary_sequence(p: int, i: int, levels: Iterable[int]) -> PeriodicSe
 # wrapped over one or more lines.
 
 _SYMBOLS_PER_LINE = 40
+# the canonical decimal name of every symbol below 256; read_sequence parses
+# a line by lookups here, and int() takes any line with another token
+_SYMBOL_OF = {str(s): s for s in range(256)}
 
 
 def write_sequence(fh: IO[str], seq: PeriodicSequence, p: int, r: int, kind: str) -> None:
-    """Write a sequence in the line-oriented text format."""
-    fh.write(f"seq {seq.alphabet_size} {seq.period} p={p} r={r} kind={kind}\n")
-    for start in range(0, seq.period, _SYMBOLS_PER_LINE):
-        chunk = seq.symbols[start : start + _SYMBOLS_PER_LINE]
-        fh.write(" ".join(str(s) for s in chunk) + "\n")
+    """Write a sequence in the line-oriented text format, in one write."""
+    symbols = seq.symbols
+    name = {s: str(s) for s in set(symbols)}.__getitem__
+    lines = [
+        " ".join(map(name, symbols[start : start + _SYMBOLS_PER_LINE]))
+        for start in range(0, seq.period, _SYMBOLS_PER_LINE)
+    ]
+    header = f"seq {seq.alphabet_size} {seq.period} p={p} r={r} kind={kind}"
+    fh.write("\n".join([header, *lines, ""]))
 
 
 class SequenceParseError(ValueError):
@@ -236,13 +255,20 @@ def read_sequence(fh: IO[str]) -> tuple[PeriodicSequence, dict]:
         raise SequenceParseError(1, f"bad header numbers: {header.strip()!r}") from None
     symbols: list[int] = []
     lineno = 1
+    symbol_of = _SYMBOL_OF.__getitem__
     for line in fh:
         lineno += 1
-        for tok in line.split():
-            try:
-                symbols.append(int(tok))
-            except ValueError:
-                raise SequenceParseError(lineno, f"bad symbol {tok!r}") from None
+        tokens = line.split()
+        parsed = len(symbols)
+        try:
+            symbols.extend(map(symbol_of, tokens))
+        except KeyError:  # a token outside the table: redo the line with int()
+            del symbols[parsed:]
+            for tok in tokens:
+                try:
+                    symbols.append(int(tok))
+                except ValueError:
+                    raise SequenceParseError(lineno, f"bad symbol {tok!r}") from None
     if len(symbols) != period:
         raise SequenceParseError(
             lineno, f"expected {period} symbols, found {len(symbols)}"

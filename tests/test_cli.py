@@ -539,9 +539,13 @@ class TestExitCodeContract:
 
 
     # p^{r+1} at r = 100 (or p^{i+1} at i = 100) overflows an index while
-    # the table is sized, before anything is allocated
+    # the period's list is sized, which every builder does before any
+    # per-unit work
     @pytest.mark.parametrize("argv", [
         "generate --p 3 --r 100 --kind threshold",
+        "generate --p 3 --r 100 --kind mary --order 2",
+        "generate --p 3 --r 100 --kind level --j 99",
+        "generate --p 3 --r 100 --kind balanced --I 0",
         "analyze --p 3 --r 100 --kind class --I 0",
         "partition --p 3 --r 100 --summary",
         "verify --suite theorem-hh --p 3 --r 100",
@@ -555,14 +559,19 @@ class TestExitCodeContract:
         assert "Traceback" not in stderr
 
     def test_out_of_memory_exits_2(self, monkeypatch, capsys):
-        # (1000003, 2) would ask for an 8e18-byte table; the stub raises first
-        def out_of_memory(m):
+        # quotient_map sizes the period's list before anything else; there
+        # (1000003, 2) would ask for 8e18 bytes, and the stub raises instead
+        sized = []
+
+        def out_of_memory(m, f=None, on_multiples=0):
+            sized.append(m.sequence_period)
             raise MemoryError
 
-        monkeypatch.setattr(sequences, "quotient_table", out_of_memory)
+        monkeypatch.setattr(sequences, "quotient_map", out_of_memory)
         code, stdout, stderr = run(
             capsys, "generate", "--p", "1000003", "--r", "2", "--kind", "threshold"
         )
+        assert sized == [1000003**3]
         assert code == 2
         assert stdout == ""
         assert stderr == "error: period too large to build (MemoryError)\n"

@@ -28,6 +28,12 @@ class TestPrimePowerModulus:
         assert m.phi == 6
         assert m.sequence_period == 27
 
+    def test_cached_values_leave_eq_and_hash_on_the_fields(self):
+        read, fresh = PrimePowerModulus(5, 3), PrimePowerModulus(5, 3)
+        assert (read.modulus, read.phi) == (125, 100)
+        assert read == fresh and hash(read) == hash(fresh)
+        assert read != PrimePowerModulus(5, 2)
+
 
 class TestEulerQuotient:
     def test_fermat_case(self):

@@ -1,9 +1,16 @@
 import io
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eulerseq.complexity import theorem_precondition_error
-from eulerseq.quotients import PrimePowerModulus, fermat_quotient_order, new_quotient_h
+from eulerseq.quotients import (
+    PrimePowerModulus,
+    euler_quotient,
+    fermat_quotient_order,
+    new_quotient_h,
+)
 from eulerseq.sequences import (
     PeriodicSequence,
     SequenceParseError,
@@ -24,8 +31,9 @@ class TestPeriodicSequence:
     def test_validation(self):
         with pytest.raises(ValueError):
             PeriodicSequence(2, 3, (0, 1))
-        with pytest.raises(ValueError):
-            PeriodicSequence(2, 2, (0, 2))
+        for symbols in [(0, 2), (-1, 0)]:
+            with pytest.raises(ValueError, match="^symbol out of alphabet range$"):
+                PeriodicSequence(2, 2, symbols)
 
     def test_weight_and_indexing(self):
         s = PeriodicSequence(3, 4, (0, 2, 1, 0))
@@ -270,6 +278,26 @@ class TestOrderIBinarySequence:
                 order_i_binary_sequence(p, i, {0})
 
 
+class TestAgainstDefinitions:
+    """Each kind built by quotient_map against euler_quotient, at every u."""
+
+    @pytest.mark.parametrize("p,r", [(3, 1), (3, 4), (5, 3), (7, 2), (13, 2)])
+    def test_every_symbol(self, p, r):
+        m = PrimePowerModulus(p, r)
+        n, pr = m.sequence_period, m.modulus
+        q = [euler_quotient(m, u) for u in range(n)]
+        unit = [u % p != 0 for u in range(n)]
+        levels = {0, p - 1}
+        assert level_sequence(m, r - 1).symbols == tuple(x // p ** (r - 1) for x in q)
+        assert threshold_sequence(m).symbols == tuple(int(2 * x >= pr) for x in q)
+        assert binary_class_sequence(m, levels).symbols == tuple(
+            int(e and x // p ** (r - 1) in levels) for x, e in zip(q, unit)
+        )
+        assert balanced_class_sequence(m, levels).symbols == tuple(
+            int(not e or x // p ** (r - 1) in levels) for x, e in zip(q, unit)
+        )
+
+
 class TestSequenceFileFormat:
     def test_round_trip(self):
         m = PrimePowerModulus(3, 2)
@@ -303,3 +331,61 @@ class TestSequenceFileFormat:
     def test_wrong_count(self):
         with pytest.raises(SequenceParseError):
             read_sequence(io.StringIO("seq 2 4 p=3 r=1 kind=class\n0 1 0\n"))
+
+
+@st.composite
+def sequences_with_header(draw):
+    """A sequence over an alphabet of 2..1000 symbols, so some lie past 255."""
+    alphabet = draw(st.integers(2, 1000))
+    symbols = draw(st.lists(st.integers(0, alphabet - 1), min_size=1, max_size=130))
+    return PeriodicSequence(alphabet, len(symbols), tuple(symbols))
+
+
+def reference_text(seq, p, r, kind):
+    """The format as written one str() per symbol, 40 symbols a line."""
+    lines = [f"seq {seq.alphabet_size} {seq.period} p={p} r={r} kind={kind}"]
+    for start in range(0, seq.period, 40):
+        lines.append(" ".join(map(str, seq.symbols[start : start + 40])))
+    return "\n".join(lines) + "\n"
+
+
+class TestSequenceCodec:
+    """The lookup-table codec against the per-symbol str() and int() format."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sequences_with_header())
+    @example(PeriodicSequence(1000, 3, (999, 256, 255)))
+    def test_round_trip_byte_identical(self, seq):
+        buf = io.StringIO()
+        write_sequence(buf, seq, 7, 3, "random")
+        assert buf.getvalue() == reference_text(seq, 7, 3, "random")
+        buf.seek(0)
+        assert read_sequence(buf) == (seq, {"p": 7, "r": 3, "kind": "random"})
+
+    @pytest.mark.parametrize("line,symbols", [
+        ("01 +1 0", (1, 1, 0)),
+        ("0 1 1\n1 01 0", (0, 1, 1, 1, 1, 0)),  # a canonical line, then one re-parsed
+        ("1_0 0 1", (10, 0, 1)),
+    ])
+    def test_non_canonical_tokens_parse_as_int(self, line, symbols):
+        header = f"seq 11 {len(symbols)} p=3 r=1 kind=class\n"
+        seq, _ = read_sequence(io.StringIO(header + line + "\n"))
+        assert seq.symbols == symbols
+
+    def test_negative_token_fails_range_check(self):
+        with pytest.raises(SequenceParseError, match="^line 2: symbol out of alphabet range$"):
+            read_sequence(io.StringIO("seq 2 3 p=3 r=1 kind=class\n0 -1 1\n"))
+
+    def test_bad_token_after_table_lines_reports_its_line(self):
+        text = "seq 2 9 p=3 r=1 kind=class\n0 1\n1 0\n0 1\n1 zzz 0\n1\n"
+        with pytest.raises(SequenceParseError, match="^line 5: bad symbol 'zzz'$") as exc:
+            read_sequence(io.StringIO(text))
+        assert exc.value.line == 5
+
+    def test_huge_header_period_is_not_allocated(self):
+        # nothing is sized from the header: three symbols give the count error
+        text = "seq 1000000000000 1000000000000 p=3 r=1 kind=class\n0 1 2\n"
+        with pytest.raises(
+            SequenceParseError, match="^line 2: expected 1000000000000 symbols, found 3$"
+        ):
+            read_sequence(io.StringIO(text))
