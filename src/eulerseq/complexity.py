@@ -31,8 +31,10 @@ the tests compare them entry by entry. An entry is "exact" when one of these
 two proven engines computed it. check_theorem_profile compares a computed
 profile of a binary class sequence with the piecewise-constant profile that
 theorem_kerror_lc predicts when 2 is a primitive root modulo p^2. Orders
-come from sympy's n_order, and the factors of 1 + Y + ... + Y^{p-1} over
-F_2 from its gf_factor_sqf.
+come from ntheory.n_order, and the factors of 1 + Y + ... + Y^{p-1} over
+F_2 from sympy's gf_factor_sqf. This module imports sympy in two places
+only, inside the functions that need it: for the e = 2 codes at p = 7, 17
+and 23, and for lc_via_gcd past p = 13.
 The lemma checks over F_2 test each divisibility by a quotient
 (X^n - 1)/(X^d - 1) with one _fold, the one F_2[X] remainder routine.
 """
@@ -44,16 +46,13 @@ import itertools
 import math
 from collections.abc import Sequence
 
-import sympy
-from sympy import ZZ
-from sympy.polys.galoistools import gf_factor_sqf, gf_gcd, gf_strip
-
 from .fieldarith import PrimeField
+from .ntheory import factorint, isprime, n_order
 from .quotients import PrimePowerModulus
 from .sequences import PeriodicSequence, class_partition, validate_index_set
 
 
-DEFAULT_PATTERN_BUDGET = 10**7
+DEFAULT_PATTERN_BUDGET = 2 * 10**5
 
 
 # --- linear complexity ----------------------------------------------------
@@ -196,7 +195,7 @@ def _lc_games_chan(symbols: Sequence[int], p: int) -> int:
 def _field_size(seq: PeriodicSequence) -> int:
     """The sequence's alphabet size p; ValueError unless p is prime."""
     p = seq.alphabet_size
-    if not sympy.isprime(p):
+    if not isprime(p):
         raise ValueError(
             f"alphabet size {p} is not prime: linear complexity needs a prime field F_p"
         )
@@ -241,6 +240,9 @@ def lc_via_gcd(seq: PeriodicSequence) -> int:
     p, T = _field_size(seq), seq.period
     mod_p = _mod_p_table(p)
     if mod_p is None:
+        from sympy import ZZ
+        from sympy.polys.galoistools import gf_gcd, gf_strip
+
         xt1 = [1] + [0] * (T - 1) + [p - 1]
         return T - (len(gf_gcd(xt1, gf_strip(list(seq.symbols[::-1])), p, ZZ)) - 1)
     s = int.from_bytes(bytes(seq.symbols), "little")
@@ -310,7 +312,7 @@ def linear_complexity(seq: PeriodicSequence) -> tuple[int, str]:
     if seq.alphabet_size == 2:
         return lc_binary(_mask(seq.symbols), seq.period), "bitmask_gcd"
     p, T = _field_size(seq), seq.period
-    if p ** sympy.multiplicity(p, T) == T:
+    if factorint(T).keys() <= {p}:  # T is a power of p
         return _lc_games_chan(seq.symbols, p), "games_chan"
     return berlekamp_massey(seq, PrimeField(p)), "berlekamp_massey"
 
@@ -388,13 +390,17 @@ def _cyclic_codes(p: int) -> tuple | None:
     from (p+1)//2. None when p is a Wieferich prime or a code has more than
     2^_CODE_DIMENSION_CAP words.
     """
-    d = sympy.n_order(2, p)
-    if sympy.n_order(2, p * p) != p * d:
+    d = n_order(2, p)
+    if n_order(2, p * p) != p * d:
         return None
     if d == p - 1:  # e = 1; factoring Phi_p anyway would take 2 s at p = 509
         return ()
     if p - d > _CODE_DIMENSION_CAP:
         return None
+    # sympy is loaded here, for the few p that reach it, not at import time
+    from sympy import ZZ
+    from sympy.polys.galoistools import gf_factor_sqf
+
     _, factors = gf_factor_sqf([1] * p, 2, ZZ)
     h = (p + 1) // 2
     codes = []
@@ -527,7 +533,7 @@ def kerror_lc_profile(
     the budget runs out before the LC reaches 0. Raises
     ValueError unless the sequence is binary and 0 <= k_max <= period.
     """
-    primes = sympy.primefactors(seq.period)
+    primes = list(factorint(seq.period))
     codes = _cyclic_codes(primes[0]) if len(primes) == 1 and primes[0] != 2 else None
     if codes is None:
         return kerror_lc_bruteforce(seq, k_max, budget)
@@ -570,7 +576,7 @@ def theorem_precondition_error(m: PrimePowerModulus, index_size: int) -> str | N
         return f"theorem profile needs r >= 2, got r={r}"
     if not 1 <= index_size <= (p - 1) // 2:
         return f"index set size {index_size} outside [1, (p-1)/2 = {(p - 1) // 2}]"
-    order = sympy.n_order(2, p * p)
+    order = n_order(2, p * p)
     if order != p * (p - 1):
         return (
             f"2 is not a primitive root modulo {p}^2 "
@@ -662,12 +668,12 @@ def poly_p_precondition_error(p: int) -> str | None:
 
     The lemma needs 2 primitive modulo p, and the exhaustive search covers
     p <= 13. Raises ValueError when p < 2 or p is even. The test is on the
-    order, not sympy.is_primitive_root, so that a composite p is refused:
+    order, not a primitive-root test, so that a composite p is refused:
     2 is a primitive root modulo 9, but its order there is 6, not 8.
     """
     if p < 2:
         raise ValueError(f"p must be >= 2, got p={p}")
-    if sympy.n_order(2, p) != p - 1:
+    if n_order(2, p) != p - 1:
         return f"2 is not a primitive root modulo {p}"
     if p > 13:
         return f"exhaustive G(X) search needs p <= 13, got p={p}"

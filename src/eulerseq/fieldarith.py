@@ -1,17 +1,16 @@
-"""The prime field F_p.
+"""The prime field F_p, its primality checked by ntheory.isprime.
 
-Multiplicative orders and primitive roots come from sympy (n_order,
-is_primitive_root). No polynomial arithmetic lives here: the gcd oracle
-complexity.lc_via_gcd runs its F_p Euclid on byte-packed ints for p <= 13,
-p = 2 included, and through sympy.polys.galoistools for larger p, and the
-F_2 engines in complexity work on bitmasks.
+No polynomial arithmetic lives here: the gcd oracle complexity.lc_via_gcd
+runs its F_p Euclid on byte-packed ints for p <= 13, p = 2 included, and
+through sympy.polys.galoistools for larger p, and the F_2 engines in
+complexity work on bitmasks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import sympy
+from .ntheory import isprime
 
 
 @dataclass(frozen=True)
@@ -21,5 +20,5 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
-        if not sympy.isprime(self.p):
+        if not isprime(self.p):
             raise ValueError(f"{self.p} is not prime")

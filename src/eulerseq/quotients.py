@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
-import sympy
+from .ntheory import isprime, primitive_root
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class PrimePowerModulus:
     r: int
 
     def __post_init__(self):
-        if self.p == 2 or not sympy.isprime(self.p):
+        if self.p == 2 or not isprime(self.p):
             raise ValueError(f"p must be an odd prime, got {self.p}")
         if self.r < 1:
             raise ValueError(f"r must be >= 1, got {self.r}")
@@ -101,7 +101,7 @@ def quotient_map(
     f maps the stream of quotients along the p^r-cycle to the stream of
     symbols (None keeps the quotients). The list is allocated first, so a
     period past what memory holds fails at once, before f builds any table.
-    Q_r(g^k) = k Q_r(g) mod p^r for g = sympy.primitive_root(p * p), a
+    Q_r(g^k) = k Q_r(g) mod p^r for g = ntheory.primitive_root(p, 2), a
     primitive root modulo every power of the odd prime p. The cycle's
     quotients are made lazily and pass through f as they go, so only f's
     values for one cycle are held; scatter_cycle writes them along the walk
@@ -109,7 +109,7 @@ def quotient_map(
     """
     out = [on_multiples] * m.sequence_period
     p, pr = m.p, m.modulus
-    g = int(sympy.primitive_root(p * p))
+    g = primitive_root(p, 2)
     step = euler_quotient(m, g)
     quotients = map(pr.__rmod__, range(0, step * pr, step))
     cycle = list(quotients if f is None else f(quotients))

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import IO, Iterable
 
-import sympy
-
+from .ntheory import divisors, primitive_root
 from .quotients import PrimePowerModulus, quotient_map, scatter_cycle
 
 
@@ -47,7 +46,7 @@ class PeriodicSequence:
     def least_period(self) -> int:
         """Measured least period (a divisor of the stored period)."""
         s = self.symbols
-        for d in sympy.divisors(self.period)[:-1]:  # d = period always matches
+        for d in divisors(self.period)[:-1]:  # d = period always matches
             if all(map(operator.eq, s, islice(s, d, None))):  # s[i] == s[i + d]
                 return d
         return self.period
@@ -83,8 +82,9 @@ def _top_digits(m: PrimePowerModulus, on_multiples: int = 0) -> list[int]:
 
 def class_partition(m: PrimePowerModulus) -> ClassPartition:
     """D_0..D_{p-1} modulo p^{r+1}, each an ascending list, from one pass over u."""
+    digits = _top_digits(m, on_multiples=m.p)  # first: it sizes the period's list
     classes: list[list[int]] = [[] for _ in range(m.p + 1)]  # the last one is P
-    for u, h in enumerate(_top_digits(m, on_multiples=m.p)):
+    for u, h in enumerate(digits):
         classes[h].append(u)
     return ClassPartition(m, classes[:-1])
 
@@ -120,11 +120,13 @@ def _class_indicator(
 ) -> PeriodicSequence:
     """1 on the classes D_l with l in I, on_multiples on P, 0 elsewhere."""
     members = validate_index_set(m.p, levels)
-    hit = [1 if l in members else 0 for l in range(m.p)]
     base = m.p ** (m.r - 1)
-    symbols = quotient_map(
-        m, lambda qs: map(hit.__getitem__, map(base.__rfloordiv__, qs)), on_multiples
-    )
+
+    def indicator(qs):  # called once the period's list is allocated
+        hit = [1 if l in members else 0 for l in range(m.p)]
+        return map(hit.__getitem__, map(base.__rfloordiv__, qs))
+
+    symbols = quotient_map(m, indicator, on_multiples)
     return PeriodicSequence(2, m.sequence_period, tuple(symbols))
 
 
@@ -164,7 +166,7 @@ def mary_sequence(m: PrimePowerModulus, order: int) -> PeriodicSequence:
         raise ValueError(f"order {order} does not divide phi(p^r) = {m.phi}")
 
     def characters(qs):  # called once the period's list is allocated
-        g = int(sympy.primitive_root(m.modulus))
+        g = primitive_root(m.p, m.r)
         character = [0] * m.modulus  # ind_g(x) mod order on units, 0 on the rest
         x = 1
         for k in range(m.phi):
@@ -192,7 +194,7 @@ def order_i_binary_sequence(p: int, i: int, levels: Iterable[int]) -> PeriodicSe
     top = PrimePowerModulus(p, i).modulus  # p must be an odd prime
     period = p * top
     symbols = [0] * period  # sized first, so a period past memory fails at once
-    g = int(sympy.primitive_root(p * p))
+    g = primitive_root(p, 2)
     step = pow(g, p - 1, period)
     cycle = [0] * top
     t = 1

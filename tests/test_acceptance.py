@@ -56,7 +56,8 @@ def test_criterion_2_full_kerror_profile_p3():
     check_theorem_profile(profile, m, {0})
     values = [lc for _, lc, _ in profile]
     all_exact = all(exact for _, _, exact in profile)
-    brute = kerror_lc_bruteforce(f, 6)
+    # weights up to 6 at N = 27 are 397,594 patterns, past the default budget
+    brute = kerror_lc_bruteforce(f, 6, budget=10**6)
     want = [20, 20, 20, 19, 19, 19, 0]
     ok = values == want and all_exact and profile == brute
     report(
@@ -170,7 +171,7 @@ def test_criterion_8_order_i_quotients():
             lcs[(p, i)] = lc
             lc_ok &= lc == p**i + p - 1
     f = order_i_binary_sequence(3, 2, {0})
-    brute = kerror_lc_bruteforce(f, 6)
+    brute = kerror_lc_bruteforce(f, 6, budget=10**6)  # 397,594 patterns
     profile = [lc for _, lc, _ in brute]
     want = [20, 20, 20, 19, 19, 19, 0]  # p^{i+1}-p^i+p-1 / +1 / 0 branches at i=2
     ok = lc_ok and brute == [(k, lc, True) for k, lc in enumerate(want)]

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -538,9 +539,9 @@ class TestExitCodeContract:
         assert exit_code(argv) in (0, 1, 2)
 
 
-    # p^{r+1} at r = 100 (or p^{i+1} at i = 100) overflows an index while
-    # the period's list is sized, which every builder does before any
-    # per-unit work
+    # p^{r+1} at r = 100 (or p^{i+1} at i = 100), or at p = 10^18 + 3,
+    # overflows an index while the period's list is sized, which each
+    # sequence kind does before any per-unit or per-class work
     @pytest.mark.parametrize("argv", [
         "generate --p 3 --r 100 --kind threshold",
         "generate --p 3 --r 100 --kind mary --order 2",
@@ -550,6 +551,9 @@ class TestExitCodeContract:
         "partition --p 3 --r 100 --summary",
         "verify --suite theorem-hh --p 3 --r 100",
         "generate --p 3 --kind fermat-order --i 100 --I 0",
+        "verify --suite klc --p 1000000000000000003 --r 2",
+        "generate --p 1000000000000000003 --kind class --I 0",
+        "partition --p 1000000000000000003 --r 1 --summary",
     ])
     def test_absurd_sizes_exit_2(self, argv, capsys):
         code, stdout, stderr = run(capsys, *argv.split())
@@ -574,6 +578,30 @@ class TestExitCodeContract:
         assert sized == [1000003**3]
         assert code == 2
         assert stdout == ""
+        assert stderr == "error: period too large to build (MemoryError)\n"
+
+    @pytest.mark.parametrize("argv", [
+        "generate --p 1000003 --kind class --I 0",
+        "partition --p 1000003 --r 1 --summary",
+    ])
+    def test_no_per_class_table_before_the_period(self, argv, monkeypatch, capsys):
+        # a table with one entry per class, p of them, made before the
+        # period's list is sized would take 8 MB here, and at p = 10^18 + 3
+        # it fills memory before quotient_map can refuse the period
+        traced = []
+
+        def out_of_memory(m, f=None, on_multiples=0):
+            traced.append(tracemalloc.get_traced_memory()[0])
+            raise MemoryError
+
+        monkeypatch.setattr(sequences, "quotient_map", out_of_memory)
+        tracemalloc.start()
+        try:
+            code, stdout, stderr = run(capsys, *argv.split())
+        finally:
+            tracemalloc.stop()
+        assert len(traced) == 1 and traced[0] < 2**20
+        assert (code, stdout) == (2, "")
         assert stderr == "error: period too large to build (MemoryError)\n"
 
 

@@ -254,10 +254,11 @@ class TestKErrorBruteForce:
         assert kerror_lc_bruteforce(s, s.weight)[-1] == (s.weight, 0, True)
 
     def test_theorem_value_at_k3(self):
-        # LC_3 = p^{r+1} - p^r + 1; every entry is exact under the default budget
+        # LC_3 = p^{r+1} - p^r + 1; every entry is exact under a budget that
+        # covers the 397,594 patterns of weight <= 6 at N = 27
         m = PrimePowerModulus(3, 2)
         f = binary_class_sequence(m, {0})
-        assert kerror_lc_bruteforce(f, 6) == [
+        assert kerror_lc_bruteforce(f, 6, budget=10**6) == [
             (k, lc, True) for k, lc in enumerate([20, 20, 20, 19, 19, 19, 0])
         ]
 
@@ -339,6 +340,23 @@ class TestKErrorBruteForce:
         assert kerror_lc_bruteforce(s, 1, budget=fits - 1) == [
             exact[0], (1, exact[0][1], False)
         ]
+
+    def test_default_budget_stops_before_minutes(self, monkeypatch):
+        # (41, 1), N = 1,681, has no structural engine, and each pattern is
+        # charged 3: k <= 1 takes 3 * 1,682 units, and k = 2 would add
+        # 3 * C(1681, 2) = 4.2e6, minutes of lc_binary calls, past the default
+        seq = binary_class_sequence(PrimePowerModulus(41, 1), {0})
+        real, calls = complexity.lc_binary, []
+
+        def counting_lc_binary(mask, period):
+            calls.append(period)
+            return real(mask, period)
+
+        monkeypatch.setattr(complexity, "lc_binary", counting_lc_binary)
+        profile = kerror_lc_profile(seq, 2)
+        assert len(calls) == 1682
+        assert [exact for _, _, exact in profile] == [True, True, False]
+        assert profile[2][1] == profile[1][1]
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
