@@ -22,8 +22,7 @@ all-1, both closed forms and the only tiers when 2 is primitive modulo p;
 between them, when 1 + Y + ... + Y^{p-1} has e = 2 factors over F_2, the
 two codes they generate, enumerated. _CODE_DIMENSION_CAP admits these only
 at p = 7, 17 and 23 (Hamming [7,4], quadratic-residue [17,9], Golay
-[23,12]): e >= 3 first occurs at p = 31, with codes of dimension at least
-(2p+1)/3. For any other period it runs the exhaustive oracle
+[23,12]). For any other period it runs the exhaustive oracle
 kerror_lc_bruteforce, one error-pattern pass under a pattern budget that
 charges each pattern by its period's lc_binary cost, using bitmask F_2[X]
 arithmetic. Both return the same (k, lc_k, exact) profile, so
@@ -31,10 +30,9 @@ the tests compare them entry by entry. An entry is "exact" when one of these
 two proven engines computed it. check_theorem_profile compares a computed
 profile of a binary class sequence with the piecewise-constant profile that
 theorem_kerror_lc predicts when 2 is a primitive root modulo p^2. Orders
-come from ntheory.n_order, and the factors of 1 + Y + ... + Y^{p-1} over
-F_2 from sympy's gf_factor_sqf. This module imports sympy in two places
-only, inside the functions that need it: for the e = 2 codes at p = 7, 17
-and 23, and for lc_via_gcd past p = 13.
+come from ntheory.n_order, and the two factors of 1 + Y + ... + Y^{p-1}
+over F_2 from the quadratic-residue split, by _bgcd. This module imports
+sympy in one place only, inside lc_via_gcd, past p = 13.
 The lemma checks over F_2 test each divisibility by a quotient
 (X^n - 1)/(X^d - 1) with one _fold, the one F_2[X] remainder routine.
 """
@@ -272,7 +270,8 @@ def _bgcd(a: int, b: int) -> int:
     One Euclid loop with the remainder step inlined and degrees read from
     bit_length: exhaustive k-error search runs it once per error pattern,
     and at periods in the hundreds a function call per step costs more
-    than the XORs.
+    than the XORs. _cyclic_codes takes the generators of its factor codes
+    from it too.
     """
     while b:
         db = b.bit_length()
@@ -366,11 +365,10 @@ def kerror_lc_bruteforce(
     return profile
 
 
-# Largest dimension p - d of a factor code <f> that the k-error block
-# recursion enumerates, 2^12 words per column. e = (p-1)/d >= 3 first occurs
-# at p = 31 and forces p - d >= (2p+1)/3 > 12, so only e = 2 passes: at 7, 17
-# and 23 (dimension 4, 9 and 12). Below 50, 31, 41, 43 and 47 (dimension 26,
-# 21, 29 and 24) fail it, and their periods keep the exhaustive oracle.
+# Largest dimension (p+1)/2 of an e = 2 factor code <f> that the k-error
+# block recursion enumerates, 2^12 words per column: 7, 17 and 23 pass
+# (dimension 4, 9 and 12). Below 50, 41 and 47 (dimension 21 and 24) fail
+# it, 31 and 43 have e >= 3, and their periods keep the exhaustive oracle.
 _CODE_DIMENSION_CAP = 12
 
 
@@ -380,34 +378,35 @@ def _cyclic_codes(p: int) -> tuple | None:
 
     Over F_2, Phi_p(Y) = 1 + Y + ... + Y^{p-1} splits into e = (p-1)/d
     irreducible factors of degree d = ord_p(2) (Lidl and Niederreiter,
-    Finite Fields, Thm 2.47). When ord_{p^2}(2) = pd, that is when p is not
-    a Wieferich prime, 2 has order p^{j-1}d modulo p^j, so each factor f(Y)
-    stays irreducible as f(X^M) for every M = p^j. Returns () when e = 1 (2
-    primitive modulo p), else the codes <f_1> and <f_2> of length p, one per
-    factor (e = 2 is the one split _CODE_DIMENSION_CAP lets through), each
-    split by parity into (low halves, high halves) of its words: bit j of a
-    word is the coefficient of Y^j, and the halves are the bits below and
-    from (p+1)//2. None when p is a Wieferich prime or a code has more than
+    Finite Fields, Thm 2.47). When 2^{p-1} != 1 modulo p^2, that is when p
+    is not a Wieferich prime, 2 has order p^{j-1}d modulo p^j, so each
+    factor f(Y) stays irreducible as f(X^M) for every M = p^j. Returns ()
+    when e = 1 (2 primitive modulo p). When e = 2, 2 generates the squares
+    Q modulo p, and the quadratic-residue split gives the factors: with
+    theta(Y) the sum of Y^q over q in Q and a root a of Phi_p,
+    theta(a^k)^2 = theta(a^{2k}) = theta(a^k), so theta(a^k) lies in F_2.
+    It is constant on Q and on the non-residues, and the two values sum to
+    a + a^2 + ... + a^{p-1} = 1, so gcd(Phi_p, theta) and
+    gcd(Phi_p, theta + 1) are the two factors. Then it returns their codes,
+    the binary quadratic-residue codes of length p, each split by parity
+    into (low halves, high halves) of its words: bit j of a word is the
+    coefficient of Y^j, and the halves are the bits below and from (p+1)//2.
+    None when p is a Wieferich prime, e >= 3 or a code has more than
     2^_CODE_DIMENSION_CAP words.
     """
     d = n_order(2, p)
-    if n_order(2, p * p) != p * d:
+    if pow(2, p - 1, p * p) == 1:
         return None
-    if d == p - 1:  # e = 1; factoring Phi_p anyway would take 2 s at p = 509
+    if d == p - 1:
         return ()
-    if p - d > _CODE_DIMENSION_CAP:
-        return None
-    # sympy is loaded here, for the few p that reach it, not at import time
-    from sympy import ZZ
-    from sympy.polys.galoistools import gf_factor_sqf
-
-    _, factors = gf_factor_sqf([1] * p, 2, ZZ)
     h = (p + 1) // 2
+    if 2 * d != p - 1 or h > _CODE_DIMENSION_CAP:
+        return None
+    phi, theta = (1 << p) - 1, sum(1 << j * j % p for j in range(1, h))
     codes = []
-    for f in factors:
-        g = int("".join(map(str, f)), 2)
+    for g in (_bgcd(phi, theta), _bgcd(phi, theta ^ 1)):
         code = [0]
-        for i in range(p - d):
+        for i in range(h):
             code += [w ^ (g << i) for w in code]
         codes.append(tuple(
             ([w & ((1 << h) - 1) for w in ws], [w >> h for w in ws])
@@ -526,7 +525,7 @@ def kerror_lc_profile(
     _kerror_lc_pn, and every entry is exact, when 2 is primitive modulo p
     (two closed-form tiers) or p is 7, 17 or 23 (a middle tier through two
     Hamming [7,4], quadratic-residue [17,9] or Golay [23,12] codes, the only
-    factor codes _CODE_DIMENSION_CAP admits; below 50 it leaves out 31, 41,
+    factor codes _cyclic_codes admits; below 50 it leaves out 31, 41,
     43 and 47). Any other period gets the exhaustive oracle
     kerror_lc_bruteforce under the pattern budget, in patterns each charged
     ceil(N^2 / 2^20) (1 up to N = 1024), whose entries turn inexact once

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ
-from sympy.polys.galoistools import gf_gcd, gf_mul, gf_quo, gf_rem, gf_strip
+from sympy.polys.galoistools import gf_factor_sqf, gf_gcd, gf_mul, gf_quo, gf_rem, gf_strip
 
 from eulerseq import complexity
 from eulerseq.cli import main
@@ -545,9 +545,10 @@ class TestStructuralKError:
                 period *= p
 
     def test_cyclic_codes_are_the_two_factor_codes(self):
-        # e >= 3 first occurs at p = 31, past the code dimension cap, so below
-        # 10^4 only e = 2 at 7, 17 and 23 gives codes: the Hamming [7,4],
-        # quadratic-residue [17,9] and Golay [23,12] pairs
+        # below 10^4 only e = 2 at 7, 17 and 23 gives codes within the
+        # dimension cap: the Hamming [7,4], quadratic-residue [17,9] and
+        # Golay [23,12] pairs. Each must be the multiples of one factor of
+        # sympy's factorization of 1 + Y + ... + Y^{p-1}, the reference.
         least_weight = {7: 3, 17: 5, 23: 7}
         shapes = {p: complexity._cyclic_codes(p) for p in sympy.primerange(3, 10**4)}
         assert all(codes is None or len(codes) in (0, 2) for codes in shapes.values())
@@ -563,6 +564,12 @@ class TestStructuralKError:
                 assert min(w.bit_count() for w in even | odd if w) == weight
                 words.append(even | odd)
             assert words[0] & words[1] == {0, (1 << p) - 1}
+            _, factors = gf_factor_sqf([1] * p, 2, ZZ)
+            multiples = {frozenset(_f2_mask(gf_mul(_f2_poly(a), f, 2, ZZ))
+                                   for a in range(1 << (p + 1 - len(f))))
+                         for f in factors}
+            assert len(factors) == 2
+            assert {frozenset(code) for code in words} == multiples
 
     @settings(max_examples=200, deadline=None)
     @given(qualifying_sequences())

@@ -107,8 +107,8 @@ class TestPrimitiveRoot:
 
 
 # Each command runs in a fresh interpreter, which reports whether sympy got
-# imported; the stdlib helpers keep it out of every command but the one
-# that builds the p = 7 factor codes.
+# imported; the stdlib helpers and the bitmask factor codes keep it out of
+# each command below, the k-error middle tier at p = 7, 17 and 23 included.
 _IMPORT_PROBE = textwrap.dedent("""
     import contextlib, io, sys
     from eulerseq import cli
@@ -137,10 +137,10 @@ def _run_probe(argv):
     "verify --suite q-r-s --p 3 --r 3",
     "verify --suite lc-p --p 3 --r 3",
     "partition --p 5 --r 2 --summary",
+    "analyze --p 7 --r 2 --kind class --I 0 --k-max 1",
+    "analyze --p 17 --r 2 --kind class --I 0 --k-max 1",
+    "analyze --p 23 --r 2 --kind class --I 0 --k-max 1",
 ])
 def test_commands_run_without_sympy(argv):
     assert _run_probe(argv.split()) == (0, False)
 
-
-def test_factor_codes_load_sympy():
-    assert _run_probe("analyze --p 7 --r 2 --kind class --I 0 --k-max 1".split()) == (0, True)
