@@ -8,31 +8,51 @@ sequence, and the binary sequences from order-i Fermat quotients.
 
 from __future__ import annotations
 
-import operator
+import io
 from dataclasses import dataclass
-from itertools import islice
 from typing import IO, Iterable
 
 from .ntheory import divisors, primitive_root
 from .quotients import PrimePowerModulus, quotient_map, scatter_cycle
 
 
+# _ALPHABET[:q] is the bytes 0..q-1, the symbols of an alphabet of size q
+_ALPHABET = bytes(range(256))
+
+
 @dataclass(frozen=True)
 class PeriodicSequence:
-    """One canonical period of a periodic sequence over {0..alphabet_size-1}."""
+    """One canonical period of a periodic sequence over {0..alphabet_size-1}.
+
+    The constructor takes any sequence of ints and stores it as bytes when
+    alphabet_size <= 256, else as a tuple; indexing, slicing, count and
+    equality behave alike on both, so readers need not know which one it
+    is. The range check is one C-speed translate on bytes (min and max on a
+    tuple); a negative symbol or one past the alphabet raises ValueError.
+    """
 
     alphabet_size: int
     period: int
-    symbols: tuple[int, ...]
+    symbols: bytes | tuple[int, ...]
 
     def __post_init__(self):
-        if self.alphabet_size < 2:
-            raise ValueError(f"alphabet_size must be >= 2, got {self.alphabet_size}")
+        q = self.alphabet_size
+        if q < 2:
+            raise ValueError(f"alphabet_size must be >= 2, got {q}")
         if self.period < 1 or len(self.symbols) != self.period:
             raise ValueError(
                 f"need exactly period={self.period} symbols, got {len(self.symbols)}"
             )
-        if min(self.symbols) < 0 or max(self.symbols) >= self.alphabet_size:
+        try:
+            symbols = bytes(self.symbols) if q <= 256 else tuple(self.symbols)
+        except ValueError:  # bytes() refuses a symbol outside [0, 256)
+            symbols = tuple(self.symbols)
+        object.__setattr__(self, "symbols", symbols)
+        if type(symbols) is bytes:  # deleting the alphabet leaves what lies outside it
+            outside = symbols.translate(None, _ALPHABET[:q])
+        else:
+            outside = min(symbols) < 0 or max(symbols) >= q
+        if outside:
             raise ValueError("symbol out of alphabet range")
 
     def __getitem__(self, u: int) -> int:
@@ -47,7 +67,7 @@ class PeriodicSequence:
         """Measured least period (a divisor of the stored period)."""
         s = self.symbols
         for d in divisors(self.period)[:-1]:  # d = period always matches
-            if all(map(operator.eq, s, islice(s, d, None))):  # s[i] == s[i + d]
+            if s[d:] == s[:-d]:  # s[i] == s[i + d] for every i
                 return d
         return self.period
 
@@ -55,10 +75,10 @@ class PeriodicSequence:
         """Binary only: toggle the given positions of the stored period."""
         if self.alphabet_size != 2:
             raise ValueError("flip is defined for binary sequences only")
-        out = list(self.symbols)
+        out = bytearray(self.symbols)
         for pos in positions:
             out[pos % self.period] ^= 1
-        return PeriodicSequence(2, self.period, tuple(out))
+        return PeriodicSequence(2, self.period, out)
 
 
 @dataclass(frozen=True)
@@ -111,7 +131,7 @@ def level_sequence(m: PrimePowerModulus, j: int) -> PeriodicSequence:
     return PeriodicSequence(
         alphabet_size=m.p,
         period=sub.sequence_period,
-        symbols=tuple(_top_digits(sub)),
+        symbols=_top_digits(sub),
     )
 
 
@@ -127,7 +147,7 @@ def _class_indicator(
         return map(hit.__getitem__, map(base.__rfloordiv__, qs))
 
     symbols = quotient_map(m, indicator, on_multiples)
-    return PeriodicSequence(2, m.sequence_period, tuple(symbols))
+    return PeriodicSequence(2, m.sequence_period, symbols)
 
 
 def binary_class_sequence(m: PrimePowerModulus, levels: Iterable[int]) -> PeriodicSequence:
@@ -150,7 +170,7 @@ def threshold_sequence(m: PrimePowerModulus) -> PeriodicSequence:
     """
     half = (m.modulus + 1) // 2
     symbols = quotient_map(m, lambda qs: map(half.__rfloordiv__, qs))
-    return PeriodicSequence(2, m.sequence_period, tuple(symbols))
+    return PeriodicSequence(2, m.sequence_period, symbols)
 
 
 def mary_sequence(m: PrimePowerModulus, order: int) -> PeriodicSequence:
@@ -175,7 +195,7 @@ def mary_sequence(m: PrimePowerModulus, order: int) -> PeriodicSequence:
         return map(character.__getitem__, qs)
 
     symbols = quotient_map(m, characters)
-    return PeriodicSequence(order, m.sequence_period, tuple(symbols))
+    return PeriodicSequence(order, m.sequence_period, symbols)
 
 
 def order_i_binary_sequence(p: int, i: int, levels: Iterable[int]) -> PeriodicSequence:
@@ -201,31 +221,50 @@ def order_i_binary_sequence(p: int, i: int, levels: Iterable[int]) -> PeriodicSe
     for k in range(top):
         cycle[k] = 1 if t // top in members else 0
         t = t * step % period
-    return PeriodicSequence(2, period, tuple(scatter_cycle(symbols, g, cycle)))
+    return PeriodicSequence(2, period, scatter_cycle(symbols, g, cycle))
 
 
 # --- sequence file format -------------------------------------------------
 #
 # Header line:  seq <alphabet_size> <period> p=<p> r=<r> kind=<name>
 # followed by the period's symbols as space-separated decimal integers,
-# wrapped over one or more lines.
+# wrapped over one or more lines of _SYMBOLS_PER_LINE symbols each.
 
 _SYMBOLS_PER_LINE = 40
-# the canonical decimal name of every symbol below 256; read_sequence parses
+# the canonical decimal name of every symbol below 256; the line loop parses
 # a line by lookups here, and int() takes any line with another token
 _SYMBOL_OF = {str(s): s for s in range(256)}
+# translate tables between the symbols 0..9 and their ASCII digits, both ways
+_DIGITS = b"0123456789"
+_DIGIT_OF = bytes.maketrans(_ALPHABET[:10], _DIGITS)
+_VALUE_OF = bytes.maketrans(_DIGITS, _ALPHABET[:10])
 
 
 def write_sequence(fh: IO[str], seq: PeriodicSequence, p: int, r: int, kind: str) -> None:
-    """Write a sequence in the line-oriented text format, in one write."""
-    symbols = seq.symbols
+    """Write a sequence in the line-oriented text format, in one write.
+
+    An alphabet of at most 10 has one-digit names, so the text is built in
+    one bytearray: digits at the even offsets, a space or a newline at the
+    odd ones, the newline after every _SYMBOLS_PER_LINE-th symbol and after
+    the last. Larger alphabets join each line's names. Both give the same
+    bytes for the same sequence.
+    """
+    symbols, n = seq.symbols, seq.period
+    header = f"seq {seq.alphabet_size} {n} p={p} r={r} kind={kind}\n"
+    if seq.alphabet_size <= 10:
+        text = bytearray(b" ") * (2 * n)
+        text[0::2] = symbols.translate(_DIGIT_OF)
+        step = 2 * _SYMBOLS_PER_LINE
+        text[step - 1 :: step] = b"\n" * (n // _SYMBOLS_PER_LINE)
+        text[-1] = ord("\n")
+        fh.write(header + text.decode("ascii"))
+        return
     name = {s: str(s) for s in set(symbols)}.__getitem__
     lines = [
         " ".join(map(name, symbols[start : start + _SYMBOLS_PER_LINE]))
-        for start in range(0, seq.period, _SYMBOLS_PER_LINE)
+        for start in range(0, n, _SYMBOLS_PER_LINE)
     ]
-    header = f"seq {seq.alphabet_size} {seq.period} p={p} r={r} kind={kind}"
-    fh.write("\n".join([header, *lines, ""]))
+    fh.write(header + "\n".join([*lines, ""]))
 
 
 class SequenceParseError(ValueError):
@@ -237,7 +276,15 @@ class SequenceParseError(ValueError):
 
 
 def read_sequence(fh: IO[str]) -> tuple[PeriodicSequence, dict]:
-    """Parse the text format; returns the sequence and its header metadata."""
+    """Parse the text format; returns the sequence and its header metadata.
+
+    The body is read once. A body of single digits below the alphabet,
+    each followed by one space or newline, with the header's count, as
+    write_sequence writes for alphabets up to 10, takes _parse_digits, a
+    few C-speed passes over its bytes. Any other body goes through the
+    line loop, _parse_lines, which accepts any int tokens and reports each
+    error with its line number.
+    """
     header = fh.readline()
     if not header:
         raise SequenceParseError(1, "empty file")
@@ -255,10 +302,43 @@ def read_sequence(fh: IO[str]) -> tuple[PeriodicSequence, dict]:
         meta["p"], meta["r"] = int(meta["p"]), int(meta["r"])
     except ValueError:
         raise SequenceParseError(1, f"bad header numbers: {header.strip()!r}") from None
+    body = fh.read()
+    seq = _parse_digits(body, alphabet, period)
+    if seq is None:
+        seq = _parse_lines(io.StringIO(body), alphabet, period)
+    return seq, meta
+
+
+def _parse_digits(body: str, alphabet: int, period: int) -> PeriodicSequence | None:
+    """The body's sequence when it is plain one-digit symbols, else None.
+
+    There must be period digits, each below the alphabet, at the even
+    offsets, each followed by one space or newline, the last by a newline,
+    so the body is exactly 2 * period characters. Such a body parses the
+    same in _parse_lines.
+    """
+    # an alphabet below 2 is left to _parse_lines, which reports its line
+    if alphabet < 2 or len(body) != 2 * period or not body.endswith("\n"):
+        return None
+    if not body.isascii():  # so that encode cannot fail
+        return None
+    text = body.encode("ascii")
+    digits = text[0::2]
+    if digits.translate(None, _DIGITS[:alphabet]) or text[1::2].translate(None, b" \n"):
+        return None
+    return PeriodicSequence(alphabet, period, digits.translate(_VALUE_OF))
+
+
+def _parse_lines(lines: Iterable[str], alphabet: int, period: int) -> PeriodicSequence:
+    """The body's sequence from its lines of whitespace-separated int tokens.
+
+    Line numbers count the header as line 1; a bad token, a wrong count or
+    a symbol outside the alphabet raises SequenceParseError.
+    """
     symbols: list[int] = []
     lineno = 1
     symbol_of = _SYMBOL_OF.__getitem__
-    for line in fh:
+    for line in lines:
         lineno += 1
         tokens = line.split()
         parsed = len(symbols)
@@ -276,7 +356,6 @@ def read_sequence(fh: IO[str]) -> tuple[PeriodicSequence, dict]:
             lineno, f"expected {period} symbols, found {len(symbols)}"
         )
     try:
-        seq = PeriodicSequence(alphabet, period, tuple(symbols))
+        return PeriodicSequence(alphabet, period, symbols)
     except ValueError as exc:
         raise SequenceParseError(lineno, str(exc)) from None
-    return seq, meta

@@ -162,9 +162,7 @@ def suite_oracles(p: int, r: int, seed: int = 0) -> list[CheckResult]:
     for _ in range(_ORACLE_TRIALS):
         char = rng.choice([2, 3])
         period = rng.randint(1, 200)
-        seq = PeriodicSequence(
-            char, period, tuple(rng.randrange(char) for _ in range(period))
-        )
+        seq = PeriodicSequence(char, period, [rng.randrange(char) for _ in range(period)])
         if berlekamp_massey(seq, PrimeField(char)) != lc_via_gcd(seq):
             failures += 1
     return [

@@ -278,7 +278,7 @@ class TestKErrorBruteForce:
         profile = kerror_lc_bruteforce(s, 10, budget=1000)
         assert profile[:2] == kerror_lc_bruteforce(s, 1)
         # LC_1 independently: the least LC over no flip and each single flip
-        syms = s.symbols
+        syms = tuple(s.symbols)
         flips = [s] + [
             PeriodicSequence(2, 60, syms[:i] + (1 - syms[i],) + syms[i + 1 :])
             for i in range(60)

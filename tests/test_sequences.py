@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eulerseq import sequences
 from eulerseq.complexity import theorem_precondition_error
 from eulerseq.quotients import (
     PrimePowerModulus,
@@ -31,6 +32,8 @@ class TestPeriodicSequence:
     def test_validation(self):
         with pytest.raises(ValueError):
             PeriodicSequence(2, 3, (0, 1))
+        with pytest.raises(TypeError):  # bytes(3) would be three zero symbols
+            PeriodicSequence(2, 3, 3)
         for symbols in [(0, 2), (-1, 0)]:
             with pytest.raises(ValueError, match="^symbol out of alphabet range$"):
                 PeriodicSequence(2, 2, symbols)
@@ -48,6 +51,32 @@ class TestPeriodicSequence:
         s = PeriodicSequence(3, 2, (0, 1))
         with pytest.raises(ValueError):
             s.flip([0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([2, 10, 11, 256, 257, 1000]),
+        st.lists(st.integers(0, 255), min_size=1, max_size=60),
+    )
+    def test_tuple_and_bytes_inputs_agree(self, alphabet, raw):
+        symbols = [x % alphabet for x in raw]  # below 256 as well, so bytes hold them
+        as_tuple = PeriodicSequence(alphabet, len(symbols), tuple(symbols))
+        for other in (bytes(symbols), bytearray(symbols), symbols):
+            seq = PeriodicSequence(alphabet, len(symbols), other)
+            assert seq == as_tuple
+            assert hash(seq) == hash(as_tuple)
+        # the storage follows the alphabet: bytes up to 256 symbols, a tuple past it
+        assert type(as_tuple.symbols) is (bytes if alphabet <= 256 else tuple)
+        assert list(as_tuple.symbols) == symbols
+        assert [as_tuple[u] for u in range(len(symbols))] == symbols
+
+    @pytest.mark.parametrize("alphabet", [2, 10, 11, 256, 257, 1000])
+    def test_out_of_range_symbol_message(self, alphabet):
+        bad = [-1, alphabet, alphabet + 1, -300]
+        inputs = [(0, x, 1) for x in bad] + [[1, x] for x in bad]
+        inputs += [bytes([0, x]) for x in bad if 0 <= x < 256]
+        for symbols in inputs:
+            with pytest.raises(ValueError, match="^symbol out of alphabet range$"):
+                PeriodicSequence(alphabet, len(symbols), symbols)
 
 
 class TestClassPartition:
@@ -130,7 +159,7 @@ class TestLevelSequence:
         m = PrimePowerModulus(3, 2)
         seq = level_sequence(m, 0)
         m1 = PrimePowerModulus(3, 1)
-        assert seq.symbols == tuple(new_quotient_h(m1, u) for u in range(9))
+        assert tuple(seq.symbols) == tuple(new_quotient_h(m1, u) for u in range(9))
 
     def test_symbol_zero_at_zero(self):
         assert level_sequence(PrimePowerModulus(5, 2), 1)[0] == 0
@@ -160,7 +189,7 @@ class TestBinaryClassSequence:
     def test_full_index_set_marks_units(self):
         m = PrimePowerModulus(3, 2)
         f = binary_class_sequence(m, {0, 1, 2})
-        assert f.symbols == tuple(1 if u % 3 else 0 for u in range(27))
+        assert tuple(f.symbols) == tuple(1 if u % 3 else 0 for u in range(27))
 
     def test_shift_law_membership(self):
         # f(v + k p^r) is determined by H(v) - k v^{p-2} mod p
@@ -288,12 +317,12 @@ class TestAgainstDefinitions:
         q = [euler_quotient(m, u) for u in range(n)]
         unit = [u % p != 0 for u in range(n)]
         levels = {0, p - 1}
-        assert level_sequence(m, r - 1).symbols == tuple(x // p ** (r - 1) for x in q)
-        assert threshold_sequence(m).symbols == tuple(int(2 * x >= pr) for x in q)
-        assert binary_class_sequence(m, levels).symbols == tuple(
+        assert tuple(level_sequence(m, r - 1).symbols) == tuple(x // p ** (r - 1) for x in q)
+        assert tuple(threshold_sequence(m).symbols) == tuple(int(2 * x >= pr) for x in q)
+        assert tuple(binary_class_sequence(m, levels).symbols) == tuple(
             int(e and x // p ** (r - 1) in levels) for x, e in zip(q, unit)
         )
-        assert balanced_class_sequence(m, levels).symbols == tuple(
+        assert tuple(balanced_class_sequence(m, levels).symbols) == tuple(
             int(not e or x // p ** (r - 1) in levels) for x, e in zip(q, unit)
         )
 
@@ -349,6 +378,33 @@ def reference_text(seq, p, r, kind):
     return "\n".join(lines) + "\n"
 
 
+@st.composite
+def digit_bodies(draw):
+    """(alphabet, header period, body): single-digit bodies, some not canonical.
+
+    Separators may be CRLF, doubled spaces, blank lines or missing (two
+    tokens run together), the final newline may be missing, the header's
+    count may be one off, and a token may be a digit at or above the
+    alphabet, or 01 or +1.
+    """
+    alphabet = draw(st.integers(2, 10))
+    symbols = draw(st.lists(st.integers(0, alphabet - 1), min_size=1, max_size=90))
+    tokens = [str(x) for x in symbols]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(tokens) - 1))
+        tokens[i] = draw(st.sampled_from(["01", "+1", str(alphabet), "9"]))
+    canonical = [" " if (i + 1) % 40 else "\n" for i in range(len(tokens))]
+    canonical[-1] = "\n"
+    if draw(st.booleans()):  # perturb some separators
+        for i in draw(st.lists(st.integers(0, len(tokens) - 1), max_size=3)):
+            canonical[i] = draw(st.sampled_from(["\r\n", "  ", "\n\n", "\n", " ", ""]))
+    body = "".join(t + sep for t, sep in zip(tokens, canonical))
+    if draw(st.booleans()):
+        body = body[:-1]  # no final newline
+    period = len(symbols) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    return alphabet, period, body
+
+
 class TestSequenceCodec:
     """The lookup-table codec against the per-symbol str() and int() format."""
 
@@ -370,7 +426,7 @@ class TestSequenceCodec:
     def test_non_canonical_tokens_parse_as_int(self, line, symbols):
         header = f"seq 11 {len(symbols)} p=3 r=1 kind=class\n"
         seq, _ = read_sequence(io.StringIO(header + line + "\n"))
-        assert seq.symbols == symbols
+        assert tuple(seq.symbols) == symbols
 
     def test_negative_token_fails_range_check(self):
         with pytest.raises(SequenceParseError, match="^line 2: symbol out of alphabet range$"):
@@ -381,6 +437,49 @@ class TestSequenceCodec:
         with pytest.raises(SequenceParseError, match="^line 5: bad symbol 'zzz'$") as exc:
             read_sequence(io.StringIO(text))
         assert exc.value.line == 5
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 10),
+        st.lists(st.integers(0, 9), min_size=1, max_size=130),
+    )
+    @example(2, [1] * 40)
+    @example(10, list(range(10)) * 8)
+    def test_digit_writer_byte_identical(self, alphabet, raw):
+        seq = PeriodicSequence(alphabet, len(raw), [x % alphabet for x in raw])
+        buf = io.StringIO()
+        write_sequence(buf, seq, 3, 2, "class")
+        assert buf.getvalue() == reference_text(seq, 3, 2, "class")
+        body = buf.getvalue().partition("\n")[2]
+        # the writer's body is the one the digit path takes
+        assert sequences._parse_digits(body, alphabet, seq.period) == seq
+
+    @settings(max_examples=300, deadline=None)
+    @given(digit_bodies())
+    @example((2, 3, "0 1 1\n"))
+    @example((2, 3, "0 1 1"))
+    @example((2, 3, "0 1 1\r\n"))
+    @example((2, 2, "0 1 1\n"))
+    @example((2, 4, "0 1 1\n"))
+    @example((2, 3, "0  1 1\n"))
+    @example((2, 3, "0 1\n\n1\n"))
+    @example((2, 3, "0 2 1\n"))
+    @example((3, 3, "01 +1 1\n"))
+    @example((2, 3, "011 1\n"))
+    def test_digit_path_agrees_with_line_loop(self, case):
+        alphabet, period, body = case
+        header = f"seq {alphabet} {period} p=3 r=1 kind=class\n"
+
+        def outcome(parse):
+            try:
+                return parse()
+            except SequenceParseError as exc:
+                return str(exc), exc.line
+
+        loop = outcome(lambda: sequences._parse_lines(io.StringIO(body), alphabet, period))
+        assert outcome(lambda: read_sequence(io.StringIO(header + body))[0]) == loop
+        fast = sequences._parse_digits(body, alphabet, period)
+        assert fast is None or fast == loop
 
     def test_huge_header_period_is_not_allocated(self):
         # nothing is sized from the header: three symbols give the count error
