@@ -94,17 +94,18 @@ def _make_sequence(args) -> tuple[sequences.PeriodicSequence, dict]:
 
 def _cmd_generate(args) -> int:
     seq, meta = _make_sequence(args)
+    summary = f"period {seq.period} weight {seq.weight}"
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                sequences.write_sequence(fh, seq, meta["p"], meta["r"], meta["kind"])
+                sequences.write_sequence(fh, seq, **meta)
         except OSError as exc:
             print(f"error: {args.out}: {exc}", file=sys.stderr)
             return 2
-        print(f"period {seq.period} weight {seq.weight}")
-    else:
-        sequences.write_sequence(sys.stdout, seq, meta["p"], meta["r"], meta["kind"])
-        print(f"period {seq.period} weight {seq.weight}", file=sys.stderr)
+        print(summary)
+    else:  # the sequence goes to stdout, so the summary goes to stderr
+        sequences.write_sequence(sys.stdout, seq, **meta)
+        print(summary, file=sys.stderr)
     return 0
 
 
@@ -207,21 +208,15 @@ def _cmd_partition(args) -> int:
     m = PrimePowerModulus(args.p, args.r)
     classes = sequences.class_partition(m).classes
     multiples = range(0, m.sequence_period, m.p)
+    sizes = [len(c) for c in classes]
     if args.format == "json":
         if args.summary:
-            doc = {
-                "p": m.p,
-                "r": m.r,
-                "class_sizes": [len(c) for c in classes],
-                "multiples_size": len(multiples),
-            }
+            doc = {"p": m.p, "r": m.r, "class_sizes": sizes, "multiples_size": len(multiples)}
         else:
             doc = {"p": m.p, "r": m.r, "classes": classes, "multiples": list(multiples)}
         print(json.dumps(doc))
-        return 0
-    if args.summary:
-        sizes = ", ".join(str(len(c)) for c in classes)
-        print(f"|D_l| = [{sizes}], |P| = {len(multiples)}")
+    elif args.summary:
+        print(f"|D_l| = [{', '.join(map(str, sizes))}], |P| = {len(multiples)}")
     else:
         for l, c in enumerate(classes):
             print(f"D_{l}: {' '.join(map(str, c))}")

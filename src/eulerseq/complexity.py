@@ -33,8 +33,10 @@ theorem_kerror_lc predicts when 2 is a primitive root modulo p^2. Orders
 come from ntheory.n_order, and the two factors of 1 + Y + ... + Y^{p-1}
 over F_2 from the quadratic-residue split, by _bgcd. This module imports
 sympy in one place only, inside lc_via_gcd, past p = 13.
-The lemma checks over F_2 test each divisibility by a quotient
-(X^n - 1)/(X^d - 1) with one _fold, the one F_2[X] remainder routine.
+The root-group lemma checks over F_2 test each divisibility by a quotient
+(X^n - 1)/(X^d - 1) with one _fold, the one F_2[X] remainder routine; the
+G(X) lemma check counts the F_2 factors of 1 + X + ... + X^{p-1} by
+Berlekamp's nullity.
 """
 
 from __future__ import annotations
@@ -662,35 +664,65 @@ def check_root_group_lemmas(m: PrimePowerModulus) -> bool:
     return True
 
 
+# Largest p that check_poly_p_lemma takes: its XOR basis holds up to p - 1
+# rows of p - 1 bits, and at p near 2^14 building it peaks near 20 MB and
+# takes about 0.05 s; both grow as p^2.
+_POLY_P_CAP = 1 << 14
+
+
 def poly_p_precondition_error(p: int) -> str | None:
     """Why check_poly_p_lemma refuses p, or None if it runs.
 
-    The lemma needs 2 primitive modulo p, and the exhaustive search covers
-    p <= 13. Raises ValueError when p < 2 or p is even. The test is on the
-    order, not a primitive-root test, so that a composite p is refused:
-    2 is a primitive root modulo 9, but its order there is 6, not 8.
+    The lemma needs 2 primitive modulo p, and the Berlekamp matrix is built
+    for p <= _POLY_P_CAP only; the size is checked first, so a large p is
+    refused before anything is computed. Raises ValueError when p < 2, or
+    when p is even and within the cap. The test is on the order, not a
+    primitive-root test, so that a composite p is refused: 2 is a primitive
+    root modulo 9, but its order there is 6, not 8.
     """
     if p < 2:
         raise ValueError(f"p must be >= 2, got p={p}")
+    if p > _POLY_P_CAP:
+        return f"the Berlekamp matrix of Phi_p needs p <= {_POLY_P_CAP}, got p={p}"
     if n_order(2, p) != p - 1:
         return f"2 is not a primitive root modulo {p}"
-    if p > 13:
-        return f"exhaustive G(X) search needs p <= 13, got p={p}"
     return None
+
+
+def _cyclotomic_factor_count(p: int) -> int:
+    """Number of irreducible factors over F_2 of Phi_p = 1 + X + ... + X^{p-1}.
+
+    p is an odd prime. Phi_p divides X^p - 1, which is squarefree over F_2,
+    so Berlekamp's theorem gives the count as the nullity of Q - I, where
+    row i of Q is X^{2i} mod Phi_p = X^{2i mod p}, and X^{p-1} reduces to
+    1 + X + ... + X^{p-2}. Each row is a (p-1)-bit mask; the rank comes
+    from an XOR basis keyed by leading bit. The count is (p-1)/ord_p(2).
+    """
+    n = p - 1
+    full = (1 << n) - 1  # X^{p-1} mod Phi_p
+    basis: dict[int, int] = {}
+    for i in range(n):
+        e = 2 * i % p
+        row = (full if e == n else 1 << e) ^ (1 << i)
+        while row:
+            top = row.bit_length() - 1
+            if top not in basis:
+                basis[top] = row
+                break
+            row ^= basis[top]
+    return n - len(basis)
 
 
 def check_poly_p_lemma(p: int) -> bool:
     """Uniqueness of G with 1 <= deg G < p and G == 1 mod (X^p-1)/(X-1).
 
-    2 primitive modulo p makes 1 + X + ... + X^{p-1} irreducible over F_2;
-    the unique such G must be X + X^2 + ... + X^{p-1}. Verified by
-    exhaustive search over all nonconstant candidates, each tested as lemma
-    (b) is in check_root_group_lemmas, by one _fold:
-    (X^p-1) | (G(X)-1)(X-1) = G(X)(X+1) + X + 1. Raises ValueError when
+    The lemma rests on Phi_p = 1 + X + ... + X^{p-1} being irreducible over
+    F_2, which 2 primitive modulo p implies; then the unique such G is
+    X + X^2 + ... + X^{p-1}. Checked as Berlekamp's factor count of Phi_p
+    being 1, so the row fails when Phi_p splits. Raises ValueError when
     poly_p_precondition_error refuses p.
     """
     reason = poly_p_precondition_error(p)
     if reason:
         raise ValueError(reason)
-    matches = [g for g in range(2, 1 << p) if _fold(g ^ (g << 1) ^ 3, p) == 0]
-    return matches == [(1 << p) - 2]  # X + X^2 + ... + X^{p-1}
+    return _cyclotomic_factor_count(p) == 1

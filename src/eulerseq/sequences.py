@@ -27,8 +27,9 @@ class PeriodicSequence:
     The constructor takes any sequence of ints and stores it as bytes when
     alphabet_size <= 256, else as a tuple; indexing, slicing, count and
     equality behave alike on both, so readers need not know which one it
-    is. The range check is one C-speed translate on bytes (min and max on a
-    tuple); a negative symbol or one past the alphabet raises ValueError.
+    is. The range check is bytes() itself, then one C-speed translate (min
+    and max on a tuple); a negative symbol or one past the alphabet raises
+    ValueError.
     """
 
     alphabet_size: int
@@ -43,17 +44,19 @@ class PeriodicSequence:
             raise ValueError(
                 f"need exactly period={self.period} symbols, got {len(self.symbols)}"
             )
-        try:
-            symbols = bytes(self.symbols) if q <= 256 else tuple(self.symbols)
-        except ValueError:  # bytes() refuses a symbol outside [0, 256)
-            symbols = tuple(self.symbols)
-        object.__setattr__(self, "symbols", symbols)
-        if type(symbols) is bytes:  # deleting the alphabet leaves what lies outside it
+        if q <= 256:
+            try:
+                symbols = bytes(self.symbols)
+            except ValueError:  # a symbol outside [0, 256)
+                raise ValueError("symbol out of alphabet range") from None
+            # deleting the alphabet leaves what lies outside it
             outside = symbols.translate(None, _ALPHABET[:q])
         else:
+            symbols = tuple(self.symbols)
             outside = min(symbols) < 0 or max(symbols) >= q
         if outside:
             raise ValueError("symbol out of alphabet range")
+        object.__setattr__(self, "symbols", symbols)
 
     def __getitem__(self, u: int) -> int:
         return self.symbols[u % self.period]
@@ -231,9 +234,6 @@ def order_i_binary_sequence(p: int, i: int, levels: Iterable[int]) -> PeriodicSe
 # wrapped over one or more lines of _SYMBOLS_PER_LINE symbols each.
 
 _SYMBOLS_PER_LINE = 40
-# the canonical decimal name of every symbol below 256; the line loop parses
-# a line by lookups here, and int() takes any line with another token
-_SYMBOL_OF = {str(s): s for s in range(256)}
 # translate tables between the symbols 0..9 and their ASCII digits, both ways
 _DIGITS = b"0123456789"
 _DIGIT_OF = bytes.maketrans(_ALPHABET[:10], _DIGITS)
@@ -246,8 +246,8 @@ def write_sequence(fh: IO[str], seq: PeriodicSequence, p: int, r: int, kind: str
     An alphabet of at most 10 has one-digit names, so the text is built in
     one bytearray: digits at the even offsets, a space or a newline at the
     odd ones, the newline after every _SYMBOLS_PER_LINE-th symbol and after
-    the last. Larger alphabets join each line's names. Both give the same
-    bytes for the same sequence.
+    the last. Larger alphabets join each line's decimal names. Both give
+    the same bytes for the same sequence.
     """
     symbols, n = seq.symbols, seq.period
     header = f"seq {seq.alphabet_size} {n} p={p} r={r} kind={kind}\n"
@@ -259,9 +259,8 @@ def write_sequence(fh: IO[str], seq: PeriodicSequence, p: int, r: int, kind: str
         text[-1] = ord("\n")
         fh.write(header + text.decode("ascii"))
         return
-    name = {s: str(s) for s in set(symbols)}.__getitem__
     lines = [
-        " ".join(map(name, symbols[start : start + _SYMBOLS_PER_LINE]))
+        " ".join(map(str, symbols[start : start + _SYMBOLS_PER_LINE]))
         for start in range(0, n, _SYMBOLS_PER_LINE)
     ]
     fh.write(header + "\n".join([*lines, ""]))
@@ -281,9 +280,10 @@ def read_sequence(fh: IO[str]) -> tuple[PeriodicSequence, dict]:
     The body is read once. A body of single digits below the alphabet,
     each followed by one space or newline, with the header's count, as
     write_sequence writes for alphabets up to 10, takes _parse_digits, a
-    few C-speed passes over its bytes. Any other body goes through the
-    line loop, _parse_lines, which accepts any int tokens and reports each
-    error with its line number.
+    few C-speed passes over its bytes. Any other body, such as one with
+    CRLF line ends, extra spaces or names of more than one digit, goes
+    through the line loop, _parse_lines, which takes each token with int()
+    and reports each error with its line number.
     """
     header = fh.readline()
     if not header:
@@ -332,25 +332,19 @@ def _parse_digits(body: str, alphabet: int, period: int) -> PeriodicSequence | N
 def _parse_lines(lines: Iterable[str], alphabet: int, period: int) -> PeriodicSequence:
     """The body's sequence from its lines of whitespace-separated int tokens.
 
-    Line numbers count the header as line 1; a bad token, a wrong count or
-    a symbol outside the alphabet raises SequenceParseError.
+    Each token is read by one int() call. Line numbers count the header as
+    line 1; a bad token, a wrong count or a symbol outside the alphabet
+    raises SequenceParseError.
     """
     symbols: list[int] = []
     lineno = 1
-    symbol_of = _SYMBOL_OF.__getitem__
     for line in lines:
         lineno += 1
-        tokens = line.split()
-        parsed = len(symbols)
-        try:
-            symbols.extend(map(symbol_of, tokens))
-        except KeyError:  # a token outside the table: redo the line with int()
-            del symbols[parsed:]
-            for tok in tokens:
-                try:
-                    symbols.append(int(tok))
-                except ValueError:
-                    raise SequenceParseError(lineno, f"bad symbol {tok!r}") from None
+        for tok in line.split():
+            try:
+                symbols.append(int(tok))
+            except ValueError:
+                raise SequenceParseError(lineno, f"bad symbol {tok!r}") from None
     if len(symbols) != period:
         raise SequenceParseError(
             lineno, f"expected {period} symbols, found {len(symbols)}"

@@ -617,10 +617,27 @@ class TestVerify:
         assert code == 0
         assert stdout.count("PASS") == 2
 
-    def test_lemmas_suite_refuses_p_past_search(self, capsys):
-        code, stdout, _ = run(capsys, "verify", "--suite", "lemmas", "--p", "19", "--r", "1")
+    def test_lemmas_suite_refuses_p_past_cap(self, capsys):
+        code, stdout, _ = run(capsys, "verify", "--suite", "lemmas", "--p", "19", "--r", "2")
         assert code == 0
-        assert "PASS G(X) uniqueness at p=19 — refused: " in stdout
+        assert stdout.count("PASS") == 2 and "refused" not in stdout
+        assert "PASS G(X) uniqueness at p=19\n" in stdout
+        # 16411 is prime and past the size guard
+        code, stdout, _ = run(capsys, "verify", "--suite", "lemmas", "--p", "16411", "--r", "1")
+        assert code == 0
+        assert (
+            "PASS G(X) uniqueness at p=16411 — refused: the Berlekamp matrix of "
+            f"Phi_p needs p <= {complexity._POLY_P_CAP}, got p=16411\n"
+        ) in stdout
+
+    def test_lemmas_suite_fails_when_phi_p_splits(self, monkeypatch, capsys):
+        monkeypatch.setattr(complexity, "_cyclotomic_factor_count", lambda p: 2)
+        code, stdout, _ = run(capsys, "verify", "--suite", "lemmas", "--p", "5", "--r", "2")
+        assert code == 1
+        assert stdout.splitlines() == [
+            "PASS root-group lemmas at (p=5, r=2)",
+            "FAIL G(X) uniqueness at p=5",
+        ]
 
     def test_klc_refusal_p7(self, capsys):
         code, stdout, _ = run(capsys, "verify", "--suite", "klc", "--p", "7", "--r", "2")

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 import sympy
@@ -686,7 +687,23 @@ class TestLemmas:
         with pytest.raises(ValueError, match="primitive root"):
             check_poly_p_lemma(7)
 
-    def test_poly_p_refuses_p_past_search(self):
-        # 2 is primitive modulo 19, but the exhaustive search stops at 13
-        with pytest.raises(ValueError, match="p <= 13"):
-            check_poly_p_lemma(19)
+    def test_poly_p_refuses_p_past_cap(self):
+        # 2 is primitive modulo 19, past the cap of the old exhaustive search
+        assert check_poly_p_lemma(19)
+        # 2 is primitive modulo 65539 too, but its matrix would take ~300 MB:
+        # the size guard refuses it before anything is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"p <= {complexity._POLY_P_CAP}, got p=65539"):
+                check_poly_p_lemma(65539)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    def test_cyclotomic_factor_count_is_p_minus_1_over_ord_2(self):
+        # Phi_p splits over F_2 into (p-1)/ord_p(2) factors of degree ord_p(2)
+        for p in range(3, 2000, 2):
+            if sympy.isprime(p):
+                expected = (p - 1) // sympy.n_order(2, p)
+                assert complexity._cyclotomic_factor_count(p) == expected, p

@@ -406,7 +406,7 @@ def digit_bodies(draw):
 
 
 class TestSequenceCodec:
-    """The lookup-table codec against the per-symbol str() and int() format."""
+    """The file codec against the per-symbol str() and int() format."""
 
     @settings(max_examples=200, deadline=None)
     @given(sequences_with_header())
@@ -420,7 +420,7 @@ class TestSequenceCodec:
 
     @pytest.mark.parametrize("line,symbols", [
         ("01 +1 0", (1, 1, 0)),
-        ("0 1 1\n1 01 0", (0, 1, 1, 1, 1, 0)),  # a canonical line, then one re-parsed
+        ("0 1 1\n1 01 0", (0, 1, 1, 1, 1, 0)),  # a canonical line, then one not
         ("1_0 0 1", (10, 0, 1)),
     ])
     def test_non_canonical_tokens_parse_as_int(self, line, symbols):
