@@ -5,14 +5,14 @@ picks an LC engine, from the alphabet and the period: a binary sequence goes
 to lc_binary (method "bitmask_gcd"), one Euclid loop on F_2[X] bitmasks with
 the remainder step inlined; an F_p sequence whose period is a power of p
 goes to the generalised Games-Chan recursion (method "games_chan"); any
-other F_p sequence goes to Berlekamp-Massey (method "berlekamp_massey"),
-which packs its polynomials into bytes for p <= 13 (a popcount per bit
-plane for each discrepancy, one big-int multiply-add for each update). The
-gcd formula LC = T - deg gcd(X^T - 1, S(X)), lc_via_gcd, stays as the
-oracle the engines are cross-checked against; like linear_complexity, it
-reads p from the prime alphabet size. Its Euclid runs on byte-packed ints
-for p <= 13, sharing only the mod-p byte table with Berlekamp-Massey, and
-through sympy's galoistools for larger p.
+other F_p sequence goes to lc_via_gcd, the gcd formula
+LC = T - deg gcd(X^T - 1, S(X)) on byte-packed ints, for p <= 13 (method
+"packed_gcd"), and past p = 13 to Berlekamp-Massey ("berlekamp_massey").
+lc_via_gcd reads p from the prime alphabet size and takes sympy's
+galoistools past p = 13. It, berlekamp_massey (a bitmask loop over F_2, a
+coefficient-list loop for odd p) and lc_via_root_one (the root-1
+multiplicity of S(X) at periods p^n) are the oracles the engines are
+cross-checked against.
 k-error linear complexity over F_2 has one entry point, kerror_lc_profile.
 For a period p^n with p an odd prime that is not a Wieferich prime it runs
 one pass of a cost-carrying block recursion, _kerror_lc_pn, that returns the
@@ -44,6 +44,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
+import sys
+from array import array
 from collections.abc import Sequence
 
 from .fieldarith import PrimeField
@@ -61,51 +64,57 @@ def berlekamp_massey(seq: PeriodicSequence, fieldp: PrimeField) -> int:
     """Linear complexity over F_p via Berlekamp-Massey (Massey, IEEE Trans. IT 15, 1969).
 
     Runs on two concatenated periods, which guarantees convergence to the
-    least recurrence order of the periodic extension. When p(p - 1) < 256,
-    that is p <= 13, the polynomials are packed one coefficient per byte and
-    _berlekamp_massey_packed runs: popcounts of bit planes give each
-    discrepancy, and one big-int multiply-add gives each update, whose byte
-    slots sum to at most p(p - 1) and so never carry. Larger alphabets take
-    the coefficient-list loop below, the only path that can hold them.
+    least recurrence order of the periodic extension. Over F_2 the
+    polynomials are bitmasks: each discrepancy is the parity of c AND a
+    window of the reversed sequence, bit i of which holds s_{n-i}, and each
+    update is c ^= b << gap. For odd p they are coefficient lists, and each
+    discrepancy sums c_i s_{n-i} over i <= L from a slice of the reversed
+    sequence. A named oracle: linear_complexity runs it only for m-ary
+    periods over p > 13, where the packed Euclid of lc_via_gcd cannot go.
     """
     if seq.alphabet_size != fieldp.p:
         raise ValueError(
             f"alphabet size {seq.alphabet_size} does not match field F_{fieldp.p}"
         )
     p = fieldp.p
-    mod_p = _mod_p_table(p)
-    if mod_p is not None:
-        return _berlekamp_massey_packed(seq.symbols, p, mod_p)
     s = seq.symbols * 2
-    c = b = [1]
+    top = len(s) - 1
     L = 0
     gap = 1
+    if p == 2:
+        rev = int(s.translate(_BIT_PLANE0), 2)  # bit top - j holds s[j]
+        c = b = 1
+        for n in range(len(s)):
+            if (c & (rev >> (top - n))).bit_count() & 1:
+                if 2 * L <= n:
+                    c, b, L, gap = c ^ (b << gap), c, n + 1 - L, 0
+                else:
+                    c ^= b << gap
+            gap += 1
+        return L
+    rev = s[::-1]  # rev[top - n + i] holds s[n - i]
+    c = b = [1]
     last_disc = 1
     for n in range(len(s)):
-        d = sum(c[i] * s[n - i] for i in range(L + 1)) % p
-        if d == 0:
-            gap += 1
-            continue
-        coef = d * pow(last_disc, -1, p) % p
-        new = c + [0] * (len(b) + gap - len(c))
-        for i, bi in enumerate(b):
-            new[i + gap] = (new[i + gap] - coef * bi) % p
-        if 2 * L <= n:
-            L = n + 1 - L
-            b = c
-            last_disc = d
-            gap = 1
-        else:
-            gap += 1
-        c = new
+        d = sum(map(operator.mul, c, rev[top - n : top - n + L + 1])) % p
+        if d:
+            # c - (d / last_disc) X^gap b, as c + q X^gap b
+            q = p - d * pow(last_disc, -1, p) % p
+            new = [(x + q * y) % p
+                   for x, y in itertools.zip_longest(c, [0] * gap + b, fillvalue=0)]
+            if 2 * L <= n:
+                c, b, L, last_disc, gap = new, c, n + 1 - L, d, 0
+            else:
+                c = new
+        gap += 1
     return L
 
 
 @functools.cache
 def _mod_p_table(p: int) -> bytes | None:
-    """The byte table v -> v mod p of the packed kernels, None if p(p-1) >= 256.
+    """The byte table v -> v mod p of the packed Euclid, None if p(p-1) >= 256.
 
-    A packed polynomial holds coefficient i in byte i. A kernel adds
+    A packed polynomial holds coefficient i in byte i. A remainder step adds
     (p - q) X^s b to a in one big-int multiply-add, so a byte slot sums to
     at most (p-1) + (p-1)^2 = p(p-1), then reduces every slot through this
     table. No slot carries into the next while p(p-1) < 256, that is p <= 13.
@@ -113,59 +122,8 @@ def _mod_p_table(p: int) -> bytes | None:
     return bytes(v % p for v in range(256)) if p * (p - 1) < 256 else None
 
 
-# Plane a maps a byte to ASCII "1" when its bit a is set, else "0"; the
-# symbols of F_p, p <= 13, fit in four planes.
-_BIT_PLANES = tuple(bytes(48 + (v >> a & 1) for v in range(256)) for a in range(4))
-
-
-def _berlekamp_massey_packed(symbols: Sequence[int], p: int, mod_p: bytes) -> int:
-    """Berlekamp-Massey over F_p, p(p - 1) < 256, on byte-packed polynomials.
-
-    The connection polynomial c and the previous polynomial b are bytes,
-    byte i holding coefficient i. Each value splits into nb = (p-1).bit_length()
-    binary planes, so the discrepancy sum_{i <= L} c_i s_{n-i} is
-    sum_{a,b} 2^{a+b} popcount(C_b & W_a) mod p: C_b is plane b of c as a
-    bitmask, and W_a = R_a >> (2N - 1 - n), where R_a is plane a of the
-    doubled sequence reversed, so bit i of W_a is plane a of s_{n-i} for
-    i <= n and no bit lies above n. That covers c, since deg c <= L <= n in
-    Berlekamp-Massey. The update c - coef X^gap b is one big-int multiply-add,
-    c + (p - coef) X^gap b, reduced by the mod-p byte table (_mod_p_table).
-    """
-    s = bytes(symbols) * 2
-    planes = _BIT_PLANES[: (p - 1).bit_length()]
-    seq_planes = [int(s.translate(t), 2) for t in planes]  # bit j holds s[2N-1-j]
-    c = b = b"\x01"
-    c_planes = [1] + [0] * (len(planes) - 1)
-    L = 0
-    gap = 1
-    last_disc = 1
-    top = len(s) - 1
-    for n in range(len(s)):
-        d = 0
-        for a, r in enumerate(seq_planes):
-            w = r >> (top - n)
-            for bb, cb in enumerate(c_planes):
-                d += (cb & w).bit_count() << (a + bb)
-        d %= p
-        if d == 0:
-            gap += 1
-            continue
-        coef = d * pow(last_disc, -1, p) % p
-        update = int.from_bytes(c, "little") + (p - coef) * (
-            int.from_bytes(b, "little") << 8 * gap
-        )
-        new = update.to_bytes(max(len(c), len(b) + gap), "little").translate(mod_p)
-        if 2 * L <= n:
-            L = n + 1 - L
-            b = c
-            last_disc = d
-            gap = 1
-        else:
-            gap += 1
-        c = new
-        reversed_c = c[::-1]
-        c_planes = [int(reversed_c.translate(t), 2) for t in planes]
-    return L
+# Maps a byte to ASCII "1" when its bit 0 is set, else "0".
+_BIT_PLANE0 = bytes(48 + (v & 1) for v in range(256))
 
 
 def _lc_games_chan(symbols: Sequence[int], p: int) -> int:
@@ -190,6 +148,49 @@ def _lc_games_chan(symbols: Sequence[int], p: int) -> int:
         lc += (p - 1 - j) * m
         symbols = blocks[j]
     return lc + (symbols[0] != 0)
+
+
+def lc_via_root_one(seq: PeriodicSequence) -> int:
+    """Linear complexity over F_p at period N = p^n, as N minus the root-1 multiplicity.
+
+    Over F_p, X^N - 1 = (X - 1)^N, so LC = N - v, where v is the least t
+    with c_t != 0 in S(Y + 1) = sum_t c_t Y^t (v = N for the zero sequence).
+    By Lucas' theorem c_t = sum_i s_i C(i, t) factors over the base-p
+    digits: each of n passes Taylor-shifts the top digit's p blocks,
+    sum_j A_j Y^j -> sum_j A_j (Y + 1)^j (Horner), then shuffles them,
+    out[j::p] = block j, to bring the next digit on top. Unlike Games-Chan,
+    which keeps one block per level, it computes every coefficient. A block
+    is one int of W-bit lanes, W = 8 for p <= 128 and 16 for p <= 2^15, so
+    a sum t of two blocks carries into no other lane, and
+    t - (((t + C) & G) >> (W-1)) p reduces it: G holds bit W-1 of each lane
+    and C holds 2^{W-1} - p, so bit W-1 of t + C is set where t >= p.
+    Raises ValueError unless p is prime and N is a power of p.
+    """
+    p, N = _field_size(seq), seq.period
+    n = round(math.log(N, p))
+    if p**n != N:
+        raise ValueError(f"period {N} is not a power of the alphabet size {p}")
+    code = next(t for t in "BHIQ" if p <= 1 << 8 * array(t).itemsize - 1)
+    width = array(code).itemsize
+    W = 8 * width
+    # array() reads bytes as raw lane bytes, which is right only for 1-byte lanes
+    vec = array(code, seq.symbols if width == 1 else list(seq.symbols))
+    m = N // p
+    ones = ((1 << W * m) - 1) // ((1 << W) - 1)  # 1 in each lane of a block
+    G, C = ones << W - 1, ones * ((1 << W - 1) - p)
+    size = width * m
+    for _ in range(n):
+        raw = vec.tobytes()
+        blocks = [int.from_bytes(raw[j * size : (j + 1) * size], sys.byteorder)
+                  for j in range(p)]
+        for i in range(p - 1):
+            for j in range(p - 2, i - 1, -1):
+                t = blocks[j] + blocks[j + 1]
+                blocks[j] = t - (((t + C) & G) >> W - 1) * p
+        for j, block in enumerate(blocks):
+            vec[j::p] = array(code, block.to_bytes(size, sys.byteorder))
+    raw = vec.tobytes()
+    return N - (len(raw) - len(raw.lstrip(b"\0"))) // width
 
 
 def _field_size(seq: PeriodicSequence) -> int:
@@ -228,10 +229,11 @@ def lc_via_gcd(seq: PeriodicSequence) -> int:
     """Linear complexity by its definition, T - deg gcd(X^T - 1, S(X)), over F_p.
 
     p is the alphabet size, and ValueError is raised unless it is prime.
-    The oracle for the other engines. For p <= 13 (p(p-1) < 256, p = 2
-    included, so lc_binary is checked by separate code) Euclid runs on
-    byte-packed ints (_gcd_packed); larger p go through sympy's pure-Python
-    gf_gcd, whose lists run from the top degree down. The 100 sequences of
+    The oracle for the other engines, and linear_complexity's engine for
+    m-ary periods at p <= 13. For p <= 13 (p(p-1) < 256, p = 2 included,
+    so lc_binary is checked by separate code) Euclid runs on byte-packed
+    ints (_gcd_packed); larger p go through sympy's pure-Python gf_gcd,
+    whose lists run from the top degree down. The 100 sequences of
     verify's oracles suite (p = 2 or 3, T <= 200) take 16-26 ms of gcd time
     on the packed kernel, against 252-509 ms in gf_gcd, over seeds 0-9 on a
     shared 2-core host. gcd(X^T - 1, 0) = X^T - 1, so the zero sequence
@@ -299,7 +301,7 @@ def _mask(bits: Sequence[int]) -> int:
     One int parse of the reversed bits as ASCII digits, through bit plane 0:
     linear in the length, where OR-ing in one bit at a time is quadratic.
     """
-    return int(bytes(bits[::-1]).translate(_BIT_PLANES[0]), 2)
+    return int(bytes(bits[::-1]).translate(_BIT_PLANE0), 2)
 
 
 def linear_complexity(seq: PeriodicSequence) -> tuple[int, str]:
@@ -307,14 +309,18 @@ def linear_complexity(seq: PeriodicSequence) -> tuple[int, str]:
 
     Binary sequences take the bitmask F_2[X] gcd ("bitmask_gcd"); F_p with a
     period that is a power of p takes Games-Chan ("games_chan"); any other
-    period takes Berlekamp-Massey over F_p ("berlekamp_massey"). Raises
-    ValueError when the alphabet size is not prime.
+    period takes the byte-packed Euclid of lc_via_gcd for p <= 13
+    ("packed_gcd") and Berlekamp-Massey over F_p above ("berlekamp_massey"),
+    so no path imports sympy. Raises ValueError when the alphabet size is
+    not prime.
     """
     if seq.alphabet_size == 2:
         return lc_binary(_mask(seq.symbols), seq.period), "bitmask_gcd"
     p, T = _field_size(seq), seq.period
     if factorint(T).keys() <= {p}:  # T is a power of p
         return _lc_games_chan(seq.symbols, p), "games_chan"
+    if _mod_p_table(p) is not None:
+        return lc_via_gcd(seq), "packed_gcd"
     return berlekamp_massey(seq, PrimeField(p)), "berlekamp_massey"
 
 

@@ -85,14 +85,6 @@ def factorint(n: int) -> dict[int, int]:
     return dict(sorted({**factors, **rest}.items()))
 
 
-def divisors(n: int) -> list[int]:
-    """The divisors of n >= 1 in ascending order."""
-    divs = [1]
-    for q, k in factorint(n).items():
-        divs = [d * q**i for d in divs for i in range(k + 1)]
-    return sorted(divs)
-
-
 def n_order(a: int, n: int) -> int:
     """The multiplicative order of a modulo n; ValueError unless n >= 2 and gcd(a, n) = 1.
 

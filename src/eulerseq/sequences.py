@@ -12,7 +12,7 @@ import io
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .ntheory import divisors, primitive_root
+from .ntheory import factorint, primitive_root
 from .quotients import PrimePowerModulus, quotient_map, scatter_cycle
 
 
@@ -67,12 +67,17 @@ class PeriodicSequence:
         return self.period - self.symbols.count(0)
 
     def least_period(self) -> int:
-        """Measured least period (a divisor of the stored period)."""
-        s = self.symbols
-        for d in divisors(self.period)[:-1]:  # d = period always matches
-            if s[d:] == s[:-d]:  # s[i] == s[i + d] for every i
-                return d
-        return self.period
+        """Measured least period, a divisor of the stored period.
+
+        The periods dividing N are the multiples of the least period that
+        divide N, so for each prime q of N the exponent of q drops while
+        d / q is still a period, down to its exponent in the least period.
+        """
+        s, d = self.symbols, self.period
+        for q in factorint(self.period):
+            while d % q == 0 and s[d // q :] == s[: -(d // q)]:  # s[i] == s[i + d/q]
+                d //= q
+        return d
 
     def flip(self, positions: Iterable[int]) -> "PeriodicSequence":
         """Binary only: toggle the given positions of the stored period."""

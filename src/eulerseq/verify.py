@@ -14,6 +14,7 @@ from .complexity import (
     check_theorem_profile,
     kerror_lc_profile,
     lc_via_gcd,
+    lc_via_root_one,
     linear_complexity,
     poly_p_precondition_error,
     theorem_precondition_error,
@@ -83,30 +84,20 @@ def suite_qrs(p: int, r: int, seed: int = 0) -> list[CheckResult]:
     return [(f"q-r-s at (p={p}, r={r})", ok, f"u < {m.sequence_period}, s < {r}")]
 
 
-# Berlekamp-Massey is quadratic in the period: lc-p takes 5.7 s at N = 3^10
-# and 49 s at N = 3^11 on a shared 2-core host, nearly all of it in that engine.
-_BM_PERIOD_CAP = 59_049
-
-
 def suite_lc_p(p: int, r: int, seed: int = 0) -> list[CheckResult]:
     """Linear complexity of the highest-level sequence equals p^r + p - 1.
 
-    Berlekamp-Massey checks it independently up to period _BM_PERIOD_CAP
-    and passes as skipped above it; the second line is linear_complexity's
-    value, labelled with the engine that computed it.
+    Two engines check it at every size: lc_via_root_one, from the root-1
+    multiplicity of S(X), and linear_complexity, whose line is labelled
+    with the engine it picked.
     """
     m = PrimePowerModulus(p, r)
     seq = level_sequence(m, r - 1)
     expected = p**r + p - 1
-    bm_name = f"BM LC at (p={p}, r={r})"
-    if seq.period > _BM_PERIOD_CAP:
-        bm_line = (bm_name, True, f"skipped: N > {_BM_PERIOD_CAP}")
-    else:
-        bm = berlekamp_massey(seq, PrimeField(p))
-        bm_line = (bm_name, bm == expected, f"{bm} vs {expected}")
+    root = lc_via_root_one(seq)
     lc, method = linear_complexity(seq)
     return [
-        bm_line,
+        (f"root_one LC at (p={p}, r={r})", root == expected, f"{root} vs {expected}"),
         (f"{method} LC at (p={p}, r={r})", lc == expected, f"{lc} vs {expected}"),
     ]
 

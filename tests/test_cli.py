@@ -192,8 +192,8 @@ class TestAnalyze:
         assert json.loads(binary)["method"] == "bitmask_gcd"
         assert json.loads(ternary)["method"] == "games_chan"
         assert json.loads(ternary)["lc"] == 11
-        # alphabet 3 at period 7^3, not a power of 3: Berlekamp-Massey
-        assert json.loads(mary)["method"] == "berlekamp_massey"
+        # alphabet 3 at period 7^3, not a power of 3: the packed Euclid
+        assert json.loads(mary)["method"] == "packed_gcd"
         assert json.loads(mary)["lc"] == 42
 
     def test_class_profile_outside_theorem(self, capsys):

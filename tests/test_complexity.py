@@ -22,6 +22,7 @@ from eulerseq.complexity import (
     kerror_lc_profile,
     lc_binary,
     lc_via_gcd,
+    lc_via_root_one,
     linear_complexity,
     poly_p_precondition_error,
     theorem_kerror_lc,
@@ -123,21 +124,23 @@ class TestLinearComplexity:
         assert berlekamp_massey(seq, F3) == 11  # p^r + p - 1
 
     def test_lc_p_suite_at_3_8(self):
-        # N = 3^9 = 19,683: Berlekamp-Massey and Games-Chan both give p^r + p - 1
+        # N = 3^9 = 19,683: the root-1 multiplicity and Games-Chan both give p^r + p - 1
         assert suite_lc_p(3, 8) == [
-            ("BM LC at (p=3, r=8)", True, "6563 vs 6563"),
+            ("root_one LC at (p=3, r=8)", True, "6563 vs 6563"),
             ("games_chan LC at (p=3, r=8)", True, "6563 vs 6563"),
         ]
 
-    def test_lc_p_suite_skips_bm_past_cap(self):
-        # N = 3^11 = 177,147: Berlekamp-Massey would take about 49 s here
+    def test_lc_p_suite_computes_both_lines_at_3_10(self):
+        # N = 3^11 = 177,147: both lines are computed, none is skipped
         assert suite_lc_p(3, 10) == [
-            ("BM LC at (p=3, r=10)", True, "skipped: N > 59049"),
+            ("root_one LC at (p=3, r=10)", True, "59051 vs 59051"),
             ("games_chan LC at (p=3, r=10)", True, "59051 vs 59051"),
         ]
 
     def test_cross_oracle_random(self):
-        # Berlekamp-Massey packs bytes for p <= 13 and loops over lists above
+        # Berlekamp-Massey has a bitmask loop for p = 2 and a list loop for
+        # odd p; linear_complexity takes the packed Euclid for p <= 13 at
+        # periods that are not a power of p, Berlekamp-Massey above
         rng = random.Random(1234)
         for _ in range(200):
             char = rng.choice([2, 3, 5, 7, 11, 13, 17, 19])
@@ -149,17 +152,19 @@ class TestLinearComplexity:
                 method = "bitmask_gcd"
             elif char ** sympy.multiplicity(char, T) == T:
                 method = "games_chan"
+            elif char <= 13:
+                method = "packed_gcd"
             else:
                 method = "berlekamp_massey"
             assert linear_complexity(s) == (lc, method)
 
     @pytest.mark.parametrize("p", [13, 17])
     def test_packing_boundary(self, p):
-        # 13 is the largest prime the byte-packed kernels take (p(p-1) < 256),
-        # 17 the smallest that Berlekamp-Massey's list loop and lc_via_gcd's
-        # sympy gf_gcd take, so both engines cross their switches here. Every
-        # nonzero symbol is p - 1; at p = 13 the random cases drive an
-        # update's or remainder step's byte slot to its largest sum,
+        # 13 is the largest prime the byte-packed Euclid takes (p(p-1) < 256),
+        # 17 the smallest that lc_via_gcd's sympy gf_gcd takes, so only the
+        # Euclid switches paths here; Berlekamp-Massey runs its list loop on
+        # both. Every nonzero symbol is p - 1; at p = 13 the random cases
+        # drive a remainder step's byte slot to its largest sum,
         # p(p - 1) = 156.
         fp = PrimeField(p)
         top = p - 1
@@ -185,7 +190,8 @@ class TestLinearComplexity:
             assert lc_binary(mask, T) == lc_via_gcd(s)
 
 
-_MAX_DIGITS = {2: 7, 3: 4, 5: 3, 7: 2}  # periods up to 128, 81, 125 and 49
+# periods up to 128, 81, 125, 49, 121 and 169
+_MAX_DIGITS = {2: 7, 3: 4, 5: 3, 7: 2, 11: 2, 13: 2}
 
 
 @st.composite
@@ -225,6 +231,7 @@ class TestGcdOracle:
     def test_matches_berlekamp_massey_at_prime_power_periods(self, seq):
         bm = berlekamp_massey(seq, PrimeField(seq.alphabet_size))
         assert lc_via_gcd(seq) == bm
+        assert lc_via_root_one(seq) == bm
         method = "bitmask_gcd" if seq.alphabet_size == 2 else "games_chan"
         assert linear_complexity(seq) == (bm, method)
 
@@ -238,6 +245,13 @@ class TestGcdOracle:
             assert lc_and_oracle(PeriodicSequence(p, T, (1,) * T)) == 1
             # an impulse is coprime to X^T - 1 = (X - 1)^T: full LC
             assert lc_and_oracle(PeriodicSequence(p, T, (1,) + (0,) * (T - 1))) == T
+
+    @pytest.mark.parametrize("p", [131, 257])
+    def test_root_one_matches_games_chan_past_byte_lanes(self, p):
+        # p > 128 takes 16-bit lanes; the r = 1 top-level sequence has period p^2
+        seq = level_sequence(PrimePowerModulus(p, 1), 0)
+        games_chan = complexity._lc_games_chan(seq.symbols, p)
+        assert lc_via_root_one(seq) == games_chan == 2 * p - 1
 
     def test_top_level_sequence_at_3_8(self):
         seq = level_sequence(PrimePowerModulus(3, 8), 7)  # N = 3^9 = 19,683

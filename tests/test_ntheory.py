@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import eulerseq
 from eulerseq import ntheory
-from eulerseq.ntheory import divisors, factorint, isprime, n_order, primitive_root
+from eulerseq.ntheory import factorint, isprime, n_order, primitive_root
 
 # The least strong pseudoprimes to the first 4, 9 and 12 prime bases; the
 # first 13 primes are bases enough below ntheory._MR_BOUND, which is itself
@@ -65,14 +65,6 @@ class TestFactorint:
     def test_refuses_zero(self):
         with pytest.raises(ValueError):
             factorint(0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=1, max_value=10**9))
-@example(1)
-@example(720720)
-def test_divisors_match_sympy(n):
-    assert divisors(n) == sympy.divisors(n)
 
 
 class TestNOrder:
