@@ -8,8 +8,8 @@ goes to the generalised Games-Chan recursion (method "games_chan"); any
 other F_p sequence goes to lc_via_gcd, the gcd formula
 LC = T - deg gcd(X^T - 1, S(X)) on byte-packed ints, for p <= 13 (method
 "packed_gcd"), and past p = 13 to Berlekamp-Massey ("berlekamp_massey").
-lc_via_gcd reads p from the prime alphabet size and takes sympy's
-galoistools past p = 13. It, berlekamp_massey (a bitmask loop over F_2, a
+lc_via_gcd reads p from the prime alphabet size and refuses p > 13 with
+ValueError. It, berlekamp_massey (a bitmask loop over F_2, a
 coefficient-list loop for odd p) and lc_via_root_one (the root-1
 multiplicity of S(X) at periods p^n) are the oracles the engines are
 cross-checked against.
@@ -31,8 +31,7 @@ two proven engines computed it. check_theorem_profile compares a computed
 profile of a binary class sequence with the piecewise-constant profile that
 theorem_kerror_lc predicts when 2 is a primitive root modulo p^2. Orders
 come from ntheory.n_order, and the two factors of 1 + Y + ... + Y^{p-1}
-over F_2 from the quadratic-residue split, by _bgcd. This module imports
-sympy in one place only, inside lc_via_gcd, past p = 13.
+over F_2 from the quadratic-residue split, by _bgcd.
 The root-group lemma checks over F_2 test each divisibility by a quotient
 (X^n - 1)/(X^d - 1) with one _fold, the one F_2[X] remainder routine; the
 G(X) lemma check counts the F_2 factors of 1 + X + ... + X^{p-1} by
@@ -228,25 +227,18 @@ def _gcd_packed(a: int, b: int, p: int, mod_p: bytes) -> int:
 def lc_via_gcd(seq: PeriodicSequence) -> int:
     """Linear complexity by its definition, T - deg gcd(X^T - 1, S(X)), over F_p.
 
-    p is the alphabet size, and ValueError is raised unless it is prime.
-    The oracle for the other engines, and linear_complexity's engine for
-    m-ary periods at p <= 13. For p <= 13 (p(p-1) < 256, p = 2 included,
-    so lc_binary is checked by separate code) Euclid runs on byte-packed
-    ints (_gcd_packed); larger p go through sympy's pure-Python gf_gcd,
-    whose lists run from the top degree down. The 100 sequences of
-    verify's oracles suite (p = 2 or 3, T <= 200) take 16-26 ms of gcd time
-    on the packed kernel, against 252-509 ms in gf_gcd, over seeds 0-9 on a
-    shared 2-core host. gcd(X^T - 1, 0) = X^T - 1, so the zero sequence
-    gives LC 0.
+    p is the alphabet size, and ValueError is raised unless it is a prime
+    p <= 13 (p(p-1) < 256, p = 2 included, so lc_binary is checked by
+    separate code), the primes whose Euclid runs on byte-packed ints
+    (_gcd_packed). The oracle for the other engines, and
+    linear_complexity's engine for m-ary periods at p <= 13; past p = 13
+    Berlekamp-Massey is the engine. gcd(X^T - 1, 0) = X^T - 1, so the zero
+    sequence gives LC 0.
     """
     p, T = _field_size(seq), seq.period
     mod_p = _mod_p_table(p)
     if mod_p is None:
-        from sympy import ZZ
-        from sympy.polys.galoistools import gf_gcd, gf_strip
-
-        xt1 = [1] + [0] * (T - 1) + [p - 1]
-        return T - (len(gf_gcd(xt1, gf_strip(list(seq.symbols[::-1])), p, ZZ)) - 1)
+        raise ValueError(f"lc_via_gcd takes primes p <= 13, got p = {p}")
     s = int.from_bytes(bytes(seq.symbols), "little")
     g = _gcd_packed((1 << 8 * T) | (p - 1), s, p, mod_p)  # a = X^T - 1, b = S(X)
     return T - ((g.bit_length() - 1) >> 3)
@@ -310,9 +302,8 @@ def linear_complexity(seq: PeriodicSequence) -> tuple[int, str]:
     Binary sequences take the bitmask F_2[X] gcd ("bitmask_gcd"); F_p with a
     period that is a power of p takes Games-Chan ("games_chan"); any other
     period takes the byte-packed Euclid of lc_via_gcd for p <= 13
-    ("packed_gcd") and Berlekamp-Massey over F_p above ("berlekamp_massey"),
-    so no path imports sympy. Raises ValueError when the alphabet size is
-    not prime.
+    ("packed_gcd") and Berlekamp-Massey over F_p above ("berlekamp_massey").
+    Raises ValueError when the alphabet size is not prime.
     """
     if seq.alphabet_size == 2:
         return lc_binary(_mask(seq.symbols), seq.period), "bitmask_gcd"

@@ -2,8 +2,7 @@
 
 No polynomial arithmetic lives here: the gcd oracle complexity.lc_via_gcd
 runs its F_p Euclid on byte-packed ints for p <= 13, p = 2 included, and
-through sympy.polys.galoistools for larger p, and the F_2 engines in
-complexity work on bitmasks.
+refuses larger p, and the F_2 engines in complexity work on bitmasks.
 """
 
 from __future__ import annotations

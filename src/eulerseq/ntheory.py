@@ -4,11 +4,11 @@ isprime is the Miller-Rabin test with the first 13 primes as bases, which no
 composite below _MR_BOUND passes (Sorenson and Webster, Strong pseudoprimes
 to twelve prime bases, Math. Comp. 86, 2017). factorint divides by the
 primes below 2^16 and then tests the cofactor: 1, a prime, or a prime's
-square. Past those bounds, isprime at n >= _MR_BOUND and factorint on any
-other cofactor above 2^32, the answer comes from sympy, imported there, so
-every answer is exact and trial division never runs unbounded. So n_order
-modulo p or p^2 and primitive_root modulo p^e, for a prime p, factor
-nothing harder than p - 1.
+square. Past those bounds (isprime at n >= _MR_BOUND with no factor among
+the bases, factorint on any other cofactor above 2^32) both raise
+ValueError, so every answer is exact and trial division never runs
+unbounded. So n_order modulo p or p^2 and primitive_root modulo p^e, for a
+prime p, factor nothing harder than p - 1.
 """
 
 from __future__ import annotations
@@ -23,16 +23,14 @@ _TRIAL_BOUND = 1 << 16
 
 
 def isprime(n: int) -> bool:
-    """Whether n is prime."""
+    """Whether n is prime; ValueError past _MR_BOUND unless n has a factor in _BASES."""
     if n < 2:
         return False
     for q in _BASES:
         if n % q == 0:
             return n == q
     if n >= _MR_BOUND:
-        import sympy
-
-        return bool(sympy.isprime(n))
+        raise ValueError(f"primality is decided only below {_MR_BOUND}, got {n}")
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
     d = (n - 1) >> s
     for a in _BASES:
@@ -60,7 +58,10 @@ def _small_primes() -> tuple[int, ...]:
 
 
 def factorint(n: int) -> dict[int, int]:
-    """The prime factorization of n >= 1 as {prime: exponent}, primes ascending."""
+    """The prime factorization of n >= 1 as {prime: exponent}, primes ascending.
+
+    ValueError for a cofactor past 2^32 that is neither a prime nor a prime's square.
+    """
     if n < 1:
         raise ValueError(f"factorint needs n >= 1, got {n}")
     factors = {}
@@ -79,10 +80,7 @@ def factorint(n: int) -> dict[int, int]:
         return {**factors, root: 2}
     if isprime(n):
         return {**factors, n: 1}
-    import sympy
-
-    rest = {int(q): int(e) for q, e in sympy.factorint(n).items()}
-    return dict(sorted({**factors, **rest}.items()))
+    raise ValueError(f"cannot factor {n}: past 2^32 and neither a prime nor a prime's square")
 
 
 def n_order(a: int, n: int) -> int:

@@ -57,6 +57,13 @@ def _f2_mask(coeffs):
     return int("".join(map(str, coeffs)) or "0", 2)
 
 
+def _lc_gf_gcd(seq):
+    """T - deg gcd(X^T - 1, S(X)) over F_p by sympy's gf_gcd, for any prime p."""
+    p, T = seq.alphabet_size, seq.period
+    xt1 = [1] + [0] * (T - 1) + [p - 1]
+    return T - (len(gf_gcd(xt1, gf_strip(list(seq.symbols[::-1])), p, ZZ)) - 1)
+
+
 @st.composite
 def _packed_operands(draw):
     """(p, a, b) with p <= 13 and up to 300 coefficients each, X^i at index i.
@@ -140,13 +147,14 @@ class TestLinearComplexity:
     def test_cross_oracle_random(self):
         # Berlekamp-Massey has a bitmask loop for p = 2 and a list loop for
         # odd p; linear_complexity takes the packed Euclid for p <= 13 at
-        # periods that are not a power of p, Berlekamp-Massey above
+        # periods that are not a power of p, Berlekamp-Massey above, where
+        # sympy's gf_gcd is the reference
         rng = random.Random(1234)
         for _ in range(200):
             char = rng.choice([2, 3, 5, 7, 11, 13, 17, 19])
             T = rng.randint(1, 120)
             s = PeriodicSequence(char, T, tuple(rng.randrange(char) for _ in range(T)))
-            lc = lc_via_gcd(s)
+            lc = lc_via_gcd(s) if char <= 13 else _lc_gf_gcd(s)
             assert berlekamp_massey(s, PrimeField(char)) == lc
             if char == 2:
                 method = "bitmask_gcd"
@@ -161,12 +169,13 @@ class TestLinearComplexity:
     @pytest.mark.parametrize("p", [13, 17])
     def test_packing_boundary(self, p):
         # 13 is the largest prime the byte-packed Euclid takes (p(p-1) < 256),
-        # 17 the smallest that lc_via_gcd's sympy gf_gcd takes, so only the
-        # Euclid switches paths here; Berlekamp-Massey runs its list loop on
+        # 17 the smallest that lc_via_gcd refuses, so the reference switches
+        # to sympy's gf_gcd here; Berlekamp-Massey runs its list loop on
         # both. Every nonzero symbol is p - 1; at p = 13 the random cases
         # drive a remainder step's byte slot to its largest sum,
         # p(p - 1) = 156.
         fp = PrimeField(p)
+        oracle = lc_via_gcd if p <= 13 else _lc_gf_gcd
         top = p - 1
         rng = random.Random(p)
         cases = [(0,), (top,), (0,) * 9, (top,) * 9, (top,) + (0,) * 8]
@@ -177,7 +186,12 @@ class TestLinearComplexity:
         ]
         for symbols in cases:
             s = PeriodicSequence(p, len(symbols), symbols)
-            assert berlekamp_massey(s, fp) == lc_via_gcd(s), symbols
+            assert berlekamp_massey(s, fp) == oracle(s), symbols
+
+    def test_gcd_oracle_refuses_past_13(self):
+        s = PeriodicSequence(17, 3, (1, 0, 16))
+        with pytest.raises(ValueError, match="p <= 13"):
+            lc_via_gcd(s)
 
     def test_binary_fast_path_matches_reference(self):
         rng = random.Random(99)

@@ -30,15 +30,21 @@ class TestIsprime:
         bound = ntheory._MR_BOUND
         assert bound == 3317044064679887385961981
         below, above = sympy.prevprime(bound), sympy.nextprime(bound)
-        for n in [below, below - 2, bound - 2, bound, bound + 2, above, above + 2]:
+        for n in [below, below - 2, bound - 2]:
             assert isprime(n) == sympy.isprime(n), n
-        assert not isprime(bound) and isprime(below) and isprime(above)
+        assert isprime(below)
+        # past the bound only a factor among the bases decides: bound + 2 is
+        # a multiple of 3 and above + 2 of 5
+        for n in [bound, above]:
+            with pytest.raises(ValueError, match="decided only below"):
+                isprime(n)
+        assert not isprime(bound + 2) and not isprime(above + 2)
 
     def test_small_n(self):
         assert [n for n in range(-3, 200) if isprime(n)] == list(sympy.primerange(200))
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(min_value=0, max_value=10**30))
+    @given(st.integers(min_value=0, max_value=ntheory._MR_BOUND - 1))
     @example(2**61 - 1)
     @example((2**31 - 1) ** 2)
     def test_matches_sympy(self, n):
@@ -52,15 +58,27 @@ class TestFactorint:
     @example(2**32 + 15)  # a prime just past 2^32
     @example(65521**2)  # the largest trial prime, squared
     @example(65537**2)  # a square of a prime past the trial primes
-    @example(65537**3)  # its cube: sympy's case
-    @example(65537 * 65539)  # two primes past them: sympy's case
     def test_matches_sympy(self, n):
-        assert factorint(n) == sympy.factorint(n)
+        expected = sympy.factorint(n)
+        # the part of n free of trial primes must be 1, a prime or a prime's square
+        rough = [e for q, e in expected.items() if q > ntheory._TRIAL_BOUND]
+        if sum(rough) > 1 and rough != [2]:
+            with pytest.raises(ValueError, match="cannot factor"):
+                factorint(n)
+            return
+        assert factorint(n) == expected
         assert list(factorint(n)) == sorted(factorint(n))
 
-    @pytest.mark.parametrize("n", [(2**61 - 1) ** 2, (10**18 + 3) ** 3, 10**18 + 2])
+    @pytest.mark.parametrize("n", [(2**61 - 1) ** 2, 10**18 + 2])
     def test_large_prime_powers(self, n):
         assert factorint(n) == sympy.factorint(n)
+
+    # a prime's cube past the trial primes and two such primes; a large
+    # prime's cube is past _MR_BOUND too, so isprime refuses it first
+    @pytest.mark.parametrize("n", [65537**3, 65537 * 65539, (10**18 + 3) ** 3])
+    def test_refuses_other_cofactors(self, n):
+        with pytest.raises(ValueError, match="cannot factor|decided only below"):
+            factorint(n)
 
     def test_refuses_zero(self):
         with pytest.raises(ValueError):
@@ -98,28 +116,24 @@ class TestPrimitiveRoot:
         assert (primitive_root(40487), primitive_root(40487, 2)) == (5, 10)
 
 
-# Each command runs in a fresh interpreter, which reports whether sympy got
-# imported; the stdlib helpers and the bitmask factor codes keep it out of
-# each command below, the k-error middle tier at p = 7, 17 and 23 included.
+# Each command runs in a fresh interpreter in which any import of sympy
+# fails; the stdlib helpers and the bitmask factor codes serve each command
+# below, the k-error middle tier at p = 7, 17 and 23 included.
 _IMPORT_PROBE = textwrap.dedent("""
-    import contextlib, io, sys
+    import sys
+    sys.modules["sympy"] = None
     from eulerseq import cli
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(sys.argv[1:])
-    print(code, "sympy" in sys.modules)
+    sys.exit(cli.main(sys.argv[1:]))
 """)
 
 
-def _run_probe(argv):
+def _run_probe(argv, cwd=None):
     src = str(Path(eulerseq.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, *argv],
-        capture_output=True, text=True, timeout=120, env=env,
+        capture_output=True, text=True, timeout=120, env=env, cwd=cwd,
     )
-    assert proc.returncode == 0, proc.stderr
-    code, loaded = proc.stdout.split()
-    return int(code), loaded == "True"
 
 
 @pytest.mark.parametrize("argv", [
@@ -134,5 +148,23 @@ def _run_probe(argv):
     "analyze --p 23 --r 2 --kind class --I 0 --k-max 1",
 ])
 def test_commands_run_without_sympy(argv):
-    assert _run_probe(argv.split()) == (0, False)
+    proc = _run_probe(argv.split())
+    assert proc.returncode == 0, proc.stderr
+
+
+# Past the stdlib bounds the helpers refuse with exit 2: a prime past
+# _MR_BOUND, as --p and as a file's alphabet, and p - 1 = 2 * 1048583 *
+# 1048681, whose cofactor past the trial primes is neither a prime nor a
+# prime's square.
+@pytest.mark.parametrize("argv", [
+    "generate --p 3317044064679887385962123 --kind class --I 0",
+    "verify --suite klc --p 2199258138047 --r 2",
+    "analyze --file big.txt",
+])
+def test_refusals_without_sympy(argv, tmp_path):
+    (tmp_path / "big.txt").write_text("seq 3317044064679887385962123 1 p=3 r=1 kind=class\n0\n")
+    proc = _run_probe(argv.split(), cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
 
