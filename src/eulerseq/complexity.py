@@ -4,15 +4,15 @@ linear_complexity is the one entry point for LC, and the one place that
 picks an LC engine, from the alphabet and the period: a binary sequence goes
 to lc_binary (method "bitmask_gcd"), one Euclid loop on F_2[X] bitmasks with
 the remainder step inlined; an F_p sequence whose period is a power of p
-goes to the generalised Games-Chan recursion (method "games_chan"); any
-other F_p sequence goes to lc_via_gcd, the gcd formula
-LC = T - deg gcd(X^T - 1, S(X)) on byte-packed ints, for p <= 13 (method
-"packed_gcd"), and past p = 13 to Berlekamp-Massey ("berlekamp_massey").
-lc_via_gcd reads p from the prime alphabet size and refuses p > 13 with
-ValueError. It, berlekamp_massey (a bitmask loop over F_2, a
-coefficient-list loop for odd p) and lc_via_root_one (the root-1
-multiplicity of S(X) at periods p^n) are the oracles the engines are
-cross-checked against.
+goes to the generalised Games-Chan recursion on packed lanes, one int per
+block (method "games_chan"); any other F_p sequence goes to lc_via_gcd, the
+gcd formula LC = T - deg gcd(X^T - 1, S(X)) on byte-packed ints, for
+p <= 13 (method "packed_gcd"), and past p = 13 to Berlekamp-Massey
+("berlekamp_massey"). lc_via_gcd reads p from the prime alphabet size and
+refuses p > 13 with ValueError. It, berlekamp_massey (a bitmask loop over
+F_2, a coefficient-list loop for odd p) and lc_games_chan_lists (the same
+Games-Chan recursion on Python lists, at periods p^n) are the oracles the
+engines are cross-checked against.
 k-error linear complexity over F_2 has one entry point, kerror_lc_profile.
 For a period p^n with p an odd prime that is not a Wieferich prime it runs
 one pass of a cost-carrying block recursion, _kerror_lc_pn, that returns the
@@ -125,7 +125,7 @@ def _mod_p_table(p: int) -> bytes | None:
 _BIT_PLANE0 = bytes(48 + (v & 1) for v in range(256))
 
 
-def _lc_games_chan(symbols: Sequence[int], p: int) -> int:
+def _lc_games_chan(seq: PeriodicSequence) -> int:
     """Linear complexity over F_p of a sequence whose period N is a power of p.
 
     Generalised Games-Chan (Ding, Xiao, Shan, LNCS 561, 1991), O(pN) steps.
@@ -134,62 +134,61 @@ def _lc_games_chan(symbols: Sequence[int], p: int) -> int:
     S = sum_j B_j(X) (Y - 1)^j. The first nonzero B_j has degree < m, so its
     root-1 multiplicity is below that of Y - 1 = (X - 1)^m, and LC(S) =
     (p - 1 - j) m + LC(B_j) at period m. A zero sequence keeps its zero last
-    block, down to LC 0.
+    block, down to LC 0. The period is one int of W-bit lanes, W = 8 for
+    p <= 128 and 16 for p <= 2^15, in native byte order: lane i holds s_i,
+    or s_{N-1-i} on a big-endian host, a reversed period with the same
+    root-1 multiplicity. A block is a slice of lanes, a sum t of two blocks
+    carries into no other lane, and t - (((t + C) & G) >> (W-1)) p reduces
+    it: G holds bit W-1 of each lane and C holds 2^{W-1} - p, so bit W-1 of
+    t + C is set where t >= p. The caller checks that p is prime and N a
+    power of p.
     """
-    lc = 0
+    p, N = seq.alphabet_size, seq.period
+    if N == 1:  # the only period in memory past p = 2^63, which no lane type holds
+        return int(seq.symbols[0] != 0)
+    code = next(t for t in "BHIQ" if p <= 1 << 8 * array(t).itemsize - 1)
+    W = 8 * array(code).itemsize
+    # array() reads bytes as raw lane bytes, which is right only for 8-bit lanes
+    lanes = array(code, seq.symbols if W == 8 else list(seq.symbols))
+    x, lc = int.from_bytes(lanes, sys.byteorder), 0
+    while N > 1:
+        N //= p
+        block = (1 << W * N) - 1
+        ones = block // ((1 << W) - 1)  # 1 in each lane of a block
+        G, C = ones << W - 1, ones * ((1 << W - 1) - p)
+        blocks = [x >> j * W * N & block for j in range(p)]
+        for i in range(p - 1):  # sum_j A_j Y^j -> sum_j A_j (Y + 1)^j, Horner style
+            for j in range(p - 2, i - 1, -1):
+                t = blocks[j] + blocks[j + 1]
+                blocks[j] = t - (((t + C) & G) >> W - 1) * p
+        j = next((j for j in range(p) if blocks[j]), p - 1)
+        lc += (p - 1 - j) * N
+        x = blocks[j]
+    return lc + (x != 0)
+
+
+def lc_games_chan_lists(seq: PeriodicSequence) -> int:
+    """Linear complexity over F_p at period N = p^n, Games-Chan on Python lists.
+
+    The recursion of _lc_games_chan, with each block a list of symbols and
+    each Horner sum reduced symbol by symbol. A named oracle: verify's lc-p
+    suite checks linear_complexity's lane engine against it at every size.
+    Raises ValueError unless p is prime and N is a power of p.
+    """
+    p, N = _field_size(seq), seq.period
+    if p ** round(math.log(N, p)) != N:
+        raise ValueError(f"period {N} is not a power of the alphabet size {p}")
+    symbols, lc = seq.symbols, 0
     while len(symbols) > 1:
         m = len(symbols) // p
         blocks = [symbols[j * m : (j + 1) * m] for j in range(p)]
-        for i in range(p - 1):  # sum_j A_j Y^j -> sum_j A_j (Y + 1)^j, Horner style
+        for i in range(p - 1):
             for j in range(p - 2, i - 1, -1):
                 blocks[j] = [(x + y) % p for x, y in zip(blocks[j], blocks[j + 1])]
         j = next((j for j in range(p) if any(blocks[j])), p - 1)
         lc += (p - 1 - j) * m
         symbols = blocks[j]
     return lc + (symbols[0] != 0)
-
-
-def lc_via_root_one(seq: PeriodicSequence) -> int:
-    """Linear complexity over F_p at period N = p^n, as N minus the root-1 multiplicity.
-
-    Over F_p, X^N - 1 = (X - 1)^N, so LC = N - v, where v is the least t
-    with c_t != 0 in S(Y + 1) = sum_t c_t Y^t (v = N for the zero sequence).
-    By Lucas' theorem c_t = sum_i s_i C(i, t) factors over the base-p
-    digits: each of n passes Taylor-shifts the top digit's p blocks,
-    sum_j A_j Y^j -> sum_j A_j (Y + 1)^j (Horner), then shuffles them,
-    out[j::p] = block j, to bring the next digit on top. Unlike Games-Chan,
-    which keeps one block per level, it computes every coefficient. A block
-    is one int of W-bit lanes, W = 8 for p <= 128 and 16 for p <= 2^15, so
-    a sum t of two blocks carries into no other lane, and
-    t - (((t + C) & G) >> (W-1)) p reduces it: G holds bit W-1 of each lane
-    and C holds 2^{W-1} - p, so bit W-1 of t + C is set where t >= p.
-    Raises ValueError unless p is prime and N is a power of p.
-    """
-    p, N = _field_size(seq), seq.period
-    n = round(math.log(N, p))
-    if p**n != N:
-        raise ValueError(f"period {N} is not a power of the alphabet size {p}")
-    code = next(t for t in "BHIQ" if p <= 1 << 8 * array(t).itemsize - 1)
-    width = array(code).itemsize
-    W = 8 * width
-    # array() reads bytes as raw lane bytes, which is right only for 1-byte lanes
-    vec = array(code, seq.symbols if width == 1 else list(seq.symbols))
-    m = N // p
-    ones = ((1 << W * m) - 1) // ((1 << W) - 1)  # 1 in each lane of a block
-    G, C = ones << W - 1, ones * ((1 << W - 1) - p)
-    size = width * m
-    for _ in range(n):
-        raw = vec.tobytes()
-        blocks = [int.from_bytes(raw[j * size : (j + 1) * size], sys.byteorder)
-                  for j in range(p)]
-        for i in range(p - 1):
-            for j in range(p - 2, i - 1, -1):
-                t = blocks[j] + blocks[j + 1]
-                blocks[j] = t - (((t + C) & G) >> W - 1) * p
-        for j, block in enumerate(blocks):
-            vec[j::p] = array(code, block.to_bytes(size, sys.byteorder))
-    raw = vec.tobytes()
-    return N - (len(raw) - len(raw.lstrip(b"\0"))) // width
 
 
 def _field_size(seq: PeriodicSequence) -> int:
@@ -300,16 +299,16 @@ def linear_complexity(seq: PeriodicSequence) -> tuple[int, str]:
     """Linear complexity over the sequence's prime alphabet, with its engine.
 
     Binary sequences take the bitmask F_2[X] gcd ("bitmask_gcd"); F_p with a
-    period that is a power of p takes Games-Chan ("games_chan"); any other
-    period takes the byte-packed Euclid of lc_via_gcd for p <= 13
-    ("packed_gcd") and Berlekamp-Massey over F_p above ("berlekamp_massey").
-    Raises ValueError when the alphabet size is not prime.
+    period that is a power of p takes Games-Chan on packed lanes
+    ("games_chan"); any other period takes the byte-packed Euclid of
+    lc_via_gcd for p <= 13 ("packed_gcd") and Berlekamp-Massey over F_p
+    above ("berlekamp_massey"). Raises ValueError when p is not prime.
     """
     if seq.alphabet_size == 2:
         return lc_binary(_mask(seq.symbols), seq.period), "bitmask_gcd"
     p, T = _field_size(seq), seq.period
     if factorint(T).keys() <= {p}:  # T is a power of p
-        return _lc_games_chan(seq.symbols, p), "games_chan"
+        return _lc_games_chan(seq), "games_chan"
     if _mod_p_table(p) is not None:
         return lc_via_gcd(seq), "packed_gcd"
     return berlekamp_massey(seq, PrimeField(p)), "berlekamp_massey"

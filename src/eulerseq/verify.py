@@ -13,8 +13,8 @@ from .complexity import (
     check_root_group_lemmas,
     check_theorem_profile,
     kerror_lc_profile,
+    lc_games_chan_lists,
     lc_via_gcd,
-    lc_via_root_one,
     linear_complexity,
     poly_p_precondition_error,
     theorem_precondition_error,
@@ -87,17 +87,17 @@ def suite_qrs(p: int, r: int, seed: int = 0) -> list[CheckResult]:
 def suite_lc_p(p: int, r: int, seed: int = 0) -> list[CheckResult]:
     """Linear complexity of the highest-level sequence equals p^r + p - 1.
 
-    Two engines check it at every size: lc_via_root_one, from the root-1
-    multiplicity of S(X), and linear_complexity, whose line is labelled
-    with the engine it picked.
+    Two engines check it at every size: lc_games_chan_lists, Games-Chan on
+    Python lists, and linear_complexity, whose line is labelled with the
+    engine it picked (Games-Chan on packed lanes).
     """
     m = PrimePowerModulus(p, r)
     seq = level_sequence(m, r - 1)
     expected = p**r + p - 1
-    root = lc_via_root_one(seq)
+    lists = lc_games_chan_lists(seq)
     lc, method = linear_complexity(seq)
     return [
-        (f"root_one LC at (p={p}, r={r})", root == expected, f"{root} vs {expected}"),
+        (f"games_chan_lists LC at (p={p}, r={r})", lists == expected, f"{lists} vs {expected}"),
         (f"{method} LC at (p={p}, r={r})", lc == expected, f"{lc} vs {expected}"),
     ]
 

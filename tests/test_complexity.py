@@ -21,8 +21,8 @@ from eulerseq.complexity import (
     kerror_lc_bruteforce,
     kerror_lc_profile,
     lc_binary,
+    lc_games_chan_lists,
     lc_via_gcd,
-    lc_via_root_one,
     linear_complexity,
     poly_p_precondition_error,
     theorem_kerror_lc,
@@ -131,16 +131,16 @@ class TestLinearComplexity:
         assert berlekamp_massey(seq, F3) == 11  # p^r + p - 1
 
     def test_lc_p_suite_at_3_8(self):
-        # N = 3^9 = 19,683: the root-1 multiplicity and Games-Chan both give p^r + p - 1
+        # N = 3^9 = 19,683: Games-Chan on lists and on lanes both give p^r + p - 1
         assert suite_lc_p(3, 8) == [
-            ("root_one LC at (p=3, r=8)", True, "6563 vs 6563"),
+            ("games_chan_lists LC at (p=3, r=8)", True, "6563 vs 6563"),
             ("games_chan LC at (p=3, r=8)", True, "6563 vs 6563"),
         ]
 
     def test_lc_p_suite_computes_both_lines_at_3_10(self):
         # N = 3^11 = 177,147: both lines are computed, none is skipped
         assert suite_lc_p(3, 10) == [
-            ("root_one LC at (p=3, r=10)", True, "59051 vs 59051"),
+            ("games_chan_lists LC at (p=3, r=10)", True, "59051 vs 59051"),
             ("games_chan LC at (p=3, r=10)", True, "59051 vs 59051"),
         ]
 
@@ -237,15 +237,16 @@ def lc_and_oracle(seq):
 
 
 class TestGcdOracle:
-    """At p^n periods linear_complexity takes Games-Chan for odd p; the
-    gcd definition and Berlekamp-Massey check it."""
+    """At p^n periods linear_complexity takes Games-Chan on packed lanes for
+    odd p; the gcd definition, Berlekamp-Massey and Games-Chan on lists
+    (lc_games_chan_lists) check it."""
 
     @settings(max_examples=300, deadline=None)
     @given(prime_power_periods())
     def test_matches_berlekamp_massey_at_prime_power_periods(self, seq):
         bm = berlekamp_massey(seq, PrimeField(seq.alphabet_size))
         assert lc_via_gcd(seq) == bm
-        assert lc_via_root_one(seq) == bm
+        assert lc_games_chan_lists(seq) == bm
         method = "bitmask_gcd" if seq.alphabet_size == 2 else "games_chan"
         assert linear_complexity(seq) == (bm, method)
 
@@ -261,11 +262,31 @@ class TestGcdOracle:
             assert lc_and_oracle(PeriodicSequence(p, T, (1,) + (0,) * (T - 1))) == T
 
     @pytest.mark.parametrize("p", [131, 257])
-    def test_root_one_matches_games_chan_past_byte_lanes(self, p):
+    def test_lanes_match_lists_past_byte_lanes(self, p):
         # p > 128 takes 16-bit lanes; the r = 1 top-level sequence has period p^2
         seq = level_sequence(PrimePowerModulus(p, 1), 0)
-        games_chan = complexity._lc_games_chan(seq.symbols, p)
-        assert lc_via_root_one(seq) == games_chan == 2 * p - 1
+        lanes = complexity._lc_games_chan(seq)
+        assert lc_games_chan_lists(seq) == lanes == 2 * p - 1
+
+    @pytest.mark.parametrize("p", [127, 131, 257])
+    def test_lane_width_boundary(self, p):
+        # 127 is the largest prime on 8-bit lanes; 131 takes 16-bit lanes from
+        # bytes storage, 257 from tuple storage. An all-(p - 1) period makes
+        # every lane sum 2p - 2, the most a lane must hold.
+        rng = random.Random(p)
+
+        def periods(N):
+            sparse = [0] * N
+            for u in rng.sample(range(N), 3):
+                sparse[u] = rng.randrange(1, p)
+            dense = [rng.randrange(p) for _ in range(N)]
+            return [PeriodicSequence(p, N, tuple(s)) for s in (dense, sparse, [p - 1] * N)]
+
+        for seq in periods(p):
+            assert complexity._lc_games_chan(seq) == berlekamp_massey(seq, PrimeField(p))
+        if p < 257:
+            for seq in periods(p * p):
+                assert complexity._lc_games_chan(seq) == lc_games_chan_lists(seq)
 
     def test_top_level_sequence_at_3_8(self):
         seq = level_sequence(PrimePowerModulus(3, 8), 7)  # N = 3^9 = 19,683
