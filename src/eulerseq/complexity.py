@@ -4,15 +4,14 @@ linear_complexity is the one entry point for LC, and the one place that
 picks an LC engine, from the alphabet and the period: a binary sequence goes
 to lc_binary (method "bitmask_gcd"), one Euclid loop on F_2[X] bitmasks with
 the remainder step inlined; an F_p sequence whose period is a power of p
-goes to the generalised Games-Chan recursion on packed lanes, one int per
-block (method "games_chan"); any other F_p sequence goes to lc_via_gcd, the
-gcd formula LC = T - deg gcd(X^T - 1, S(X)) on byte-packed ints, for
-p <= 13 (method "packed_gcd"), and past p = 13 to Berlekamp-Massey
-("berlekamp_massey"). lc_via_gcd reads p from the prime alphabet size and
-refuses p > 13 with ValueError. It, berlekamp_massey (a bitmask loop over
-F_2, a coefficient-list loop for odd p) and lc_games_chan_lists (the same
-Games-Chan recursion on Python lists, at periods p^n) are the oracles the
-engines are cross-checked against.
+goes to the generalised Games-Chan recursion (method "games_chan"); any
+other F_p sequence, at every prime p, goes to lc_via_gcd, the gcd formula
+LC = T - deg gcd(X^T - 1, S(X)) (method "packed_gcd"). Both F_p engines
+hold a period as one int of W-bit lanes (_lanes) and reduce every lane mod
+p at once by the same masked subtraction. lc_via_gcd, berlekamp_massey (a
+bitmask loop over F_2, a coefficient-list loop for odd p) and
+lc_games_chan_lists (Games-Chan on Python lists, at periods p^n) are the
+oracles the engines are cross-checked against.
 k-error linear complexity over F_2 has one entry point, kerror_lc_profile.
 For a period p^n with p an odd prime that is not a Wieferich prime it runs
 one pass of a cost-carrying block recursion, _kerror_lc_pn, that returns the
@@ -44,8 +43,6 @@ import functools
 import itertools
 import math
 import operator
-import sys
-from array import array
 from collections.abc import Sequence
 
 from .fieldarith import PrimeField
@@ -68,8 +65,8 @@ def berlekamp_massey(seq: PeriodicSequence, fieldp: PrimeField) -> int:
     window of the reversed sequence, bit i of which holds s_{n-i}, and each
     update is c ^= b << gap. For odd p they are coefficient lists, and each
     discrepancy sums c_i s_{n-i} over i <= L from a slice of the reversed
-    sequence. A named oracle: linear_complexity runs it only for m-ary
-    periods over p > 13, where the packed Euclid of lc_via_gcd cannot go.
+    sequence. A named oracle that no engine path calls: verify's oracles
+    suite and the tests check lc_via_gcd against it.
     """
     if seq.alphabet_size != fieldp.p:
         raise ValueError(
@@ -109,20 +106,27 @@ def berlekamp_massey(seq: PeriodicSequence, fieldp: PrimeField) -> int:
     return L
 
 
-@functools.cache
-def _mod_p_table(p: int) -> bytes | None:
-    """The byte table v -> v mod p of the packed Euclid, None if p(p-1) >= 256.
-
-    A packed polynomial holds coefficient i in byte i. A remainder step adds
-    (p - q) X^s b to a in one big-int multiply-add, so a byte slot sums to
-    at most (p-1) + (p-1)^2 = p(p-1), then reduces every slot through this
-    table. No slot carries into the next while p(p-1) < 256, that is p <= 13.
-    """
-    return bytes(v % p for v in range(256)) if p * (p - 1) < 256 else None
-
-
 # Maps a byte to ASCII "1" when its bit 0 is set, else "0".
 _BIT_PLANE0 = bytes(48 + (v & 1) for v in range(256))
+
+
+def _lane_width(v: int) -> int:
+    """The least lane width W, a multiple of 8, with v < 2^(W-1)."""
+    return -(-(v.bit_length() + 1) // 8) * 8
+
+
+def _lanes(symbols: bytes | tuple[int, ...], W: int) -> int:
+    """The symbols as one int of little-endian W-bit lanes, lane i holding symbols[i].
+
+    Bytes storage is one stride assignment, tuple storage a join of int.to_bytes.
+    """
+    if isinstance(symbols, bytes):
+        lanes = bytearray(len(symbols) * (W // 8))
+        lanes[:: W // 8] = symbols
+    else:
+        lanes = b"".join(map(int.to_bytes, symbols, itertools.repeat(W // 8),
+                             itertools.repeat("little")))
+    return int.from_bytes(lanes, "little")
 
 
 def _lc_games_chan(seq: PeriodicSequence) -> int:
@@ -134,23 +138,16 @@ def _lc_games_chan(seq: PeriodicSequence) -> int:
     S = sum_j B_j(X) (Y - 1)^j. The first nonzero B_j has degree < m, so its
     root-1 multiplicity is below that of Y - 1 = (X - 1)^m, and LC(S) =
     (p - 1 - j) m + LC(B_j) at period m. A zero sequence keeps its zero last
-    block, down to LC 0. The period is one int of W-bit lanes, W = 8 for
-    p <= 128 and 16 for p <= 2^15, in native byte order: lane i holds s_i,
-    or s_{N-1-i} on a big-endian host, a reversed period with the same
-    root-1 multiplicity. A block is a slice of lanes, a sum t of two blocks
-    carries into no other lane, and t - (((t + C) & G) >> (W-1)) p reduces
-    it: G holds bit W-1 of each lane and C holds 2^{W-1} - p, so bit W-1 of
-    t + C is set where t >= p. The caller checks that p is prime and N a
-    power of p.
+    block, down to LC 0. The period is one int of W-bit lanes (_lanes),
+    W = _lane_width(p): 8 up to p = 127, 16 up to 2^15. A block is a slice
+    of lanes, a sum t of two blocks carries into no other lane, and
+    t - (((t + C) & G) >> (W-1)) v, v = p, reduces it: G holds bit W-1 of
+    each lane and C holds 2^{W-1} - v, so bit W-1 of t + C is set where
+    t >= v. The caller checks that p is prime and N a power of p.
     """
     p, N = seq.alphabet_size, seq.period
-    if N == 1:  # the only period in memory past p = 2^63, which no lane type holds
-        return int(seq.symbols[0] != 0)
-    code = next(t for t in "BHIQ" if p <= 1 << 8 * array(t).itemsize - 1)
-    W = 8 * array(code).itemsize
-    # array() reads bytes as raw lane bytes, which is right only for 8-bit lanes
-    lanes = array(code, seq.symbols if W == 8 else list(seq.symbols))
-    x, lc = int.from_bytes(lanes, sys.byteorder), 0
+    W = _lane_width(p)
+    x, lc = _lanes(seq.symbols, W), 0
     while N > 1:
         N //= p
         block = (1 << W * N) - 1
@@ -201,24 +198,30 @@ def _field_size(seq: PeriodicSequence) -> int:
     return p
 
 
-def _gcd_packed(a: int, b: int, p: int, mod_p: bytes) -> int:
-    """gcd of a and b in F_p[X], up to a unit factor, on byte-packed ints.
+def _gcd_packed(a: int, b: int, p: int, W: int, n: int) -> int:
+    """gcd of a and b in F_p[X], up to a unit factor, on W-bit lanes.
 
-    Byte i of a and b holds the coefficient of X^i, each below p, and
-    p(p-1) < 256 (mod_p is _mod_p_table(p)). The degree is
-    (bit_length - 1) >> 3, -1 for 0. Each remainder step cancels a's
-    leading slot with one big-int multiply-add,
-    a + (p - lead_a lead_b^-1) X^{da-db} b, whose slots do not carry, then
-    reduces every slot through mod_p.
+    Lane i of a and b, of at most n lanes, holds the coefficient of X^i,
+    below p; the degree is (bit_length - 1) // W, -1 for 0. Each remainder
+    step cancels a's leading lane with one big-int multiply-add,
+    a + (p - lead_a lead_b^-1) X^{da-db} b, which leaves every lane at most
+    p(p-1) < p 2^K, K = bit_length(p-1). The lane reduction of
+    _lc_games_chan then runs for v = p 2^k, k = K-1 down to 0, each halving
+    the bound, down to lanes below p; it needs p 2^{K-1} < 2^{W-1}.
     """
+    ones = ((1 << W * n) - 1) // ((1 << W) - 1)  # 1 in each of n lanes
+    G = ones << W - 1
+    steps = [(ones * ((1 << W - 1) - v), v)
+             for v in (p << k for k in reversed(range((p - 1).bit_length())))]
     while b:
-        db = (b.bit_length() - 1) >> 3
-        inv = pow(b >> 8 * db, -1, p)
-        da = (a.bit_length() - 1) >> 3
+        db = (b.bit_length() - 1) // W
+        inv = pow(b >> W * db, -1, p)
+        da = (a.bit_length() - 1) // W
         while da >= db:
-            a += (p - (a >> 8 * da) * inv % p) * (b << 8 * (da - db))
-            a = int.from_bytes(a.to_bytes(da + 1, "little").translate(mod_p), "little")
-            da = (a.bit_length() - 1) >> 3
+            a += (p - (a >> W * da) * inv % p) * (b << W * (da - db))
+            for C, v in steps:
+                a -= (((a + C) & G) >> W - 1) * v
+            da = (a.bit_length() - 1) // W
         a, b = b, a
     return a
 
@@ -226,21 +229,18 @@ def _gcd_packed(a: int, b: int, p: int, mod_p: bytes) -> int:
 def lc_via_gcd(seq: PeriodicSequence) -> int:
     """Linear complexity by its definition, T - deg gcd(X^T - 1, S(X)), over F_p.
 
-    p is the alphabet size, and ValueError is raised unless it is a prime
-    p <= 13 (p(p-1) < 256, p = 2 included, so lc_binary is checked by
-    separate code), the primes whose Euclid runs on byte-packed ints
-    (_gcd_packed). The oracle for the other engines, and
-    linear_complexity's engine for m-ary periods at p <= 13; past p = 13
-    Berlekamp-Massey is the engine. gcd(X^T - 1, 0) = X^T - 1, so the zero
-    sequence gives LC 0.
+    p is the alphabet size, and ValueError is raised unless it is prime;
+    p = 2 is taken too, so lc_binary is checked by separate code. The Euclid
+    (_gcd_packed) runs on lanes of W = _lane_width(p 2^{K-1}) bits, K =
+    bit_length(p-1): 8 up to p = 13, 16 up to 251, 24 from 257. The engine for
+    F_p periods that are not a power of p, and the oracle for the others.
+    gcd(X^T - 1, 0) = X^T - 1, so the zero sequence gives LC 0.
     """
     p, T = _field_size(seq), seq.period
-    mod_p = _mod_p_table(p)
-    if mod_p is None:
-        raise ValueError(f"lc_via_gcd takes primes p <= 13, got p = {p}")
-    s = int.from_bytes(bytes(seq.symbols), "little")
-    g = _gcd_packed((1 << 8 * T) | (p - 1), s, p, mod_p)  # a = X^T - 1, b = S(X)
-    return T - ((g.bit_length() - 1) >> 3)
+    W = _lane_width(p << (p - 1).bit_length() - 1)
+    # a = X^T - 1, b = S(X)
+    g = _gcd_packed((1 << W * T) | (p - 1), _lanes(seq.symbols, W), p, W, T + 1)
+    return T - (g.bit_length() - 1) // W
 
 
 # --- bitmask F_2[X] helpers; _fold is the one remainder routine ----------
@@ -300,18 +300,16 @@ def linear_complexity(seq: PeriodicSequence) -> tuple[int, str]:
 
     Binary sequences take the bitmask F_2[X] gcd ("bitmask_gcd"); F_p with a
     period that is a power of p takes Games-Chan on packed lanes
-    ("games_chan"); any other period takes the byte-packed Euclid of
-    lc_via_gcd for p <= 13 ("packed_gcd") and Berlekamp-Massey over F_p
-    above ("berlekamp_massey"). Raises ValueError when p is not prime.
+    ("games_chan"); any other period, at every prime p, takes the packed
+    Euclid of lc_via_gcd ("packed_gcd"). Raises ValueError when p is not
+    prime.
     """
     if seq.alphabet_size == 2:
         return lc_binary(_mask(seq.symbols), seq.period), "bitmask_gcd"
     p, T = _field_size(seq), seq.period
     if factorint(T).keys() <= {p}:  # T is a power of p
         return _lc_games_chan(seq), "games_chan"
-    if _mod_p_table(p) is not None:
-        return lc_via_gcd(seq), "packed_gcd"
-    return berlekamp_massey(seq, PrimeField(p)), "berlekamp_massey"
+    return lc_via_gcd(seq), "packed_gcd"
 
 
 # --- k-error linear complexity -------------------------------------------

@@ -1,8 +1,8 @@
 """The prime field F_p, its primality checked by ntheory.isprime.
 
-No polynomial arithmetic lives here: the gcd oracle complexity.lc_via_gcd
-runs its F_p Euclid on byte-packed ints for p <= 13, p = 2 included, and
-refuses larger p, and the F_2 engines in complexity work on bitmasks.
+No polynomial arithmetic lives here: complexity.lc_via_gcd runs its F_p
+Euclid on packed lanes for every prime p, p = 2 included, and the F_2
+engines in complexity work on bitmasks.
 """
 
 from __future__ import annotations

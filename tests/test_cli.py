@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -8,12 +9,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ
+from sympy.polys.galoistools import gf_gcd, gf_strip
 
 from eulerseq import complexity, sequences, verify
 from eulerseq.cli import main
 from eulerseq.complexity import kerror_lc_bruteforce
 from eulerseq.quotients import PrimePowerModulus
-from eulerseq.sequences import binary_class_sequence, read_sequence
+from eulerseq.sequences import PeriodicSequence, binary_class_sequence, read_sequence
 
 
 def run(capsys, *argv):
@@ -384,6 +387,29 @@ class TestAnalyze:
         code, stdout, _ = run(capsys, "analyze", "--file", str(f))
         assert code == 0
         assert "linear complexity: 0" in stdout
+
+    def test_f17_file_takes_the_packed_euclid(self, tmp_path, capsys):
+        # period 30 is not a power of 17: the packed Euclid on 16-bit lanes,
+        # checked against sympy's gf_gcd, LC = 30 - deg gcd(X^30 - 1, S(X))
+        rng = random.Random(17)
+        symbols = [rng.randrange(17) for _ in range(30)]
+        f = tmp_path / "f17.txt"
+        with f.open("w") as fh:
+            sequences.write_sequence(fh, PeriodicSequence(17, 30, symbols), 3, 1, "mary")
+        code, stdout, _ = run(capsys, "analyze", "--file", str(f), "--format", "json")
+        gcd = gf_gcd([1] + [0] * 29 + [16], gf_strip(symbols[::-1]), 17, ZZ)
+        assert code == 0
+        assert json.loads(stdout)["method"] == "packed_gcd"
+        assert json.loads(stdout)["lc"] == 30 - (len(gcd) - 1)
+
+    def test_period_1_file_past_every_array_type(self, tmp_path, capsys):
+        # alphabet 2^64 + 13, a prime whose symbols fit no array type
+        f = tmp_path / "big.txt"
+        f.write_text("seq 18446744073709551629 1 p=3 r=1 kind=mary\n18446744073709551628\n")
+        code, stdout, _ = run(capsys, "analyze", "--file", str(f), "--format", "json")
+        assert code == 0
+        assert stdout == ('{"sequence": {"p": 3, "r": 1, "kind": "mary"}, "lc": 1, '
+                          '"method": "games_chan", "kerror": []}\n')
 
     @pytest.mark.parametrize("text,message", [
         ("", "empty file"),

@@ -66,12 +66,15 @@ def _lc_gf_gcd(seq):
 
 @st.composite
 def _packed_operands(draw):
-    """(p, a, b) with p <= 13 and up to 300 coefficients each, X^i at index i.
+    """(p, a, b) with up to 300 coefficients each, X^i at index i.
+
+    p covers the lane widths of the packed Euclid: 8 bits up to 13, 16 at
+    17 and 24 at 257.
 
     Half the draws multiply a and b by a common factor, so that their gcd
     is not a unit.
     """
-    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 257]))
 
     def coeffs(most):
         size = draw(st.integers(0, most))
@@ -85,9 +88,14 @@ def _packed_operands(draw):
     return p, a, b
 
 
-def _pack(coeffs):
-    """Coefficients, X^i at index i, as a byte-packed int, X^i in byte i."""
-    return int.from_bytes(bytes(coeffs), "little")
+def _pack(coeffs, W):
+    """Coefficients, X^i at index i, as an int of W-bit lanes, X^i in lane i."""
+    return sum(c << W * i for i, c in enumerate(coeffs))
+
+
+def _euclid_width(p):
+    """The lane width of lc_via_gcd's Euclid over F_p."""
+    return complexity._lane_width(p << (p - 1).bit_length() - 1)
 
 
 def bits(*symbols):
@@ -146,36 +154,34 @@ class TestLinearComplexity:
 
     def test_cross_oracle_random(self):
         # Berlekamp-Massey has a bitmask loop for p = 2 and a list loop for
-        # odd p; linear_complexity takes the packed Euclid for p <= 13 at
-        # periods that are not a power of p, Berlekamp-Massey above, where
-        # sympy's gf_gcd is the reference
+        # odd p; linear_complexity takes the packed Euclid at every odd p at
+        # periods that are not a power of p, and from p = 17, on 16-bit
+        # lanes, sympy's gf_gcd checks it too
         rng = random.Random(1234)
         for _ in range(200):
             char = rng.choice([2, 3, 5, 7, 11, 13, 17, 19])
             T = rng.randint(1, 120)
             s = PeriodicSequence(char, T, tuple(rng.randrange(char) for _ in range(T)))
-            lc = lc_via_gcd(s) if char <= 13 else _lc_gf_gcd(s)
+            lc = lc_via_gcd(s)
+            if char >= 17:
+                assert lc == _lc_gf_gcd(s)
             assert berlekamp_massey(s, PrimeField(char)) == lc
             if char == 2:
                 method = "bitmask_gcd"
             elif char ** sympy.multiplicity(char, T) == T:
                 method = "games_chan"
-            elif char <= 13:
-                method = "packed_gcd"
             else:
-                method = "berlekamp_massey"
+                method = "packed_gcd"
             assert linear_complexity(s) == (lc, method)
 
-    @pytest.mark.parametrize("p", [13, 17])
+    @pytest.mark.parametrize("p", [13, 17, 251, 257])
     def test_packing_boundary(self, p):
-        # 13 is the largest prime the byte-packed Euclid takes (p(p-1) < 256),
-        # 17 the smallest that lc_via_gcd refuses, so the reference switches
-        # to sympy's gf_gcd here; Berlekamp-Massey runs its list loop on
-        # both. Every nonzero symbol is p - 1; at p = 13 the random cases
-        # drive a remainder step's byte slot to its largest sum,
-        # p(p - 1) = 156.
+        # the lane boundaries of the packed Euclid: 13 is the largest prime on
+        # 8-bit lanes, 17 the smallest on 16-bit lanes, 251 the largest on
+        # them and 257 the smallest on 24-bit lanes. Every nonzero symbol is
+        # p - 1, which drives a remainder step's lane to its largest sum,
+        # p(p - 1); sympy's gf_gcd and Berlekamp-Massey check the Euclid.
         fp = PrimeField(p)
-        oracle = lc_via_gcd if p <= 13 else _lc_gf_gcd
         top = p - 1
         rng = random.Random(p)
         cases = [(0,), (top,), (0,) * 9, (top,) * 9, (top,) + (0,) * 8]
@@ -186,12 +192,7 @@ class TestLinearComplexity:
         ]
         for symbols in cases:
             s = PeriodicSequence(p, len(symbols), symbols)
-            assert berlekamp_massey(s, fp) == oracle(s), symbols
-
-    def test_gcd_oracle_refuses_past_13(self):
-        s = PeriodicSequence(17, 3, (1, 0, 16))
-        with pytest.raises(ValueError, match="p <= 13"):
-            lc_via_gcd(s)
+            assert lc_via_gcd(s) == _lc_gf_gcd(s) == berlekamp_massey(s, fp), symbols
 
     def test_binary_fast_path_matches_reference(self):
         rng = random.Random(99)
@@ -238,8 +239,9 @@ def lc_and_oracle(seq):
 
 class TestGcdOracle:
     """At p^n periods linear_complexity takes Games-Chan on packed lanes for
-    odd p; the gcd definition, Berlekamp-Massey and Games-Chan on lists
-    (lc_games_chan_lists) check it."""
+    odd p; the gcd definition (the packed Euclid, on the same lane format),
+    Berlekamp-Massey and Games-Chan on lists (lc_games_chan_lists) check
+    it."""
 
     @settings(max_examples=300, deadline=None)
     @given(prime_power_periods())
@@ -287,6 +289,17 @@ class TestGcdOracle:
         if p < 257:
             for seq in periods(p * p):
                 assert complexity._lc_games_chan(seq) == lc_games_chan_lists(seq)
+
+    def test_alphabet_past_every_array_type(self):
+        # 2^64 + 13 is a prime below the Miller-Rabin bound whose symbols fit
+        # no array type: period 1 takes Games-Chan, periods 2 and 6 the
+        # packed Euclid, each on lanes wider than 64 bits
+        p = 2**64 + 13
+        rng = random.Random(p)
+        for T, method in ((1, "games_chan"), (2, "packed_gcd"), (6, "packed_gcd")):
+            for symbols in ([p - 1] * T, [rng.randrange(p) for _ in range(T)]):
+                s = PeriodicSequence(p, T, symbols)
+                assert linear_complexity(s) == (berlekamp_massey(s, PrimeField(p)), method)
 
     def test_top_level_sequence_at_3_8(self):
         seq = level_sequence(PrimePowerModulus(3, 8), 7)  # N = 3^9 = 19,683
@@ -707,8 +720,9 @@ class TestLemmas:
         fa, fb = _f2_poly(a), _f2_poly(b)
         assert complexity._bgcd(a, b) == _f2_mask(gf_gcd(fa, fb, 2, ZZ))
 
-    # operands as coefficient lists, X^i at index i; every coefficient 12 at
-    # p = 13 drives a remainder step's byte slot to its largest sum, 156
+    # operands as coefficient lists, X^i at index i; every coefficient p - 1
+    # drives a remainder step's lane to its largest sum, p(p - 1): 156 at
+    # p = 13, the top of 8-bit lanes, and 65,792 at p = 257 on 24-bit lanes
     @settings(deadline=None)
     @given(_packed_operands())
     @example((2, [], []))
@@ -717,10 +731,12 @@ class TestLemmas:
     @example((11, [4, 0, 7, 1], [4, 0, 7, 1]))
     @example((5, [4] + [0] * 11 + [1], [4, 0, 0, 0, 1]))  # X^4 - 1 | X^12 - 1
     @example((13, [12] * 300, [12] * 120))
+    @example((257, [256] * 300, [256] * 120))
     def test_packed_euclid_matches_sympy(self, operands):
         p, a, b = operands
-        g = complexity._gcd_packed(_pack(a), _pack(b), p, complexity._mod_p_table(p))
-        g = list(g.to_bytes((g.bit_length() + 7) // 8, "little"))[::-1]
+        W = _euclid_width(p)
+        g = complexity._gcd_packed(_pack(a, W), _pack(b, W), p, W, max(len(a), len(b)))
+        g = [g >> W * i & (1 << W) - 1 for i in range(-(-g.bit_length() // W))][::-1]
         monic = [c * pow(g[0], -1, p) % p for c in g] if g else []
         assert monic == gf_gcd(gf_strip(a[::-1]), gf_strip(b[::-1]), p, ZZ)
 
