@@ -2,11 +2,15 @@
 verification suites, and list class partitions.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse errors.
+
+`main` may be called any number of times in one process. The argument parser
+is built on the first call and reused by every later one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -38,7 +42,17 @@ def _add_sequence_args(parser: argparse.ArgumentParser, required: bool) -> None:
     parser.add_argument("--order", type=int, help="character order for kind=mary")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every `main` call.
+
+    Sharing is safe because parse_args keeps no state on the parser: each call
+    returns a new Namespace, and help and usage text read COLUMNS and the
+    terminal when they are printed, not here. What the build does read is
+    frozen for the process: the kind names of _KINDS, the suite names of
+    verify.SUITES (a wrapper patched onto a suite keeps its key) and the
+    --budget default complexity.DEFAULT_PATTERN_BUDGET, all module constants.
+    """
     parser = argparse.ArgumentParser(
         prog="eulerseq",
         description="Euler quotient level sequences: generation and complexity analysis",

@@ -139,11 +139,12 @@ def _lc_games_chan(seq: PeriodicSequence) -> int:
     root-1 multiplicity is below that of Y - 1 = (X - 1)^m, and LC(S) =
     (p - 1 - j) m + LC(B_j) at period m. A zero sequence keeps its zero last
     block, down to LC 0. The period is one int of W-bit lanes (_lanes),
-    W = _lane_width(p): 8 up to p = 127, 16 up to 2^15. A block is a slice
-    of lanes, a sum t of two blocks carries into no other lane, and
-    t - (((t + C) & G) >> (W-1)) v, v = p, reduces it: G holds bit W-1 of
-    each lane and C holds 2^{W-1} - v, so bit W-1 of t + C is set where
-    t >= v. The caller checks that p is prime and N a power of p.
+    W = _lane_width(p): 8 up to p = 127, 16 up to 2^15, 24 up to 2^23 and
+    wider past that, 72 at p = 2^64 + 13, which the tests reach at period 1.
+    A block is a slice of lanes, a sum t of two blocks carries into no other
+    lane, and t - (((t + C) & G) >> (W-1)) v, v = p, reduces it: G holds bit
+    W-1 of each lane and C holds 2^{W-1} - v, so bit W-1 of t + C is set
+    where t >= v. The caller checks that p is prime and N a power of p.
     """
     p, N = seq.alphabet_size, seq.period
     W = _lane_width(p)

@@ -1,7 +1,11 @@
+import argparse
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 from sympy import ZZ
 from sympy.polys.galoistools import gf_gcd, gf_strip
 
+import eulerseq
 from eulerseq import complexity, sequences, verify
 from eulerseq.cli import main
 from eulerseq.complexity import kerror_lc_bruteforce
@@ -784,3 +789,77 @@ class TestPartition:
             union |= set(c)
         assert union == set(range(27))
         assert 2 in doc["classes"][2]
+
+
+def run_or_exit(capsys, argv):
+    """cli.main's (exit code, stdout, stderr), a SystemExit's code included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run_fresh(argv, columns):
+    """(exit code, stdout, stderr) of `python -m eulerseq.cli` in a new process."""
+    src = str(Path(eulerseq.__file__).parents[1])
+    env = dict(
+        os.environ, COLUMNS=columns, PYTHONIOENCODING="utf-8",
+        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "eulerseq.cli", *argv],
+        capture_output=True, encoding="utf-8", timeout=120, env=env,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestRepeatedCalls:
+    """cli.main builds its argument parser once per process and reuses it."""
+
+    def test_parser_built_once(self, tmp_path, monkeypatch, capsys):
+        argvs = [
+            ["generate", "--p", "3", "--r", "2", "--kind", "class", "--I", "0",
+             "--out", str(tmp_path / "c.txt")],
+            ["analyze", "--p", "3", "--r", "2", "--kind", "level", "--j", "1"],
+            ["verify", "--suite", "hh-period"],
+            ["partition", "--p", "3", "--r", "1"],
+        ]
+        first = [run(capsys, *argv) for argv in argvs]  # the first call builds the parser
+
+        def rebuild(*args, **kwargs):
+            raise AssertionError("cli.main rebuilt its argument parser")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", rebuild)
+        for argv, before in zip(argvs, first):
+            assert before[0] == 0, before
+            assert run(capsys, *argv) == before
+
+    def test_calls_carry_no_state(self, monkeypatch, capsys):
+        # each argv would show what an earlier one left behind: k-error
+        # entries or level indices of the first analyze, the error state of
+        # a usage error, or the help width of the other COLUMNS
+        class_args = ["analyze", "--p", "3", "--r", "2", "--kind", "class"]
+        cases = [
+            ("80", [*class_args, "--I", "0", "1", "--k-max", "3", "--format", "json"]),
+            ("80", [*class_args, "--I", "2", "--format", "json"]),
+            ("80", ["analyze", "--bogus"]),
+            ("80", ["verify", "--suite", "oracles"]),
+            ("80", ["partition", "--p", "3", "--r", "2", "--summary"]),
+            ("60", ["--help"]),
+            ("150", ["--help"]),
+        ]
+        results = []
+        for columns, argv in cases:
+            monkeypatch.setenv("COLUMNS", columns)
+            result = run_or_exit(capsys, argv)
+            assert result == run_fresh(argv, columns), argv
+            results.append(result)
+        first, second, bogus, oracles, _, narrow, wide = results
+        assert len(json.loads(first[1])["kerror"]) == 4
+        doc = json.loads(second[1])
+        assert doc["kerror"] == [] and doc["sequence"]["I"] == [2]
+        assert bogus[0] == 2
+        assert oracles[0] == 0 and "seed=0" in oracles[1]
+        assert narrow[0] == wide[0] == 0 and narrow[1] != wide[1]
