@@ -43,12 +43,13 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Sequence
+from array import array
+from collections.abc import Iterator, Sequence
 
 from .fieldarith import PrimeField
 from .ntheory import factorint, isprime, n_order
 from .quotients import PrimePowerModulus
-from .sequences import PeriodicSequence, class_partition, validate_index_set
+from .sequences import PeriodicSequence, top_digits, validate_index_set
 
 
 DEFAULT_PATTERN_BUDGET = 2 * 10**5
@@ -627,6 +628,31 @@ def check_theorem_profile(
 
 # --- lemma-level divisibility checks over F_2 -----------------------------
 
+def _class_masks(digits: list[int], p: int) -> Iterator[int]:
+    """The F_2[X] bitmask of each class D_l, l in [0, p), bit u set where digits[u] == l.
+
+    The digits are split into planes, one byte string per byte of an array
+    item wide enough for p, each reversed so that int(..., 2) puts position
+    u at bit u: one plane for p < 256. D_l's mask ANDs over the planes the
+    positions whose byte matches l's byte there, each plane turned into
+    ASCII 0/1 by one translate. The digit list is released once the planes
+    are taken.
+    """
+    kind = next(t for t in "BHILQ" if array(t).itemsize * 8 >= p.bit_length())
+    size = array(kind).itemsize
+    raw = array(kind, digits).tobytes()
+    del digits
+    planes = [raw[i::size][::-1] for i in range(size)]
+    del raw
+    for l in range(p):
+        mask = -1
+        for plane, byte in zip(planes, array(kind, [l]).tobytes()):
+            hit = bytearray(b"0" * 256)
+            hit[byte] = ord("1")
+            mask &= int(plane.translate(hit), 2)
+        yield mask
+
+
 def check_root_group_lemmas(m: PrimePowerModulus) -> bool:
     """Divisibility form of the class-polynomial root statements, r >= 2.
 
@@ -635,26 +661,23 @@ def check_root_group_lemmas(m: PrimePowerModulus) -> bool:
     (b) D_l(X) == 1 modulo (X^p-1)/(X-1);
     (c) D_l(1) = 0, i.e. |D_l| is even.
 
-    Each D_l(X) is built by marking the class's positions in one bytearray
-    of length p^{r+1}. A divisor c(X) of X^n - 1 divides A(X) exactly when
-    X^n - 1 divides A(X) (X^n - 1)/c(X), so (a) is tested as
-    (X^{p^r}-1) | D_l(X)(X^p-1) and (b) as (X^p-1) | (D_l(X)-1)(X-1), each
-    with one _fold.
+    Each D_l(X) is built from the top digits of one period, with the
+    multiples of p marked p (sequences.top_digits), by one translate per
+    class (_class_masks); |D_l| is its mask's bit count. A divisor c(X) of
+    X^n - 1 divides A(X) exactly when X^n - 1 divides A(X) (X^n - 1)/c(X),
+    so (a) is tested as (X^{p^r}-1) | D_l(X)(X^p-1) and (b) as
+    (X^p-1) | (D_l(X)-1)(X-1), each with one _fold.
     """
     if m.r < 2:
         raise ValueError(f"root-group lemmas need r >= 2, got r={m.r}")
     p, pr = m.p, m.modulus
-    for d_class in class_partition(m).classes:
-        marks = bytearray(m.sequence_period)
-        for u in d_class:
-            marks[u] = 1
-        d_mask = _mask(marks)
+    for d_mask in _class_masks(top_digits(m, on_multiples=p), p):
         if _fold(d_mask ^ (d_mask << p), pr) != 0:
             return False
         off_one = d_mask ^ 1  # D_l(X) - 1
         if _fold(off_one ^ (off_one << 1), p) != 0:
             return False
-        if len(d_class) % 2 != 0:
+        if d_mask.bit_count() % 2 != 0:
             return False
     return True
 

@@ -41,7 +41,7 @@ class PrimePowerModulus:
         if self.r < 1:
             raise ValueError(f"r must be >= 1, got {self.r}")
 
-    # cached: the q-r-s suite's per-residue oracle reads both at every u
+    # cached: euler_quotient, the per-residue definition, reads both per call
     @cached_property
     def modulus(self) -> int:
         return self.p**self.r

@@ -102,7 +102,7 @@ class ClassPartition:
     classes: list[list[int]]
 
 
-def _top_digits(m: PrimePowerModulus, on_multiples: int = 0) -> list[int]:
+def top_digits(m: PrimePowerModulus, on_multiples: int = 0) -> list[int]:
     """H_{r-1}(u) for every u in [0, p^{r+1}), on_multiples where p divides u."""
     base = m.p ** (m.r - 1)
     return quotient_map(m, lambda qs: map(base.__rfloordiv__, qs), on_multiples)
@@ -110,7 +110,7 @@ def _top_digits(m: PrimePowerModulus, on_multiples: int = 0) -> list[int]:
 
 def class_partition(m: PrimePowerModulus) -> ClassPartition:
     """D_0..D_{p-1} modulo p^{r+1}, each an ascending list, from one pass over u."""
-    digits = _top_digits(m, on_multiples=m.p)  # first: it sizes the period's list
+    digits = top_digits(m, on_multiples=m.p)  # first: it sizes the period's list
     classes: list[list[int]] = [[] for _ in range(m.p + 1)]  # the last one is P
     for u, h in enumerate(digits):
         classes[h].append(u)
@@ -139,7 +139,7 @@ def level_sequence(m: PrimePowerModulus, j: int) -> PeriodicSequence:
     return PeriodicSequence(
         alphabet_size=m.p,
         period=sub.sequence_period,
-        symbols=_top_digits(sub),
+        symbols=top_digits(sub),
     )
 
 

@@ -6,6 +6,8 @@ verify command is a thin wrapper over these.
 from __future__ import annotations
 
 import random
+from itertools import repeat
+from operator import countOf, floordiv, mod, mul, ne, sub
 
 from .complexity import (
     berlekamp_massey,
@@ -20,28 +22,53 @@ from .complexity import (
     theorem_precondition_error,
 )
 from .fieldarith import PrimeField
-from .quotients import PrimePowerModulus, euler_quotient, quotient_table
+from .quotients import PrimePowerModulus, quotient_table
 from .sequences import PeriodicSequence, binary_class_sequence, level_sequence
 
 CheckResult = tuple[str, bool, str]
 
 
+def _lookup(
+    symbols: bytes | bytearray | list[int], table: list[int]
+) -> bytes | bytearray | list[int]:
+    """table[x] at every symbol x: one map over a list, else one translate."""
+    if isinstance(symbols, list):
+        return list(map(table.__getitem__, symbols))
+    return symbols.translate(bytes(table).ljust(256, b"\xff"))
+
+
 def suite_theorem_hh(p: int, r: int, seed: int = 0) -> list[CheckResult]:
-    """Shift law H(v + k p^r) == H(v) - k v^{p-2} mod p, exhaustively."""
+    """Shift law H(v + k p^r) == H(v) - k v^{p-2} mod p, exhaustively.
+
+    H is the top digit of quotient_table's Q_r, taken once (bytes for
+    p < 256, else a list), and the table is dropped once it is read.
+    v^{p-2} is the inverse of c = v mod p, so with G(u) = c H(u) mod p,
+    u = v + k p^r, the law reads G(v + k p^r) == G(v) - k mod p, one
+    rotation for every unit. G takes one lookup per residue class c and
+    each shift k one lookup of G's first p^r entries: O(p) calls, each
+    over a whole slice. The multiples of p hold p in G, which every
+    rotation keeps, so only units can differ; with digits in [0, p) each
+    differing entry is one (v, k) pair that breaks the law.
+    """
     m = PrimePowerModulus(p, r)
-    table = quotient_table(m)
-    base = p ** (r - 1)
     pr = m.modulus
+    digits = quotient_table(m)  # Q_1 is its own top digit
+    if r > 1:
+        digits = map(floordiv, digits, repeat(p ** (r - 1)))
+    hs = bytes(digits) if p < 256 else list(digits)
+    del digits  # the table
+    residues = list(range(p)) * p  # x mod p at x < p^2: tables by slicing
+    g = bytearray([p]) * len(hs) if p < 256 else [p] * len(hs)
+    for c in range(1, p):
+        g[c::p] = _lookup(hs[c::p], residues[: p * c : c])  # x -> c x mod p
+    del hs
+    head = g[:pr]
     failures = 0
-    for v in range(pr):
-        if v % p == 0:
-            continue
-        hv = table[v] // base
-        step = pow(v, p - 2, p)
-        for k in range(p):
-            lhs = table[v + k * pr] // base
-            if lhs != (hv - k * step) % p:
-                failures += 1
+    for k in range(1, p):
+        expected = _lookup(head, residues[p - k : 2 * p - k] + [p])  # x -> x - k mod p
+        got = g[k * pr : (k + 1) * pr]
+        if got != expected:
+            failures += sum(map(ne, got, expected))
     return [
         (
             f"shift law at (p={p}, r={r})",
@@ -65,23 +92,53 @@ def suite_hh_period(p: int, r: int, seed: int = 0) -> list[CheckResult]:
     ]
 
 
-def suite_qrs(p: int, r: int, seed: int = 0) -> list[CheckResult]:
-    """Congruence Q_r == Q_s mod p^s for all u in one period, all 0 < s < r.
+# Units per chunk of the q-r-s powering chain: its lists stay near 1 MB
+# at every size, so the table sets the suite's peak memory.
+_QRS_CHUNK = 1 << 14
 
-    Q_r comes from quotient_table and each Q_s from its definition,
-    euler_quotient, so the check covers the table at every u.
+
+def _qrs_holds(table: list[int], p: int, r: int) -> bool:
+    """Every t_s, 0 < s <= r, against table, at every u; see suite_qrs."""
+    if any(table[::p]) or min(table) < 0 or max(table) >= p**r:
+        return False
+    n, big = len(table), p ** (2 * r)
+    span = p * _QRS_CHUNK
+    for c in range(1, p):
+        for start in range(c, n, span):
+            units = range(start, min(start + span, n), p)
+            qs = table[start : start + span : p]
+            t = list(map(pow, units, repeat(p - 1), repeat(big)))  # T_1
+            ps = 1
+            for s in range(1, r + 1):
+                if s > 1:
+                    t = list(map(pow, t, repeat(p), repeat(big)))  # T_s = T_{s-1}^p
+                ps *= p
+                # t_s = 1 + p^s (Q_r mod p^s), as (T_s - p^s Q_r) mod p^{2s} == 1
+                held = map(mod, map(sub, t, map(mul, qs, repeat(ps))), repeat(ps * ps))
+                if countOf(held, 1) != len(qs):
+                    return False
+    return True
+
+
+def suite_qrs(p: int, r: int, seed: int = 0) -> list[CheckResult]:
+    """Congruence Q_r == Q_s mod p^s for all u in one period, all 0 < s <= r.
+
+    Q_r comes from quotient_table and each Q_s from its definition, so the
+    check covers the table at every u, its top digit by s = r. The
+    definition runs as one powering chain per unit u: phi(p^{s+1}) =
+    p phi(p^s), so T_1 = u^{p-1} and T_{s+1} = T_s^p, all mod p^{2r}, give
+    t_s = T_s mod p^{2s} = u^{phi(p^s)} mod p^{2s}, and by Euler's theorem
+    t_s = 1 + p^s Q_s(u). Each t_s is compared with 1 + p^s (Q_r(u) mod p^s).
+    The units run per residue class c mod p, over range(c, N, p) against
+    table[c::p], in chunks of _QRS_CHUNK units, each step one map over the
+    chunk. The multiples of p must hold 0, and every entry must lie in
+    [0, p^r), so that s = r pins each entry to its definition.
     """
     m = PrimePowerModulus(p, r)
     if r < 2:
         return [(f"q-r-s at (p={p}, r={r})", True, "vacuous for r < 2")]
-    table = quotient_table(m)
-    lowers = [PrimePowerModulus(p, s) for s in range(1, r)]
-    ok = all(
-        q % lower.modulus == euler_quotient(lower, u)
-        for lower in lowers
-        for u, q in enumerate(table)
-    )
-    return [(f"q-r-s at (p={p}, r={r})", ok, f"u < {m.sequence_period}, s < {r}")]
+    ok = _qrs_holds(quotient_table(m), p, r)
+    return [(f"q-r-s at (p={p}, r={r})", ok, f"u < {m.sequence_period}, s <= {r}")]
 
 
 def suite_lc_p(p: int, r: int, seed: int = 0) -> list[CheckResult]:

@@ -31,10 +31,8 @@ from eulerseq.complexity import (
 from eulerseq.fieldarith import PrimeField
 from eulerseq.quotients import PrimePowerModulus
 from eulerseq.sequences import (
-    ClassPartition,
     PeriodicSequence,
     binary_class_sequence,
-    class_partition,
     level_sequence,
 )
 from eulerseq.verify import suite_lc_p
@@ -675,15 +673,43 @@ class TestLemmas:
     # (b) and (c) but breaks (a); (1 + X)(1 + X^3 + X^6), with
     # 1 + X^3 + X^6 = (X^9-1)/(X^3-1), keeps (a) and (c) but breaks (b);
     # (X^9-1)/(X-1) keeps (a) and (b) but makes |D_0| = 13 odd, breaking (c).
+    # D_0's mask is the first the engine takes, and only it is perturbed;
+    # the flips may put multiples of p into D_0.
     @pytest.mark.parametrize(
         "flips", [{5}, {1, 4}, {0, 3, 6, 1, 4, 7}, set(range(9))]
     )
     def test_root_group_lemmas_detect_flips(self, flips, monkeypatch):
         m = PrimePowerModulus(3, 2)
-        part = class_partition(m)
-        flipped = sorted(set(part.classes[0]) ^ flips)
-        perturbed = ClassPartition(m, [flipped] + part.classes[1:])
-        monkeypatch.setattr(complexity, "class_partition", lambda _: perturbed)
+        real = complexity._class_masks
+
+        def flipped(digits, p):
+            masks = real(digits, p)
+            yield next(masks) ^ sum(1 << u for u in flips)
+            yield from masks
+
+        monkeypatch.setattr(complexity, "_class_masks", flipped)
+        assert not check_root_group_lemmas(m)
+
+    # p = 257 splits each digit over two byte planes; p itself marks a multiple
+    @pytest.mark.parametrize("p", [3, 5, 257])
+    def test_class_masks_mark_each_digit(self, p):
+        rng = random.Random(p)
+        digits = [rng.randrange(p + 1) for _ in range(700)]
+        masks = list(complexity._class_masks(list(digits), p))
+        assert masks == [
+            sum(1 << u for u, d in enumerate(digits) if d == l) for l in range(p)
+        ]
+
+    def test_root_group_lemmas_read_the_top_digits(self, monkeypatch):
+        m = PrimePowerModulus(3, 2)
+        real = complexity.top_digits
+
+        def off_at_one(m, on_multiples):  # u = 1 leaves D_0 for P: |D_0| turns odd
+            digits = real(m, on_multiples)
+            digits[1] = on_multiples
+            return digits
+
+        monkeypatch.setattr(complexity, "top_digits", off_at_one)
         assert not check_root_group_lemmas(m)
 
     @given(st.integers(1, 80), st.integers(0, 2**400))

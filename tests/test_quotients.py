@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eulerseq import verify
 from eulerseq.quotients import (
     PrimePowerModulus,
     euler_quotient,
@@ -10,7 +13,7 @@ from eulerseq.quotients import (
     quotient_table,
 )
 from eulerseq.sequences import level_sequence
-from eulerseq.verify import suite_qrs
+from eulerseq.verify import suite_qrs, suite_theorem_hh
 
 
 class TestPrimePowerModulus:
@@ -224,13 +227,73 @@ class TestFermatQuotientOrder:
 
 
 class TestCongruenceQrs:
-    # verify's q-r-s suite compares quotient_table's Q_r with euler_quotient's
-    # Q_s at every u in one period and every 0 < s < r
+    # verify's q-r-s suite compares quotient_table's Q_r with each Q_s from
+    # its definition at every u in one period and every 0 < s <= r
     def test_examples(self):
-        assert suite_qrs(3, 2) == [("q-r-s at (p=3, r=2)", True, "u < 27, s < 2")]
-        assert suite_qrs(5, 3) == [("q-r-s at (p=5, r=3)", True, "u < 625, s < 3")]
+        assert suite_qrs(3, 2) == [("q-r-s at (p=3, r=2)", True, "u < 27, s <= 2")]
+        assert suite_qrs(5, 3) == [("q-r-s at (p=5, r=3)", True, "u < 625, s <= 3")]
         assert suite_qrs(3, 1) == [("q-r-s at (p=3, r=1)", True, "vacuous for r < 2")]
 
     @pytest.mark.parametrize("p,r", [(3, 3), (3, 4), (5, 3)])
     def test_exhaustive(self, p, r):
         assert all(passed for _, passed, _ in suite_qrs(p, r))
+
+    # digit j of one unit's Q_r moved by 1: s = j + 1 sees it first, and the
+    # top digit j = r - 1 only s = r; a multiple of p holding nonzero fails too
+    @pytest.mark.parametrize("p,r", [(3, 4), (5, 3)])
+    def test_corrupted_digit_fails(self, p, r, monkeypatch):
+        real = verify.quotient_table
+        n = p ** (r + 1)
+        for u in (1, n - 1, p ** r + 2, 0, p):
+            for j in range(r):
+                def corrupted(m, u=u, j=j):
+                    table = real(m)
+                    digit = table[u] // p**j % p
+                    table[u] += ((digit + 1) % p - digit) * p**j
+                    return table
+
+                monkeypatch.setattr(verify, "quotient_table", corrupted)
+                [(_, passed, _)] = suite_qrs(p, r)
+                assert not passed, (u, j)
+
+    # Q_r + p^r agrees with Q_r mod p^s at every s <= r, but is no quotient
+    @pytest.mark.parametrize("shift", [3**4, -(3**4)])
+    def test_entry_out_of_range_fails(self, shift, monkeypatch):
+        real = verify.quotient_table
+
+        def shifted(m):
+            table = real(m)
+            table[2] += shift
+            return table
+
+        monkeypatch.setattr(verify, "quotient_table", shifted)
+        assert suite_qrs(3, 4) == [("q-r-s at (p=3, r=4)", False, "u < 243, s <= 4")]
+
+
+def _shift_law_violations(table, p, r):
+    """(v, k) pairs, p not dividing v, where H(v + k p^r) != H(v) - k v^{p-2} mod p."""
+    base, pr = p ** (r - 1), p**r
+    return sum(
+        table[v + k * pr] // base != (table[v] // base - k * pow(v, p - 2, p)) % p
+        for v in range(pr)
+        if v % p
+        for k in range(p)
+    )
+
+
+class TestShiftLawSuite:
+    # theorem-hh counts each violated (v, k) pair once, as the per-pair loop
+    # above does, whichever single entry of the table takes a wrong value in
+    # [0, p^r)
+    @pytest.mark.parametrize("p,r,trials", [(3, 3, 40), (5, 2, 40), (7, 2, 40), (257, 1, 4)])
+    def test_violations_match_reference(self, p, r, trials, monkeypatch):
+        rng = random.Random(f"{p},{r}")
+        real = quotient_table(PrimePowerModulus(p, r))
+        for _ in range(trials):
+            table = list(real)
+            table[rng.randrange(len(table))] = rng.randrange(p**r)
+            monkeypatch.setattr(verify, "quotient_table", lambda m, table=table: list(table))
+            [(_, passed, detail)] = suite_theorem_hh(p, r)
+            expected = _shift_law_violations(table, p, r)
+            assert passed == (expected == 0)
+            assert detail == (f"{expected} violations" if expected else "all units checked")
