@@ -628,21 +628,22 @@ def check_theorem_profile(
 
 # --- lemma-level divisibility checks over F_2 -----------------------------
 
-def _class_masks(digits: list[int], p: int) -> Iterator[int]:
+def _class_masks(digits: bytearray | list[int], p: int) -> Iterator[int]:
     """The F_2[X] bitmask of each class D_l, l in [0, p), bit u set where digits[u] == l.
 
     The digits are split into planes, one byte string per byte of an array
     item wide enough for p, each reversed so that int(..., 2) puts position
-    u at bit u: one plane for p < 256. D_l's mask ANDs over the planes the
-    positions whose byte matches l's byte there, each plane turned into
-    ASCII 0/1 by one translate. The digit list is released once the planes
-    are taken.
+    u at bit u. For p < 256 the digits come as top_digits' bytearray, which
+    is the one plane itself; a list (p > 255) goes through an array. D_l's
+    mask ANDs over the planes the positions whose byte matches l's byte
+    there, each plane turned into ASCII 0/1 by one translate. The digits
+    are released once the planes are taken.
     """
     kind = next(t for t in "BHILQ" if array(t).itemsize * 8 >= p.bit_length())
     size = array(kind).itemsize
-    raw = array(kind, digits).tobytes()
+    raw = digits if size == 1 else array(kind, digits).tobytes()
     del digits
-    planes = [raw[i::size][::-1] for i in range(size)]
+    planes = [raw[len(raw) - size + i :: -size] for i in range(size)]  # raw[i::size][::-1]
     del raw
     for l in range(p):
         mask = -1

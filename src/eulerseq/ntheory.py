@@ -107,6 +107,7 @@ def n_order(a: int, n: int) -> int:
     return order
 
 
+@functools.cache  # the sequence builders ask once per period
 def primitive_root(p: int, e: int = 1) -> int:
     """The smallest primitive root modulo p^e, for an odd prime p and e >= 1.
 

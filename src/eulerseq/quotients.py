@@ -17,6 +17,13 @@ through the caller's map as it goes, and scatter_cycle writes it along the
 walk: one multiplication and two list stores per pair of units u and
 p^{r+1} - u, which share their quotient. quotient_table is quotient_map
 with no map, Q_r itself.
+
+The walk is the named oracle. The sequence kinds other than the m-ary one
+are built by sequences._quotient_blocks, from p^{ceil((r+1)/2)} modular
+powers and a shift law of Q_r; quotient_map serves the m-ary kind, whose
+symbol ind_g(Q_r) the law does not make additive, and quotient_table the
+theorem-hh and q-r-s checks, so that those check the law's builder against
+an independent construction.
 """
 
 from __future__ import annotations
@@ -105,7 +112,9 @@ def quotient_map(
     primitive root modulo every power of the odd prime p. The cycle's
     quotients are made lazily and pass through f as they go, so only f's
     values for one cycle are held; scatter_cycle writes them along the walk
-    x = g^k mod p^{r+1}.
+    x = g^k mod p^{r+1}. N/2 Python steps and a list of N pointers: the
+    independent path that mary_sequence builds on and that quotient_table
+    gives the theorem-hh and q-r-s checks.
     """
     out = [on_multiples] * m.sequence_period
     p, pr = m.p, m.modulus

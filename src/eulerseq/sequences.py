@@ -4,16 +4,24 @@ Covers the F_p-valued level sequences, the residue-class partition
 D_0, ..., D_{p-1} | P modulo p^{r+1}, the binary class sequences (plain and
 balance-adjusted), the binary threshold sequence, the m-ary character
 sequence, and the binary sequences from order-i Fermat quotients.
+
+Every kind but the m-ary one builds its period with _quotient_blocks: one
+modular power per unit below p^{ceil((r+1)/2)}, by the definition, and one
+rotated slice of a symbol table per such unit, written along its residue
+class (the law and its proof are in that docstring). The m-ary symbol
+ind_g(Q_r) is not additive along those slices, so mary_sequence keeps
+quotients.quotient_map's walk over the powers of a primitive root.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import IO, Iterable
+from itertools import repeat
+from typing import IO, Callable, Iterable, Sequence
 
 from .ntheory import factorint, primitive_root
-from .quotients import PrimePowerModulus, quotient_map, scatter_cycle
+from .quotients import PrimePowerModulus, quotient_map
 
 
 # _ALPHABET[:q] is the bytes 0..q-1, the symbols of an alphabet of size q
@@ -102,15 +110,120 @@ class ClassPartition:
     classes: list[list[int]]
 
 
-def top_digits(m: PrimePowerModulus, on_multiples: int = 0) -> list[int]:
-    """H_{r-1}(u) for every u in [0, p^{r+1}), on_multiples where p divides u."""
-    base = m.p ** (m.r - 1)
-    return quotient_map(m, lambda qs: map(base.__rfloordiv__, qs), on_multiples)
+def _period_buffer(period: int, fill: int, wide: bool) -> bytearray | list[int]:
+    """One period of fill: a list when wide (symbols past 255), else a bytearray.
+
+    _quotient_blocks calls this before it makes any table, so a period past
+    what memory holds fails at once (MemoryError, or OverflowError past the
+    index range), before a table of p entries is built.
+    """
+    return [fill] * period if wide else bytearray([fill]) * period
+
+
+def _quotient_blocks(
+    p: int,
+    m: int,
+    fermat: bool,
+    fill: int,
+    wide: bool,
+    tables: Callable[[int], tuple[list[Sequence[int]], int]],
+) -> bytearray | list[int]:
+    """One period, p^{m+1}, of a symbol of the quotient q(u); fill where p | u.
+
+    q is the Euler quotient Q_m(u) = (u^phi(p^m) - 1)/p^m mod p^m, or with
+    fermat the order-m Fermat quotient, (u^{p-1} mod p^{m+1} - 1)/p, whose
+    digit m-1 is digit m of u^{p-1}. Both have m base-p digits and depend on
+    u mod p^{m+1} = N only.
+
+    The law. Take s = ceil((m+1)/2), so 2s >= m + 1, B = p^s and
+    P = p^{m+1-s}, so that N = B P and P divides B. Let v be a unit below B
+    and u = v + j B. Then
+        q(u) = q(v) + p^{s-1} ((p-1) j v^a mod P)  (mod p^m),
+    with a = -1 for Q_m and a = p - 2 for the Fermat quotient.
+    Proof for Q_m, with phi = phi(p^m): u = v (1 + p^s t) mod p^{2m} with
+    t = j v^{-1}. In (1 + p^s t)^phi the term of degree k >= 2 has valuation
+    at least v_p(C(phi, k)) + k s >= m - 1 - v_p(k) + k s >= 2m, since
+    v_p(C(phi, k)) >= v_p(phi) - v_p(k), 2s >= m + 1, and v_p(k) <= k - 2
+    for k >= 3. So (1 + p^s t)^phi = 1 + phi p^s t mod p^{2m}, and with
+    v^phi = 1 + p^m q(v),
+        u^phi = 1 + p^m q(v) + (p-1) p^{m+s-1} t  (mod p^{2m}),
+    the cross term p^{2m+s-1} (p-1) q(v) t vanishing; dividing by p^m gives
+    the law. For the Fermat quotient, (1 + p^s t)^{p-1} = 1 + (p-1) p^s t
+    mod p^{2s}, so u^{p-1} = v^{p-1} + (p-1) p^s j v^{p-2} mod p^{m+1}, and
+    dividing by p gives the law.
+
+    The blocks. Split q = L + p^{s-1} H with L < p^{s-1} and the head
+    H < P. By the law, L(v + jB) = L(v), and on block j the head is
+        H(v + jB) = H(v) + j c_v mod P,  c_v = (p-1) v^a mod P,
+    where c_v is a unit mod P. Let D map a head to its symbol and
+    R_c[j] = D[j c mod P]. With t = H(v) c_v^{-1} mod P,
+    D[H(v) + j c_v] = R_c[t + j], so the slice out[v::B], the symbols at
+    v, v + B, ..., is R_{c_v} rotated by t. The symbol is the same at u and
+    N - u (q(-1) = 0, as p - 1 is even), and N - (v + jB) =
+    (B - v) + (P-1-j) B, so out[B-v::B] is out[v::B] reversed.
+
+    The walk. c_v depends on v mod P. The units v below B with c_v = c are
+    w + iP, i < B/P, where (p-1) w^a = c mod P. Along c = g^k, g a primitive
+    root modulo p^2, w steps by g^{1/a} (1/a mod phi(P)), and
+    R_{cg} = (R_c * g)[::g]: one slice per step, on tables kept doubled so
+    that each rotation is one slice. -c = c g^{phi(P)/2} holds the mirrors
+    B - v, so the walk takes k < phi(P)/2. Each unit it meets costs one
+    pow, by the definition, and two slice writes of P symbols.
+
+    tables(P) returns the symbol tables over the heads [0, P) and low_cut:
+    a unit v whose low digits L(v) are below low_cut takes the second table,
+    every other unit the first. Only the threshold kind has two; its low
+    digits move its cut by at most one step of H. The period is allocated
+    first, through _period_buffer.
+    """
+    n = m + 1
+    out = _period_buffer(p**n, fill, wide)
+    s = (n + 1) // 2
+    B, P = p**s, p ** (n - s)
+    if fermat:
+        e, k, a = p - 1, 1, p - 2
+    else:
+        e, k, a = p ** (m - 1) * (p - 1), m, -1
+    mod, div = p ** (k + m), p ** (k + s - 1)  # x = u^e mod p^{k+m}, H = x // div
+    symbol_tables, low_cut = tables(P)
+    cut = 1 + p**k * low_cut  # x mod div = 1 + p^k L
+    rows = [row + row for row in symbol_tables]  # R_c at c = 1, doubled
+    phi = P // p * (p - 1)  # phi(P)
+    g = primitive_root(p, 2)
+    a_inv = pow(a, -1, phi)
+    w_step, g_inv = pow(g, a_inv, P), pow(g, -1, P)
+    w, c_inv = pow(pow(p - 1, -1, P), a_inv, P), 1  # c_w = 1
+    for _ in range(phi // 2):  # the other half are the mirrors B - v
+        units = range(w, B, P)
+        for v, x in zip(units, map(pow, units, repeat(e), repeat(mod))):
+            t = x // div * c_inv % P
+            run = rows[x % div < cut][t : t + P]
+            out[v::B] = run
+            out[B - v :: B] = run[::-1]
+        rows = [(row * g)[::g] for row in rows]
+        w, c_inv = w * w_step % P, c_inv * g_inv % P
+    return out
+
+
+def top_digits(m: PrimePowerModulus, on_multiples: int = 0) -> bytearray | list[int]:
+    """H_{r-1}(u) for every u in [0, p^{r+1}), on_multiples where p divides u.
+
+    A bytearray for p < 256, else a list; both take assignment by index.
+    """
+    p = m.p
+    wide = p > 255
+
+    def tables(P):  # H_{r-1} is the head's top digit
+        top = P // p
+        digits = map(top.__rfloordiv__, range(P))
+        return [list(digits) if wide else bytes(digits)], 0
+
+    return _quotient_blocks(p, m.r, False, on_multiples, wide, tables)
 
 
 def class_partition(m: PrimePowerModulus) -> ClassPartition:
     """D_0..D_{p-1} modulo p^{r+1}, each an ascending list, from one pass over u."""
-    digits = top_digits(m, on_multiples=m.p)  # first: it sizes the period's list
+    digits = top_digits(m, on_multiples=m.p)  # first: it sizes the period's buffer
     classes: list[list[int]] = [[] for _ in range(m.p + 1)]  # the last one is P
     for u, h in enumerate(digits):
         classes[h].append(u)
@@ -148,14 +261,19 @@ def _class_indicator(
 ) -> PeriodicSequence:
     """1 on the classes D_l with l in I, on_multiples on P, 0 elsewhere."""
     members = validate_index_set(m.p, levels)
-    base = m.p ** (m.r - 1)
-
-    def indicator(qs):  # called once the period's list is allocated
-        hit = [1 if l in members else 0 for l in range(m.p)]
-        return map(hit.__getitem__, map(base.__rfloordiv__, qs))
-
-    symbols = quotient_map(m, indicator, on_multiples)
+    symbols = _quotient_blocks(m.p, m.r, False, on_multiples, False, _indicator(m.p, members))
     return PeriodicSequence(2, m.sequence_period, symbols)
+
+
+def _indicator(p: int, members: frozenset[int]):
+    """_quotient_blocks tables: 1 where the head's top digit lies in members."""
+
+    def tables(P):  # called once the period is allocated
+        top = P // p
+        hit = bytes(map(members.__contains__, range(p)))
+        return [bytes(map(hit.__getitem__, map(top.__rfloordiv__, range(P))))], 0
+
+    return tables
 
 
 def binary_class_sequence(m: PrimePowerModulus, levels: Iterable[int]) -> PeriodicSequence:
@@ -177,7 +295,12 @@ def threshold_sequence(m: PrimePowerModulus) -> PeriodicSequence:
     of length p^{r+1} (always a period, without any least-period claim).
     """
     half = (m.modulus + 1) // 2
-    symbols = quotient_map(m, lambda qs: map(half.__rfloordiv__, qs))
+
+    def tables(P):  # H > head gives 1 and H < head 0; at H = head, L >= low
+        head, low = divmod(half, m.modulus // P)
+        return [bytes(h >= head for h in range(P)), bytes(h > head for h in range(P))], low
+
+    symbols = _quotient_blocks(m.p, m.r, False, 0, False, tables)
     return PeriodicSequence(2, m.sequence_period, symbols)
 
 
@@ -211,25 +334,16 @@ def order_i_binary_sequence(p: int, i: int, levels: Iterable[int]) -> PeriodicSe
 
     f(u) = 1 iff gcd(u, p) = 1 and the order-i quotient value, the i-th
     base-p digit of u^{p-1} mod p^{i+1}, lies in the level set. For i = 1
-    this is the r = 1 binary class sequence. u^{p-1} is multiplicative in u,
-    so walking x = g^k for a primitive root g gives x^{p-1} = (g^{p-1})^k,
-    and g^{p-1} has order p^i modulo p^{i+1}: the symbols along the walk
-    repeat with period p^i in k, and scatter_cycle writes that cycle.
+    this is the r = 1 binary class sequence. That digit is the top digit of
+    the order-i Fermat quotient (u^{p-1} mod p^{i+1} - 1)/p, which
+    _quotient_blocks builds by its Fermat-quotient law.
     """
     members = validate_index_set(p, levels)
     if i < 1:
         raise ValueError(f"order i must be >= 1, got {i}")
-    top = PrimePowerModulus(p, i).modulus  # p must be an odd prime
-    period = p * top
-    symbols = [0] * period  # sized first, so a period past memory fails at once
-    g = primitive_root(p, 2)
-    step = pow(g, p - 1, period)
-    cycle = [0] * top
-    t = 1
-    for k in range(top):
-        cycle[k] = 1 if t // top in members else 0
-        t = t * step % period
-    return PeriodicSequence(2, period, scatter_cycle(symbols, g, cycle))
+    period = PrimePowerModulus(p, i).sequence_period  # p must be an odd prime
+    symbols = _quotient_blocks(p, i, True, 0, False, _indicator(p, members))
+    return PeriodicSequence(2, period, symbols)
 
 
 # --- sequence file format -------------------------------------------------

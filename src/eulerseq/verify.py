@@ -41,7 +41,10 @@ def suite_theorem_hh(p: int, r: int, seed: int = 0) -> list[CheckResult]:
     """Shift law H(v + k p^r) == H(v) - k v^{p-2} mod p, exhaustively.
 
     H is the top digit of quotient_table's Q_r, taken once (bytes for
-    p < 256, else a list), and the table is dropped once it is read.
+    p < 256, else a list), and the table is dropped once it is read. The
+    table comes from the walk over the powers of a primitive root, not from
+    sequences._quotient_blocks, which builds every top-digit sequence from
+    this law generalised; so the check is independent of that builder.
     v^{p-2} is the inverse of c = v mod p, so with G(u) = c H(u) mod p,
     u = v + k p^r, the law reads G(v + k p^r) == G(v) - k mod p, one
     rotation for every unit. G takes one lookup per residue class c and
@@ -123,12 +126,13 @@ def _qrs_holds(table: list[int], p: int, r: int) -> bool:
 def suite_qrs(p: int, r: int, seed: int = 0) -> list[CheckResult]:
     """Congruence Q_r == Q_s mod p^s for all u in one period, all 0 < s <= r.
 
-    Q_r comes from quotient_table and each Q_s from its definition, so the
-    check covers the table at every u, its top digit by s = r. The
-    definition runs as one powering chain per unit u: phi(p^{s+1}) =
-    p phi(p^s), so T_1 = u^{p-1} and T_{s+1} = T_s^p, all mod p^{2r}, give
-    t_s = T_s mod p^{2s} = u^{phi(p^s)} mod p^{2s}, and by Euler's theorem
-    t_s = 1 + p^s Q_s(u). Each t_s is compared with 1 + p^s (Q_r(u) mod p^s).
+    Q_r comes from quotient_table (the walk) and each Q_s from its
+    definition, so the check covers the table at every u, its top digit by
+    s = r. The definition runs as one powering chain per unit u:
+    phi(p^{s+1}) = p phi(p^s), so T_1 = u^{p-1} and T_{s+1} = T_s^p, all
+    mod p^{2r}, give t_s = T_s mod p^{2s} = u^{phi(p^s)} mod p^{2s}, and by
+    Euler's theorem t_s = 1 + p^s Q_s(u). Each t_s is compared with
+    1 + p^s (Q_r(u) mod p^s).
     The units run per residue class c mod p, over range(c, N, p) against
     table[c::p], in chunks of _QRS_CHUNK units, each step one map over the
     chunk. The multiples of p must hold 0, and every entry must lie in

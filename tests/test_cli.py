@@ -594,15 +594,15 @@ class TestExitCodeContract:
         assert "Traceback" not in stderr
 
     def test_out_of_memory_exits_2(self, monkeypatch, capsys):
-        # quotient_map sizes the period's list before anything else; there
-        # (1000003, 2) would ask for 8e18 bytes, and the stub raises instead
+        # the builder sizes the period's buffer before anything else; there
+        # (1000003, 2) would ask for 1e18 bytes, and the stub raises instead
         sized = []
 
-        def out_of_memory(m, f=None, on_multiples=0):
-            sized.append(m.sequence_period)
+        def out_of_memory(period, fill, wide):
+            sized.append(period)
             raise MemoryError
 
-        monkeypatch.setattr(sequences, "quotient_map", out_of_memory)
+        monkeypatch.setattr(sequences, "_period_buffer", out_of_memory)
         code, stdout, stderr = run(
             capsys, "generate", "--p", "1000003", "--r", "2", "--kind", "threshold"
         )
@@ -617,15 +617,15 @@ class TestExitCodeContract:
     ])
     def test_no_per_class_table_before_the_period(self, argv, monkeypatch, capsys):
         # a table with one entry per class, p of them, made before the
-        # period's list is sized would take 8 MB here, and at p = 10^18 + 3
-        # it fills memory before quotient_map can refuse the period
+        # period's buffer is sized would take 8 MB here, and at p = 10^18 + 3
+        # it fills memory before the builder can refuse the period
         traced = []
 
-        def out_of_memory(m, f=None, on_multiples=0):
+        def out_of_memory(period, fill, wide):
             traced.append(tracemalloc.get_traced_memory()[0])
             raise MemoryError
 
-        monkeypatch.setattr(sequences, "quotient_map", out_of_memory)
+        monkeypatch.setattr(sequences, "_period_buffer", out_of_memory)
         tracemalloc.start()
         try:
             code, stdout, stderr = run(capsys, *argv.split())

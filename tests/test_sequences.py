@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 
 from eulerseq import sequences
 from eulerseq.complexity import theorem_precondition_error
+from eulerseq.ntheory import primitive_root
 from eulerseq.quotients import (
     PrimePowerModulus,
     euler_quotient,
     fermat_quotient_order,
     new_quotient_h,
+    quotient_map,
+    scatter_cycle,
 )
 from eulerseq.sequences import (
     PeriodicSequence,
@@ -292,7 +295,7 @@ class TestOrderIBinarySequence:
                 assert a.symbols == b.symbols
 
     def test_walk_matches_fermat_quotient_order(self):
-        # the primitive-root walk against the per-u definition, every symbol
+        # the built period against the per-u definition, every symbol
         cases = [(3, 1, {0}), (3, 4, {1}), (3, 5, {2}), (5, 3, {0, 3}),
                  (7, 2, {1, 4, 6}), (11, 2, {10}), (13, 1, {0, 5})]
         for p, i, levels in cases:
@@ -308,7 +311,8 @@ class TestOrderIBinarySequence:
 
 
 class TestAgainstDefinitions:
-    """Each kind built by quotient_map against euler_quotient, at every u."""
+    """Each kind built by sequences._quotient_blocks against euler_quotient
+    and fermat_quotient_order, at every u."""
 
     @pytest.mark.parametrize("p,r", [(3, 1), (3, 4), (5, 3), (7, 2), (13, 2)])
     def test_every_symbol(self, p, r):
@@ -318,6 +322,10 @@ class TestAgainstDefinitions:
         unit = [u % p != 0 for u in range(n)]
         levels = {0, p - 1}
         assert tuple(level_sequence(m, r - 1).symbols) == tuple(x // p ** (r - 1) for x in q)
+        for j in range(r - 1):  # a lower level: digit j, period p^{j+2}
+            assert tuple(level_sequence(m, j).symbols) == tuple(
+                x // p**j % p for x in q[: p ** (j + 2)]
+            )
         assert tuple(threshold_sequence(m).symbols) == tuple(int(2 * x >= pr) for x in q)
         assert tuple(binary_class_sequence(m, levels).symbols) == tuple(
             int(e and x // p ** (r - 1) in levels) for x, e in zip(q, unit)
@@ -325,6 +333,69 @@ class TestAgainstDefinitions:
         assert tuple(balanced_class_sequence(m, levels).symbols) == tuple(
             int(not e or x // p ** (r - 1) in levels) for x, e in zip(q, unit)
         )
+        assert tuple(order_i_binary_sequence(p, r, levels).symbols) == tuple(
+            int(e and fermat_quotient_order(p, r, u) in levels) for u, e in enumerate(unit)
+        )
+
+
+def _walk(m, symbol, on_multiples=0):
+    """symbol(Q_r(u)) at every u of a period, by quotient_map's walk."""
+    return quotient_map(m, lambda qs: map(symbol, qs), on_multiples)
+
+
+def _fermat_walk(p, i, levels):
+    """The order-i binary sequence along the walk x = g^k, by scatter_cycle.
+
+    x^{p-1} = (g^{p-1})^k, and g^{p-1} has order p^i modulo p^{i+1}, so the
+    symbols repeat with period p^i in k.
+    """
+    top, period = p**i, p ** (i + 1)
+    g = primitive_root(p, 2)
+    step = pow(g, p - 1, period)
+    cycle = [int(pow(step, k, period) // top in levels) for k in range(top)]
+    return scatter_cycle([0] * period, g, cycle)
+
+
+# every (p, r) with p <= 13 and p^{r+1} <= 3^9, the walk's sizes for the property
+_WALK_SIZES = [(p, r) for p in (3, 5, 7, 11, 13) for r in range(1, 9) if p ** (r + 1) <= 3**9]
+
+
+@st.composite
+def moduli_and_levels(draw):
+    p, r = draw(st.sampled_from(_WALK_SIZES))
+    return p, r, frozenset(draw(st.sets(st.integers(0, p - 1), min_size=1)))
+
+
+class TestBuilderAgainstWalk:
+    """Every kind that sequences._quotient_blocks builds, against the walk.
+
+    The walk (quotient_map, scatter_cycle) is the builder's independent
+    path. gen-props takes its references from the same builders, so these
+    byte-for-byte comparisons are what catches a builder bug.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(moduli_and_levels())
+    @example((3, 1, frozenset({0})))
+    @example((257, 1, frozenset({0, 256})))  # digits past 255: the list path
+    def test_every_kind_matches_the_walk(self, case):
+        p, r, levels = case
+        m = PrimePowerModulus(p, r)
+        base, pr = p ** (r - 1), p**r
+        hit = lambda q: int(q // base in levels)
+        assert binary_class_sequence(m, levels).symbols == bytes(_walk(m, hit))
+        assert balanced_class_sequence(m, levels).symbols == bytes(_walk(m, hit, 1))
+        assert threshold_sequence(m).symbols == bytes(_walk(m, lambda q: int(2 * q >= pr)))
+        for on_multiples in (0, p):
+            digits = sequences.top_digits(m, on_multiples)
+            assert isinstance(digits, bytearray if p < 256 else list)
+            assert list(digits) == _walk(m, base.__rfloordiv__, on_multiples)
+        for j in range(r):  # level j is the top digit of Q_{j+1}
+            sub = PrimePowerModulus(p, j + 1)
+            expected = _walk(sub, (p**j).__rfloordiv__)
+            assert list(level_sequence(m, j).symbols) == expected
+        fermat = order_i_binary_sequence(p, r, levels)
+        assert fermat.symbols == bytes(_fermat_walk(p, r, levels))
 
 
 class TestSequenceFileFormat:
