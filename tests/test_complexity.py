@@ -96,6 +96,36 @@ def _euclid_width(p):
     return complexity._lane_width(p << (p - 1).bit_length() - 1)
 
 
+# Berlekamp-Massey's lane widths: 1 bit at p = 2, 8 up to 13, 16 at 17 and 251,
+# 24 at 257 (the first alphabet stored as a tuple), 128 at the Mersenne prime
+# 2^61 - 1, where sympy's gf_gcd is kept to short periods
+_BM_PRIMES = [2, 3, 5, 13, 17, 251, 257, 2**61 - 1]
+
+
+def _shaped_symbols(draw, p, T, sizes):
+    """T symbols over F_p: random, sparse, or a block repeated, its length drawn from sizes."""
+    symbol = st.integers(0, p - 1)
+    shape = draw(st.sampled_from(["random", "block", "sparse"]))
+    if shape == "block":  # a block of length size repeated: LC <= size
+        size = draw(sizes)
+        block = draw(st.lists(symbol, min_size=size, max_size=size))
+        return [block[u % size] for u in range(T)]
+    if shape == "sparse":
+        symbols = [0] * T
+        for u, x in draw(st.lists(st.tuples(st.integers(0, T - 1), symbol), max_size=3)):
+            symbols[u] = x
+        return symbols
+    return draw(st.lists(symbol, min_size=T, max_size=T))
+
+
+@st.composite
+def _bm_periods(draw):
+    """A period over F_p, N <= 120 (<= 8 at 2^61 - 1): random, sparse or a block repeated."""
+    p = draw(st.sampled_from(_BM_PRIMES))
+    T = draw(st.integers(1, 8 if p > 257 else 120))
+    return PeriodicSequence(p, T, _shaped_symbols(draw, p, T, st.integers(1, T)))
+
+
 def bits(*symbols):
     return PeriodicSequence(2, len(symbols), symbols)
 
@@ -150,9 +180,30 @@ class TestLinearComplexity:
             ("games_chan LC at (p=3, r=10)", True, "59051 vs 59051"),
         ]
 
+    def test_berlekamp_massey_start_alignment(self):
+        # B = 1 counts as stored one step before n = 0, so b starts one lane
+        # above c. A start one lane higher gets the impulses at the end of a
+        # period wrong, one lane lower those at its start (the first update
+        # then scales C by 1 - s_0). sympy's gf_gcd, which uses no lanes, is
+        # the reference
+        cases = [(3, (0, 0, 1))]
+        for p in (2, 3, 13, 17, 257):
+            cases += [(p, (p - 1,)), (p, (0,) * 8 + (p - 1,))]
+            cases += [(p, (x,) + (0,) * 8) for x in {1, p - 1}]
+            cases += [(p, (1,) * T) for T in (1, 3, 9, 15, 27)]
+        for p, symbols in cases:
+            s = PeriodicSequence(p, len(symbols), symbols)
+            assert berlekamp_massey(s, PrimeField(p)) == _lc_gf_gcd(s), (p, symbols)
+        assert berlekamp_massey(PeriodicSequence(3, 3, (0, 0, 1)), F3) == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(_bm_periods())
+    def test_berlekamp_massey_matches_sympy_across_lane_widths(self, seq):
+        assert berlekamp_massey(seq, PrimeField(seq.alphabet_size)) == _lc_gf_gcd(seq)
+
     def test_cross_oracle_random(self):
-        # Berlekamp-Massey has a bitmask loop for p = 2 and a list loop for
-        # odd p; linear_complexity takes the packed Euclid at every odd p at
+        # Berlekamp-Massey runs one loop on W-bit lanes, 1-bit lanes for
+        # p = 2; linear_complexity takes the packed Euclid at every odd p at
         # periods that are not a power of p, and from p = 17, on 16-bit
         # lanes, sympy's gf_gcd checks it too
         rng = random.Random(1234)
@@ -213,19 +264,9 @@ def prime_power_periods(draw):
     p = draw(st.sampled_from(sorted(_MAX_DIGITS)))
     n = draw(st.integers(0, _MAX_DIGITS[p]))
     T = p**n
-    symbol = st.integers(0, p - 1)
-    shape = draw(st.sampled_from(["random", "block", "sparse"]))
-    if shape == "block":  # a block of length p^j < T repeated: LC <= p^j
-        size = p ** draw(st.integers(0, max(n - 1, 0)))
-        block = draw(st.lists(symbol, min_size=size, max_size=size))
-        symbols = [block[u % size] for u in range(T)]
-    elif shape == "sparse":
-        symbols = [0] * T
-        for u, x in draw(st.lists(st.tuples(st.integers(0, T - 1), symbol), max_size=3)):
-            symbols[u] = x
-    else:
-        symbols = draw(st.lists(symbol, min_size=T, max_size=T))
-    return PeriodicSequence(p, T, tuple(symbols))
+    # a repeated block has length p^j < T
+    sizes = st.integers(0, max(n - 1, 0)).map(lambda j: p**j)
+    return PeriodicSequence(p, T, tuple(_shaped_symbols(draw, p, T, sizes)))
 
 
 def lc_and_oracle(seq):
