@@ -17,18 +17,25 @@ oracles suite it takes 7.5-11.5 ms over seeds 0-9, where a coefficient-list
 loop for odd p took 41-73 ms, and the packed Euclid takes 9-12 ms.
 k-error linear complexity over F_2 has one entry point, kerror_lc_profile.
 For a period p^n with p an odd prime that is not a Wieferich prime it runs
-one pass of a cost-carrying block recursion, _kerror_lc_pn, that returns the
-exact values LC_0..LC_k_max together. Its branches form three tiers, by the
-cyclic code of length p each column must become: any word, or all-0 and
-all-1, both closed forms and the only tiers when 2 is primitive modulo p;
-between them, when 1 + Y + ... + Y^{p-1} has e = 2 factors over F_2, the
-two codes they generate, enumerated. _CODE_DIMENSION_CAP admits these only
-at p = 7, 17 and 23 (Hamming [7,4], quadratic-residue [17,9], Golay
-[23,12]). For any other period it runs the exhaustive oracle
-kerror_lc_bruteforce, one error-pattern pass under a pattern budget that
-charges each pattern by its period's lc_binary cost, using bitmask F_2[X]
-arithmetic. Both return the same (k, lc_k, exact) profile, so
-the tests compare them entry by entry. An entry is "exact" when one of these
+one pass of a cost-carrying block recursion, _kerror_lc_pn, that returns
+the exact profile LC_0..LC_k_max as its breakpoints (k, lc), where LC
+drops, and kerror_lc_profile expands them into entries. Each level holds
+its bits and flip costs as buffers of 8-, 16-, 32- or 64-bit lanes, the
+least width whose guard bit lies above p times the level's cost bound, so
+every column statistic is O(p) big-int operations on slices of the buffers.
+Its branches form three tiers, by the cyclic code of length p each column
+must become: any word, or all-0 and all-1, both closed forms and the only
+tiers when 2 is primitive modulo p; between them, when 1 + Y + ... +
+Y^{p-1} has e = 2 factors over F_2, the two codes they generate, enumerated
+column by column. On a shared 2-core host the whole profile takes 0.2 s at
+(3,13) and 0.4 s at (101,3), where per-column loops on lists took 4.8 s
+and 7.4 s.
+_CODE_DIMENSION_CAP admits these only at p = 7, 17 and 23 (Hamming [7,4],
+quadratic-residue [17,9], Golay [23,12]). For any other period it runs the
+exhaustive oracle kerror_lc_bruteforce, one error-pattern pass under a
+pattern budget that charges each pattern by its period's lc_binary cost,
+using bitmask F_2[X] arithmetic. Both return the same (k, lc_k, exact)
+profile, so the tests compare them entry by entry. An entry is "exact" when one of these
 two proven engines computed it. check_theorem_profile compares a computed
 profile of a binary class sequence with the piecewise-constant profile that
 theorem_kerror_lc predicts when 2 is a primitive root modulo p^2. Orders
@@ -45,6 +52,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from array import array
 from collections.abc import Iterator, Sequence
 
@@ -436,20 +444,76 @@ def _subset_sums(values: Sequence[int]) -> list[int]:
     return sums
 
 
-def _next_level(cost0: list[int], cost1: list[int]) -> tuple[int, list[int], list[int]]:
-    """A branch's spend, sum_i min(cost0[i], cost1[i]), and the next level's bits and costs.
+# Lane width in bytes -> the memoryview and array format of one lane
+_LANE_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
-    Column i becomes parity bit cost1[i] < cost0[i] at the next level, and
-    flipping that bit costs the difference.
+
+def _cost_lanes(v: int) -> int:
+    """The least lane width w, in bytes, of 1, 2, 4 and 8, with v below the guard bit 2^(8w-1).
+
+    _lane_width's bytes, rounded up to a width that a memoryview cast reads.
     """
-    return (sum(map(min, cost0, cost1)), [int(y < x) for x, y in zip(cost0, cost1)],
-            [abs(y - x) for x, y in zip(cost0, cost1)])
+    return 1 << (_lane_width(v) // 8 - 1).bit_length()
+
+
+def _relane(raw: bytes | bytearray, w: int, w2: int) -> bytes | bytearray:
+    """raw's lanes of w bytes as lanes of w2 >= w bytes, in native order; raw itself when w2 == w.
+
+    One extended-slice assignment per byte of the narrow lane.
+    """
+    if w2 == w:
+        return raw
+    wide = bytearray(len(raw) // w * w2)
+    at = 0 if sys.byteorder == "little" else w2 - w
+    for i in range(w):
+        wide[at + i :: w2] = raw[i::w]
+    return wide
+
+
+def _lane_min(a: int, b: int, G: int, W: int) -> tuple[int, int]:
+    """(lt, the lane-wise min of a and b): lt holds 1 in each W-bit lane where b < a, else 0.
+
+    Every lane lies below 2^(W-1), and G holds bit W-1 of each: (b | G) - a
+    borrows from no other lane and keeps bit W-1 exactly where b >= a, and
+    lt spread to whole lanes, (lt << W) - lt, picks b's lanes.
+    """
+    lt = ((((b | G) - a) & G) ^ G) >> W - 1
+    return lt, a ^ ((a ^ b) & ((lt << W) - lt))
+
+
+def _branch(cost0: int, cost1: int, G: int, W: int, size: int) -> tuple[int, int, int]:
+    """A branch's spend and the next level's bits and costs, from each column's cost0 and cost1.
+
+    Both are ints of W-bit lanes, size bytes in all. Column i becomes parity
+    bit cost1 < cost0 at the next level, flipping that bit costs
+    |cost1 - cost0|, and the branch spends sum_i min(cost0, cost1), one
+    memoryview cast's sum.
+    """
+    lt, low = _lane_min(cost0, cost1, G, W)
+    lanes = memoryview(low.to_bytes(size, sys.byteorder)).cast(_LANE_FORMAT[W // 8])
+    return sum(lanes), lt, (cost0 ^ cost1 ^ low) - low
+
+
+def _drops(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The breakpoints (k, lc), where LC drops, of the least of several step functions.
+
+    Each function never increases and is given by its own breakpoints, all
+    of them in points, so its value at k is the least lc of its points at or
+    before k, and the least function's is the running min over all points in
+    k order.
+    """
+    drops = []
+    for k, lc in sorted(points):
+        if not drops or lc < drops[-1][1]:
+            drops.append((k, lc))
+    return drops
 
 
 def _kerror_lc_pn(
-    bits: Sequence[int], cost: Sequence[int], p: int, codes: tuple, k_max: int
-) -> list[int]:
-    """Exact LC_0..LC_k_max over F_2 of a p^n-periodic sequence, p non-Wieferich.
+    bits: bytes | bytearray, cost: bytes | bytearray | None, bound: int, p: int,
+    codes: tuple, k_max: int,
+) -> list[tuple[int, int]]:
+    """Exact k-error LC over F_2 of a p^n-periodic sequence, p non-Wieferich, as breakpoints.
 
     Block recursion for p^n-periodic LC (Xiao, Wei, Lam, Imamura, IEEE
     Trans. IT 46, 2000) carrying flip costs as in Stamp and Martin (IEEE
@@ -469,62 +533,100 @@ def _kerror_lc_pn(
     words of each code in codes through two half-word subset-sum tables per
     column.
 
+    A level's bits and costs are buffers of native-order lanes of w bytes,
+    the least of 1, 2, 4 and 8 with p * bound below the lane's guard bit
+    2^(8w-1), where bound caps every cost; no cost exceeds the period, so 8
+    bytes always do. cost None means every cost is 1, as at the top level,
+    which reads the sequence's bytes as its bits. Block j of M lanes is one
+    slice of a buffer read as an int, and each column statistic is O(p)
+    big-int operations on the blocks: the parities XOR them; to0, the cost
+    of all-0 columns, sums cost_j & spread(bits_j); to1 is the sum of the
+    cost blocks less to0; _lane_min gives the least cost per column and
+    _branch the T = all branch. T = {} keeps its parent's bound, and every
+    other branch multiplies it by p, since a column's codeword costs at most
+    the sum of its costs. Only the middle tier reads single columns: a
+    memoryview cast unpacks the level's bits and costs, and each column's
+    gains go through the subset-sum tables, memoized on the gains.
+
     The LC left at period M is at most M <= dM, so any affordable T of a
     higher tier beats every T of a lower one: a tier serves only k from its
     spend up to one below the least spend of the next tier. That is the
     only decision that depends on k, so one pass follows each branch for its
     own k range (as in Lauder and Paterson's one-pass error spectrum, IEEE
-    Trans. IT 49, 2003), and the two branches of the middle tier meet by
-    min. An empty range prunes a branch. For e = 1 the two branches are the
-    sum of the blocks, for k below the spend, and the equal blocks from
-    there on, and the whole profile costs at most about p/(p-2) single-k
-    runs. cost[i] is the flips needed to flip bits[i]; k_max >= 0.
+    Trans. IT 49, 2003). An empty range prunes a branch. For e = 1 the two
+    branches are the sum of the blocks, for k below the spend, and the equal
+    blocks from there on, and the whole profile costs at most about p/(p-2)
+    single-k runs. Each branch returns the breakpoints (k, lc) of its
+    profile, k <= its k_max, where LC drops; the parent shifts them by the
+    branch's spend and its (p-1-deg g_T) M, and _drops takes the least of
+    all branches' step functions, which, since a higher tier wins from its
+    spend on, is the whole profile. k_max >= 0.
     """
-    if len(bits) == 1:
-        return [int(bits[0] == 1 and cost[0] > k) for k in range(k_max + 1)]
-    m = len(bits) // p
-    to0 = []  # cost of making column i all 0
-    to1 = []
-    for i in range(m):
-        col_cost = cost[i::m]
-        ones = sum(itertools.compress(col_cost, bits[i::m]))
-        to0.append(ones)
-        to1.append(sum(col_cost) - ones)
-    # each tier's deg g_T and, per T, its spend and the next level's input
-    tiers = [(0, [(0, [sum(bits[i::m]) & 1 for i in range(m)],
-                   [min(cost[i::m]) for i in range(m)])])]
+    w = _cost_lanes(p * bound)
+    W, order = 8 * w, sys.byteorder
+    n = len(bits) // w
+    if n == 1:
+        c = 1 if cost is None else int.from_bytes(cost, order)
+        return _drops([(0, int.from_bytes(bits, order))] + [(c, 0)] * (c <= k_max))
+    m = n // p
+    size = m * w  # bytes in a block
+    ones = int.from_bytes((1).to_bytes(w, order) * m, order)
+    G = ones << W - 1
+    parity = to0 = total = 0
+    low = None  # the least cost in each column; None while every cost is 1
+    for j in range(0, n * w, size):
+        b = int.from_bytes(bits[j : j + size], order)
+        parity ^= b
+        if cost is None:
+            to0 += b
+        else:
+            c = int.from_bytes(cost[j : j + size], order)
+            to0 += c & (b << W) - b
+            total += c
+            low = c if low is None else _lane_min(low, c, G, W)[1]
+    if cost is None:
+        total = p * ones
+    # each tier's deg g_T and, per T, its spend, the next level's bits and costs, and their bound
+    tiers = [(0, [(0, parity, low, bound)])]
     if codes:
         h = (p + 1) // 2  # the half-word split of _cyclic_codes
+        fmt = _LANE_FORMAT[w]
+        bit_lanes = memoryview(bits).cast(fmt)
+        cost_lanes = memoryview((1).to_bytes(w, order) * n if cost is None else cost).cast(fmt)
         memo = {}
         best = []  # per column, per code and parity, the least sum of gains over its words
         for i in range(m):
             # the change in cost from setting bit j of the column
-            gain = tuple(-c if b else c for b, c in zip(bits[i::m], cost[i::m]))
+            gain = tuple(-c if b else c for b, c in zip(bit_lanes[i::m], cost_lanes[i::m]))
             if gain not in memo:
                 lo, hi = _subset_sums(gain[:h]), _subset_sums(gain[h:])
                 memo[gain] = [[min(map(int.__add__, map(lo.__getitem__, lows),
                                        map(hi.__getitem__, highs)))
                                for lows, highs in code] for code in codes]
             best.append(memo[gain])
-        tiers.append(((p - 1) // 2, [_next_level(
-            [ones + col[t][0] for ones, col in zip(to0, best)],
-            [ones + col[t][1] for ones, col in zip(to0, best)]) for t in (0, 1)]))
-    tiers.append((p - 1, [_next_level(to0, to1)]))
-    profile = []
+        zeros = memoryview(to0.to_bytes(size, order)).cast(fmt)  # to0, column by column
+        middle = []
+        for t in (0, 1):
+            cost0, cost1 = (array(fmt, [x + col[t][b] for x, col in zip(zeros, best)])
+                            for b in (0, 1))
+            middle.append((*_branch(int.from_bytes(cost0, order), int.from_bytes(cost1, order),
+                                    G, W, size), p * bound))
+        tiers.append(((p - 1) // 2, middle))
+    tiers.append((p - 1, [(*_branch(to0, total - to0, G, W, size), p * bound)]))
+    points = []
     for s, (deg, branches) in enumerate(tiers):
         top = k_max if s + 1 == len(tiers) else min(
-            k_max, min(spend for spend, _, _ in tiers[s + 1][1]) - 1)
-        start = len(profile)
-        for spend, nbits, ncost in sorted(branches, key=lambda b: b[0]):
+            k_max, min(branch[0] for branch in tiers[s + 1][1]) - 1)
+        for spend, nbits, ncost, nbound in branches:
             if spend > top:
-                break
-            lcs = _kerror_lc_pn(nbits, ncost, p, codes, top - spend)
-            lcs = [(p - 1 - deg) * m + lc for lc in lcs]
-            if len(profile) == start:  # the cheapest T of its tier
-                profile += lcs
-            else:
-                profile[spend:] = map(min, profile[spend:], lcs)
-    return profile
+                continue
+            w2 = _cost_lanes(p * nbound)
+            child = _kerror_lc_pn(
+                _relane(nbits.to_bytes(size, order), w, w2),
+                None if ncost is None else _relane(ncost.to_bytes(size, order), w, w2),
+                nbound, p, codes, top - spend)
+            points += [(spend + k, (p - 1 - deg) * m + lc) for k, lc in child]
+    return _drops(points)
 
 
 def kerror_lc_profile(
@@ -538,7 +640,8 @@ def kerror_lc_profile(
     (two closed-form tiers) or p is 7, 17 or 23 (a middle tier through two
     Hamming [7,4], quadratic-residue [17,9] or Golay [23,12] codes, the only
     factor codes _cyclic_codes admits; below 50 it leaves out 31, 41,
-    43 and 47). Any other period gets the exhaustive oracle
+    43 and 47). Its breakpoints are expanded here, once, into the entries.
+    Any other period gets the exhaustive oracle
     kerror_lc_bruteforce under the pattern budget, in patterns each charged
     ceil(N^2 / 2^20) (1 up to N = 1024), whose entries turn inexact once
     the budget runs out before the LC reaches 0. Raises
@@ -549,8 +652,12 @@ def kerror_lc_profile(
     if codes is None:
         return kerror_lc_bruteforce(seq, k_max, budget)
     _check_kerror_args(seq, k_max)
-    lcs = _kerror_lc_pn(seq.symbols, [1] * seq.period, primes[0], codes, k_max)
-    return [(k, lc, True) for k, lc in enumerate(lcs)]
+    p = primes[0]
+    drops = _kerror_lc_pn(_relane(seq.symbols, 1, _cost_lanes(p)), None, 1, p, codes, k_max)
+    ends = [k for k, _ in drops[1:]] + [k_max + 1]
+    lcs = itertools.chain.from_iterable(
+        itertools.repeat(lc, end - k) for (k, lc), end in zip(drops, ends))
+    return list(zip(range(k_max + 1), lcs, itertools.repeat(True)))
 
 
 def constructive_error_patterns(
@@ -575,12 +682,11 @@ def constructive_error_patterns(
 
 # --- theorem profile for binary class sequences ---------------------------
 
-@functools.cache
 def theorem_precondition_error(m: PrimePowerModulus, index_size: int) -> str | None:
     """Why the theorem profile does not hold for (p, r, |I|), or None if it does.
 
     The theorem needs r >= 2, 1 <= |I| <= (p-1)/2 and 2 a primitive root
-    modulo p^2. Cached, since check_theorem_profile asks once per entry.
+    modulo p^2.
     """
     p, r = m.p, m.r
     if r < 2:
@@ -596,28 +702,39 @@ def theorem_precondition_error(m: PrimePowerModulus, index_size: int) -> str | N
     return None
 
 
-def theorem_kerror_lc(m: PrimePowerModulus, index_size: int, k: int) -> int:
-    """Predicted k-error LC of the binary class sequence, |I| = index_size.
+@functools.cache
+def _theorem_steps(m: PrimePowerModulus, index_size: int) -> tuple[tuple[int, int], ...]:
+    """The theorem profile as steps (threshold, lc): LC_k is the first lc with k < threshold.
 
-    Raises ValueError unless theorem_precondition_error finds the
-    preconditions met. The zero branch starts at the sequence weight
-    p^{r-1}(p-1)|I| (the theorem display's "(p-1)|I|" threshold disagrees
-    with its proof; the proof's threshold is used).
+    Cached per (m, |I|), so that theorem_kerror_lc, called once per k,
+    reads its weight, thresholds and values without recomputing them. The
+    last threshold is the weight, from which LC_k = 0. Raises ValueError
+    unless theorem_precondition_error finds the preconditions met.
     """
     reason = theorem_precondition_error(m, index_size)
     if reason:
         raise ValueError(reason)
     p, r = m.p, m.r
     weight = p ** (r - 1) * (p - 1) * index_size
-    if k >= weight:
-        return 0
+    base = p ** (r + 1) - p**r
     if index_size % 2 == 0:
-        return p ** (r + 1) - p**r
-    if k < p ** (r - 1):
-        return p ** (r + 1) - p**r + p - 1
-    if k < p ** (r - 1) * (p - 1):
-        return p ** (r + 1) - p**r + 1
-    return p ** (r + 1) - p**r
+        return ((weight, base),)
+    return ((p ** (r - 1), base + p - 1), (p ** (r - 1) * (p - 1), base + 1), (weight, base))
+
+
+def theorem_kerror_lc(m: PrimePowerModulus, index_size: int, k: int) -> int:
+    """Predicted k-error LC of the binary class sequence, |I| = index_size.
+
+    Raises ValueError unless theorem_precondition_error finds the
+    preconditions met. The zero branch starts at the sequence weight
+    p^{r-1}(p-1)|I| (the theorem display's "(p-1)|I|" threshold disagrees
+    with its proof; the proof's threshold is used). The steps come from
+    _theorem_steps.
+    """
+    for threshold, lc in _theorem_steps(m, index_size):
+        if k < threshold:
+            return lc
+    return 0
 
 
 def check_theorem_profile(
@@ -631,8 +748,9 @@ def check_theorem_profile(
     contradicts the predicted value.
     """
     members = sorted(validate_index_set(m.p, levels))
+    size = len(members)
     for k, lc, _ in profile:
-        predicted = theorem_kerror_lc(m, len(members), k)
+        predicted = theorem_kerror_lc(m, size, k)
         if lc != predicted:
             raise RuntimeError(
                 f"computed LC_{k} = {lc} contradicts "

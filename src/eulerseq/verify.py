@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 from itertools import repeat
-from operator import countOf, floordiv, mod, mul, ne, sub
+from operator import countOf, floordiv, itemgetter, mod, mul, ne, sub
 
 from .complexity import (
     berlekamp_massey,
@@ -193,7 +193,7 @@ def suite_klc(p: int, r: int, seed: int = 0) -> list[CheckResult]:
         check_theorem_profile(profile, m, {0})
     except RuntimeError as exc:
         return [(f"klc at (p={p}, r={r})", False, str(exc))]
-    exact = sum(1 for _, _, e in profile if e)
+    exact = countOf(map(itemgetter(2), profile), True)
     return [
         (
             f"klc at (p={p}, r={r})",

@@ -605,6 +605,33 @@ def qualifying_sequences(draw):
     return PeriodicSequence(2, period, tuple(symbols))
 
 
+# periods of the exhaustive-oracle property: 7 and 49 take the e = 2 middle tier
+_ORACLE_PERIODS = (7, 9, 25, 27, 49, 81, 125)
+
+
+@st.composite
+def _oracle_cases(draw):
+    """(binary period, k_max <= 3, <= 2 past 49): random, sparse, dense or a block repeated."""
+    T = draw(st.sampled_from(_ORACLE_PERIODS))
+    sizes = st.sampled_from([d for d in range(1, T + 1) if T % d == 0])
+    symbols = _shaped_symbols(draw, 2, T, sizes)
+    if draw(st.booleans()):  # the complement: sparse turns dense
+        symbols = [1 - x for x in symbols]
+    return PeriodicSequence(2, T, symbols), draw(st.integers(0, 3 if T <= 49 else 2))
+
+
+def _shaped_binary(shape, T, rng):
+    """T bits: random, sparse (3 ones), dense (3 zeros), all 0 or all 1."""
+    if shape == "random":
+        return [rng.randrange(2) for _ in range(T)]
+    if shape in ("sparse", "dense"):
+        symbols = [int(shape == "dense")] * T
+        for u in rng.sample(range(T), 3):
+            symbols[u] ^= 1
+        return symbols
+    return [int(shape == "one")] * T
+
+
 class TestStructuralKError:
     """The structural engine of kerror_lc_profile against independent engines.
 
@@ -672,6 +699,60 @@ class TestStructuralKError:
                          for f in factors}
             assert len(factors) == 2
             assert {frozenset(code) for code in words} == multiples
+
+    @settings(max_examples=80, deadline=None)
+    @given(_oracle_cases())
+    def test_matches_the_exhaustive_oracle(self, case):
+        # a budget that covers every pattern up to k_max keeps the oracle exact
+        seq, k_max = case
+        profile = kerror_lc_profile(seq, k_max, budget=1)
+        assert profile == kerror_lc_bruteforce(seq, k_max, budget=10**6)
+        assert all(exact for _, _, exact in profile)
+
+    @pytest.mark.parametrize("shape", ["random", "sparse", "dense", "zero", "one"])
+    def test_period_131_starts_on_16_bit_lanes(self, shape):
+        # p = 131 is past the 8-bit lane's guard bit 2^7 at cost 1, and 2 is
+        # primitive modulo 131, so the recursion reads one 16-bit lane per bit
+        assert complexity._cost_lanes(131) == 2 and complexity._cyclic_codes(131) == ()
+        seq = PeriodicSequence(2, 131, _shaped_binary(shape, 131, random.Random(131)))
+        assert kerror_lc_profile(seq, 2, budget=1) == kerror_lc_bruteforce(seq, 2)
+
+    @pytest.mark.parametrize("r", [9, 10])
+    def test_class_profiles_widen_past_16_bit_lanes(self, r, monkeypatch):
+        # the T = all costs multiply by 3 per level, so the profile down to
+        # LC 0 runs on 8-, 16- and then 32-bit lanes
+        real, widths = complexity._cost_lanes, set()
+
+        def recording(v):
+            w = real(v)
+            widths.add(w)
+            return w
+
+        monkeypatch.setattr(complexity, "_cost_lanes", recording)
+        m = PrimePowerModulus(3, r)
+        f = binary_class_sequence(m, {0})
+        profile = kerror_lc_profile(f, f.weight)
+        check_theorem_profile(profile, m, {0})
+        assert all(exact for _, _, exact in profile) and profile[-1][1] == 0
+        assert widths == {1, 2, 4}
+
+    @pytest.mark.parametrize("period", [3, 7, 9, 49, 125, 131, 343, 2187])
+    def test_constant_periods(self, period):
+        # all 0 has LC 0; all 1 has LC 1 until all period bits are flipped
+        zero = PeriodicSequence(2, period, bytes(period))
+        one = PeriodicSequence(2, period, b"\1" * period)
+        assert kerror_lc_profile(zero, period) == [(k, 0, True) for k in range(period + 1)]
+        assert kerror_lc_profile(one, period) == (
+            [(k, 1, True) for k in range(period)] + [(period, 0, True)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(qualifying_sequences())
+    def test_prefixes_end_at_every_breakpoint(self, seq):
+        # k_max at each drop of LC and one below it cuts the breakpoints there
+        profile = kerror_lc_profile(seq, seq.period, budget=1)
+        drops = [k for k in range(1, len(profile)) if profile[k][1] < profile[k - 1][1]]
+        for j in {0, seq.period}.union(*({k - 1, k} for k in drops)):
+            assert kerror_lc_profile(seq, j, budget=1) == profile[: j + 1]
 
     @settings(max_examples=200, deadline=None)
     @given(qualifying_sequences())
