@@ -149,8 +149,9 @@ def _analyze_sequence(seq, meta, args) -> dict:
             raise ValueError("sequence is not the binary class sequence for (p, r, I)")
         profile = complexity.kerror_lc_profile(seq, args.k_max, budget=args.budget)
         lc0 = profile[0][1]
-        # on a p^n period the block recursion against the bitmask gcd;
-        # elsewhere the exhaustive profile's LC_0 is lc_binary's own
+        # on a p^n period the block recursion, or the exhaustive profile's
+        # lc_binary, against the cyclotomic engine; elsewhere the exhaustive
+        # profile's LC_0 is lc_binary's own
         if lc0 != lc:
             raise RuntimeError(
                 f"k-error engine LC_0 = {lc0} contradicts LC = {lc} from {method}"

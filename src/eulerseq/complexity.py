@@ -1,16 +1,25 @@
 """Linear complexity and k-error linear complexity engines.
 
 linear_complexity is the one entry point for LC, and the one place that
-picks an LC engine, from the alphabet and the period: a binary sequence goes
-to lc_binary (method "bitmask_gcd"), one Euclid loop on F_2[X] bitmasks with
-the remainder step inlined; an F_p sequence whose period is a power of p
-goes to the generalised Games-Chan recursion (method "games_chan"); any
-other F_p sequence, at every prime p, goes to lc_via_gcd, the gcd formula
-LC = T - deg gcd(X^T - 1, S(X)) (method "packed_gcd"). Both F_p engines
-hold a period as one int of W-bit lanes (_lanes) and reduce every lane mod
-p at once by the same masked subtraction (_lane_reduction). lc_via_gcd,
-berlekamp_massey and lc_games_chan_lists (Games-Chan on Python lists, at
-periods p^n) are the oracles the engines are cross-checked against.
+picks an LC engine, from the alphabet q and the period N. A period N = p^n,
+p a prime above q with q^{p-1} != 1 mod p^2, goes to the cyclotomic engine
+(method "cyclotomic"), which tests which factors f_t(X^{p^{j-1}}) of
+X^N - 1 divide S(X), the f_t being the factors of 1 + Y + ... + Y^{p-1}
+over F_q that _cyclotomic_split finds by Gaussian periods. In-process on a
+shared 2-core host it takes 0.08 s on the m-ary period at (79,2) order 13
+and 2 ms on the binary class period at (3,11), where the quadratic engines
+took 25-35 s and 3.8 s. Every other binary sequence goes
+to lc_binary (method "bitmask_gcd"), one Euclid loop on F_2[X] bitmasks
+with the remainder step inlined; an F_q sequence whose period is a power
+of q goes to the generalised Games-Chan recursion (method "games_chan");
+any other F_q sequence, at every prime q, the base-q Wieferich pairs such
+as q = 3, p = 11 included, goes to lc_via_gcd, the gcd formula LC = T -
+deg gcd(X^T - 1, S(X)) (method "packed_gcd"). The F_q engines hold a
+period as one int of W-bit lanes (_lanes) and reduce every lane mod q at
+once by the same masked subtraction (_lane_reduction). lc_binary,
+lc_via_gcd, berlekamp_massey and lc_games_chan_lists (Games-Chan on Python
+lists, at periods p^n) are the oracles the engines are cross-checked
+against.
 berlekamp_massey is one loop on the Euclid's lanes for every prime field
 (1-bit lanes and XOR over F_2); on the 100 random sequences of verify's
 oracles suite it takes 7.5-11.5 ms over seeds 0-9, where a coefficient-list
@@ -40,7 +49,7 @@ two proven engines computed it. check_theorem_profile compares a computed
 profile of a binary class sequence with the piecewise-constant profile that
 theorem_kerror_lc predicts when 2 is a primitive root modulo p^2. Orders
 come from ntheory.n_order, and the two factors of 1 + Y + ... + Y^{p-1}
-over F_2 from the quadratic-residue split, by _bgcd.
+over F_2 from _cyclotomic_split, the quadratic-residue split at e = 2.
 The root-group lemma checks over F_2 test each divisibility by a quotient
 (X^n - 1)/(X^d - 1) with one _fold, the one F_2[X] remainder routine; the
 G(X) lemma check counts the F_2 factors of 1 + X + ... + X^{p-1} by
@@ -55,6 +64,7 @@ import math
 import sys
 from array import array
 from collections.abc import Iterator, Sequence
+from operator import eq, itemgetter
 
 from .fieldarith import PrimeField
 from .ntheory import factorint, isprime, n_order
@@ -319,19 +329,157 @@ def _mask(bits: Sequence[int]) -> int:
     return int(bytes(bits[::-1]).translate(_BIT_PLANE0), 2)
 
 
-def linear_complexity(seq: PeriodicSequence) -> tuple[int, str]:
-    """Linear complexity over the sequence's prime alphabet, with its engine.
+@functools.cache
+def _cyclotomic_split(p: int, q: int) -> tuple[tuple[int, ...], ...] | None:
+    """The factors of Phi_p(Y) = 1 + Y + ... + Y^{p-1} over F_q, or None.
 
-    Binary sequences take the bitmask F_2[X] gcd ("bitmask_gcd"); F_p with a
-    period that is a power of p takes Games-Chan on packed lanes
-    ("games_chan"); any other period, at every prime p, takes the packed
-    Euclid of lc_via_gcd ("packed_gcd"). Raises ValueError when p is not
-    prime.
+    p is an odd prime and q a prime other than p. Phi_p splits into e =
+    (p-1)/d monic irreducible factors of degree d = ord_p(q) (Lidl and
+    Niederreiter, Finite Fields, Thm 2.47), each returned as its
+    coefficients, Y^0 first. Gaussian periods give them: for each coset C
+    of the powers of q in Z_p^*, theta_C(Y) = sum of Y^c over c in C has
+    theta_C(a)^q = theta_C(a^q) = theta_C(a) at every root a of Phi_p, so
+    it takes one value in F_q on the roots of each factor. So Phi_p divides
+    theta_C^q - theta_C = prod_c (theta_C - c), and each piece P of Phi_p
+    is the product of gcd(P, theta_C - c) over c in F_q. The cosets are
+    taken in turn until every piece has degree d. At q = 2, e = 2, the
+    first coset is the quadratic residues: the quadratic-residue split. The
+    gcds run by _bgcd on bitmasks at q = 2 and by _gcd_packed on its lanes
+    at odd q. None when the cosets run out first, where the values of the
+    theta_C do not tell two factors apart.
     """
-    if seq.alphabet_size == 2:
-        return lc_binary(_mask(seq.symbols), seq.period), "bitmask_gcd"
-    p, T = _field_size(seq), seq.period
-    if factorint(T).keys() <= {p}:  # T is a power of p
+    d = n_order(q, p)
+    W = 1 if q == 2 else _lane_width(q << (q - 1).bit_length() - 1)
+    lane = (1 << W) - 1
+    gcd = _bgcd if q == 2 else functools.partial(_gcd_packed, p=q, W=W, n=p + 1)
+    pieces = [((1 << W * p) - 1) // lane]  # 1 in each of p lanes
+    seen = bytearray(p)
+    for g in range(1, p):
+        if len(pieces) == (p - 1) // d:
+            break
+        if seen[g]:
+            continue
+        theta, u = 0, g  # theta_C over the coset C = g <q>
+        for _ in range(d):
+            seen[u] = 1
+            theta |= 1 << W * u
+            u = u * q % p
+        split = []
+        for piece in pieces:
+            left = (piece.bit_length() - 1) // W
+            if left == d:
+                split.append(piece)
+                continue
+            for c in range(q):  # until the gcds' degrees add up to the piece's
+                f = gcd(piece, theta | -c % q)  # theta_C - c: theta_C's lane 0 is 0
+                left -= (f.bit_length() - 1) // W
+                split.append(f)
+                if not left:
+                    break
+        pieces = [f for f in split if f > lane]  # degree >= 1
+    factors = []
+    for f in pieces:
+        if (f.bit_length() - 1) // W != d:
+            return None
+        coeffs = [f >> W * i & lane for i in range(d + 1)]
+        inv = pow(coeffs[-1], -1, q)
+        factors.append(tuple(c * inv % q for c in coeffs))
+    return tuple(factors)
+
+
+def _lc_cyclotomic(seq: PeriodicSequence, p: int, factors: tuple) -> int:
+    """LC over F_q at period N = p^n from the factors of X^N - 1, q < p, q^{p-1} != 1 mod p^2.
+
+    Over F_q, X^N - 1 = (X - 1) prod_{j=1..n} Phi_p(X^M), M = p^{j-1}, is
+    squarefree as q does not divide N. The factors f_t of Phi_p
+    (_cyclotomic_split) have degree d = ord_p(q), and ord_{p^j}(q) =
+    p^{j-1} d when q^{p-1} != 1 mod p^2, so each f_t(X^M) is irreducible of
+    degree dM (its roots are primitive p^j-th roots of unity). So LC =
+    [S(1) != 0] + the sum of dM over the pairs (j, t) where f_t(X^M) does
+    not divide S. With S_j = S mod (X^{pM} - 1) and Y = X^M, f_t(X^M)
+    divides S exactly when f_t(Y) divides every column c_i(Y) = sum_k
+    S_j[i + kM] Y^k, i < M. S_j is held as p blocks of M lanes, block k the
+    Y^k coefficients of every column, and one long division by f_t takes
+    all M columns at once: (p - d) d block multiply-adds, each followed by
+    _lane_reduction's steps on the W-bit lanes of _gcd_packed, or an XOR on
+    1-bit lanes at q = 2. At e = 1 no division is needed: a column has
+    degree < p, so Phi_p divides it only when it is constant, that is when
+    the p blocks are equal. S_{j-1} is the lane sum of the p blocks.
+    """
+    q, M = seq.alphabet_size, seq.period
+    if q == 2:
+        W, x = 1, _mask(seq.symbols)
+    else:
+        W = _lane_width(q << (q - 1).bit_length() - 1)
+        x = _lanes(seq.symbols, W)
+    d = len(factors[0]) - 1
+    # subtracting c Y^k times a leading block is adding (q - c) times it
+    subtract = [] if len(factors) == 1 else [
+        [(k, q - c) for k, c in enumerate(f[:d]) if c] for f in factors]
+    lc = 0
+    while M > 1:
+        M //= p
+        block = (1 << W * M) - 1
+        blocks = [x >> W * M * k & block for k in range(p)]
+        if q == 2:
+            x = functools.reduce(int.__xor__, blocks)
+        else:
+            G, steps = _lane_reduction(q, W, M)
+            C = steps[-1][0]
+            x = 0
+            for b in blocks:
+                x += b
+                x -= (((x + C) & G) >> W - 1) * q
+        if not subtract:  # e = 1
+            lc += d * M * (blocks.count(blocks[0]) != p)
+        for terms in subtract:
+            rem = blocks[:]
+            for top in range(p - 1, d - 1, -1):
+                lead = rem[top]
+                if not lead:
+                    continue
+                for k, v in terms:
+                    t = rem[top - d + k]
+                    if q == 2:
+                        t ^= lead
+                    else:
+                        t += v * lead
+                        for C, u in steps:
+                            t -= (((t + C) & G) >> W - 1) * u
+                    rem[top - d + k] = t
+            if any(rem[:d]):
+                lc += d * M
+    return lc + (x != 0)
+
+
+def linear_complexity(seq: PeriodicSequence) -> tuple[int, str]:
+    """Linear complexity over the sequence's prime alphabet q, with its engine.
+
+    A period N = p^n, p a prime above q with q^{p-1} != 1 mod p^2, takes the
+    cyclotomic engine _lc_cyclotomic ("cyclotomic"), when _cyclotomic_split
+    finds every factor of Phi_p over F_q. A prime period N = p takes it only
+    when q is primitive modulo p (e = 1, Phi_p itself): for e >= 2 the split
+    runs up to q gcds per factor at degree p, more than the one Euclid of
+    the fallback at that degree, while from n = 2 on they stay below its
+    N^2 = p^{2n} lane steps. Every other period keeps its engine: binary
+    input the bitmask F_2[X] gcd ("bitmask_gcd"); F_q at a period that is a
+    power of q Games-Chan on packed lanes ("games_chan"); any other period,
+    at every prime q, the packed Euclid of lc_via_gcd ("packed_gcd"). So
+    q > p keeps these engines, and so do the base-q Wieferich pairs, such as
+    q = 3 at N = 11^2 (3^10 = 1 mod 121) or q = 2 at N = 1093, where some
+    f_t(X^M) is reducible. Raises ValueError when q is not prime.
+    """
+    q, N = _field_size(seq), seq.period
+    primes = factorint(N)
+    p = min(primes, default=q)
+    if (primes.keys() == {p} and q < p and pow(q, p - 1, p * p) != 1
+            and (N > p or n_order(q, p) == p - 1)):
+        factors = _cyclotomic_split(p, q)
+        if factors:
+            return _lc_cyclotomic(seq, p, factors), "cyclotomic"
+    if q == 2:
+        return lc_binary(_mask(seq.symbols), N), "bitmask_gcd"
+    if primes.keys() <= {q}:  # N is a power of q
         return _lc_games_chan(seq), "games_chan"
     return lc_via_gcd(seq), "packed_gcd"
 
@@ -402,15 +550,11 @@ def _cyclic_codes(p: int) -> tuple | None:
     is not a Wieferich prime, 2 has order p^{j-1}d modulo p^j, so each
     factor f(Y) stays irreducible as f(X^M) for every M = p^j. Returns ()
     when e = 1 (2 primitive modulo p). When e = 2, 2 generates the squares
-    Q modulo p, and the quadratic-residue split gives the factors: with
-    theta(Y) the sum of Y^q over q in Q and a root a of Phi_p,
-    theta(a^k)^2 = theta(a^{2k}) = theta(a^k), so theta(a^k) lies in F_2.
-    It is constant on Q and on the non-residues, and the two values sum to
-    a + a^2 + ... + a^{p-1} = 1, so gcd(Phi_p, theta) and
-    gcd(Phi_p, theta + 1) are the two factors. Then it returns their codes,
-    the binary quadratic-residue codes of length p, each split by parity
-    into (low halves, high halves) of its words: bit j of a word is the
-    coefficient of Y^j, and the halves are the bits below and from (p+1)//2.
+    Q modulo p, and _cyclotomic_split gives the two factors by the
+    quadratic-residue split. Then it returns their codes, the binary
+    quadratic-residue codes of length p, each split by parity into (low
+    halves, high halves) of its words: bit j of a word is the coefficient
+    of Y^j, and the halves are the bits below and from (p+1)//2.
     None when p is a Wieferich prime, e >= 3 or a code has more than
     2^_CODE_DIMENSION_CAP words.
     """
@@ -422,9 +566,9 @@ def _cyclic_codes(p: int) -> tuple | None:
     h = (p + 1) // 2
     if 2 * d != p - 1 or h > _CODE_DIMENSION_CAP:
         return None
-    phi, theta = (1 << p) - 1, sum(1 << j * j % p for j in range(1, h))
     codes = []
-    for g in (_bgcd(phi, theta), _bgcd(phi, theta ^ 1)):
+    for f in _cyclotomic_split(p, 2):
+        g = _mask(f)
         code = [0]
         for i in range(h):
             code += [w ^ (g << i) for w in code]
@@ -743,12 +887,26 @@ def check_theorem_profile(
     """Check a computed k-error profile of a class sequence against the theorem.
 
     profile holds (k, lc_k, exact) entries from kerror_lc_profile. Raises
-    ValueError, through theorem_kerror_lc, unless the theorem's
-    preconditions hold, and RuntimeError at the first entry whose lc_k
-    contradicts the predicted value.
+    ValueError, through _theorem_steps, unless the theorem's preconditions
+    hold, and RuntimeError at the first entry whose lc_k contradicts the
+    predicted value. The k column is compared with 0, 1, ... and the lc
+    column with the steps expanded once, one pass each; only a mismatch
+    runs theorem_kerror_lc per entry, to name the first bad k.
     """
     members = sorted(validate_index_set(m.p, levels))
     size = len(members)
+    if not profile:
+        return
+    n, start, runs = len(profile), 0, []
+    for threshold, lc in _theorem_steps(m, size):
+        end = min(threshold, n)
+        runs.append(itertools.repeat(lc, end - start))
+        start = max(start, end)
+    runs.append(itertools.repeat(0, n - start))
+    # lazy columns: at (3,13) lists of 10^6 entries would add 50 MB to the peak
+    if all(map(eq, map(itemgetter(0), profile), range(n))) and all(
+            map(eq, map(itemgetter(1), profile), itertools.chain.from_iterable(runs))):
+        return
     for k, lc, _ in profile:
         predicted = theorem_kerror_lc(m, size, k)
         if lc != predicted:

@@ -197,11 +197,12 @@ class TestAnalyze:
             capsys, "analyze", "--p", "7", "--r", "2", "--kind", "mary",
             "--order", "3", "--format", "json",
         )
-        assert json.loads(binary)["method"] == "bitmask_gcd"
+        # period 3^3 over F_2 and period 7^3 over F_3: the cyclotomic engine
+        assert json.loads(binary)["method"] == "cyclotomic"
+        assert json.loads(binary)["lc"] == 20
         assert json.loads(ternary)["method"] == "games_chan"
         assert json.loads(ternary)["lc"] == 11
-        # alphabet 3 at period 7^3, not a power of 3: the packed Euclid
-        assert json.loads(mary)["method"] == "packed_gcd"
+        assert json.loads(mary)["method"] == "cyclotomic"
         assert json.loads(mary)["lc"] == 42
 
     def test_class_profile_outside_theorem(self, capsys):
@@ -271,11 +272,12 @@ class TestAnalyze:
         assert list(json.loads(stdout)["sequence"]) == ["p", "r", "kind"]
 
     def test_contradicted_theorem_exits_1(self, monkeypatch, capsys):
-        real = complexity.theorem_kerror_lc
+        # the theorem's steps at (3,2), |I| = 1, are ((3, 20), (6, 19), (6, 18)):
+        # moving the first threshold to 4 predicts 20 at k = 3, where the
+        # engine computes 19; both the list comparison and the per-k loop
+        # that names the first bad k read the steps
         monkeypatch.setattr(
-            complexity,
-            "theorem_kerror_lc",
-            lambda m, size, k: real(m, size, k) + (k == 3),
+            complexity, "_theorem_steps", lambda m, size: ((4, 20), (6, 19), (6, 18))
         )
         code, stdout, stderr = run(
             capsys, "analyze", "--p", "3", "--r", "2", "--kind", "class",
@@ -302,7 +304,7 @@ class TestAnalyze:
         assert code == 1
         assert stdout == ""
         assert stderr == (
-            "FAIL: k-error engine LC_0 = 25 contradicts LC = 24 from bitmask_gcd\n"
+            "FAIL: k-error engine LC_0 = 25 contradicts LC = 24 from cyclotomic\n"
         )
 
     def test_missing_file(self, tmp_path, capsys):

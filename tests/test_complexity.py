@@ -34,6 +34,7 @@ from eulerseq.sequences import (
     PeriodicSequence,
     binary_class_sequence,
     level_sequence,
+    mary_sequence,
 )
 from eulerseq.verify import suite_lc_p
 
@@ -203,9 +204,12 @@ class TestLinearComplexity:
 
     def test_cross_oracle_random(self):
         # Berlekamp-Massey runs one loop on W-bit lanes, 1-bit lanes for
-        # p = 2; linear_complexity takes the packed Euclid at every odd p at
-        # periods that are not a power of p, and from p = 17, on 16-bit
-        # lanes, sympy's gf_gcd checks it too
+        # p = 2; linear_complexity takes the cyclotomic engine at periods
+        # that are a power of one prime above p, unless p is a Wieferich
+        # base there (3 at 11) or the period is that prime and p is not
+        # primitive modulo it, and the packed Euclid at every other odd p at
+        # periods that are not a power of p; from p = 17, on 16-bit lanes,
+        # sympy's gf_gcd checks it too
         rng = random.Random(1234)
         for _ in range(200):
             char = rng.choice([2, 3, 5, 7, 11, 13, 17, 19])
@@ -215,7 +219,11 @@ class TestLinearComplexity:
             if char >= 17:
                 assert lc == _lc_gf_gcd(s)
             assert berlekamp_massey(s, PrimeField(char)) == lc
-            if char == 2:
+            primes = list(sympy.factorint(T))
+            if len(primes) == 1 and char < primes[0] and (char, primes[0]) != (3, 11) and (
+                    T > primes[0] or sympy.is_primitive_root(char, T)):
+                method = "cyclotomic"
+            elif char == 2:
                 method = "bitmask_gcd"
             elif char ** sympy.multiplicity(char, T) == T:
                 method = "games_chan"
@@ -343,6 +351,109 @@ class TestGcdOracle:
     def test_top_level_sequence_at_3_8(self):
         seq = level_sequence(PrimePowerModulus(3, 8), 7)  # N = 3^9 = 19,683
         assert linear_complexity(seq) == (3**8 + 2, "games_chan")
+
+
+@st.composite
+def cyclotomic_periods(draw):
+    """Period p^n, n <= 3, over F_q for a prime q < p: dense, sparse or a block repeated.
+
+    The symbols come from a drawn seed, so that periods in the thousands stay
+    within Hypothesis's buffer. Over odd q the packed Euclid is the oracle,
+    and p^n stays at most 5,000.
+    """
+    p = draw(st.sampled_from([3, 7, 17, 31]))
+    q = draw(st.sampled_from([q for q in (2, 3, 5, 7, 11, 13, 29) if q < p]))
+    n = draw(st.integers(1, 3 if q == 2 or p < 31 else 2))
+    N = p**n
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    shape = draw(st.sampled_from(["dense", "sparse", "block"]))
+    if shape == "dense":
+        symbols = [rng.randrange(q) for _ in range(N)]
+    elif shape == "sparse":
+        symbols = [0] * N
+        for u in rng.sample(range(N), rng.randint(1, min(N, 4))):
+            symbols[u] = rng.randrange(q)
+    else:  # a block of length p^j < N repeated: LC <= p^j
+        block = [rng.randrange(q) for _ in range(p ** rng.randrange(n))]
+        symbols = block * (N // len(block))
+    return PeriodicSequence(q, N, symbols)
+
+
+class TestCyclotomicEngine:
+    """At periods p^n over F_q, q < p, linear_complexity tests which factors
+    f_t(X^M) of X^N - 1 divide S(X); lc_binary (q = 2) and lc_via_gcd (odd q)
+    are its oracles there."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cyclotomic_periods())
+    def test_matches_the_gcd_oracles(self, seq):
+        q, N = seq.alphabet_size, seq.period
+        p = sympy.primefactors(N)[0]
+        oracle = lc_binary(complexity._mask(seq.symbols), N) if q == 2 else lc_via_gcd(seq)
+        assert complexity._lc_cyclotomic(seq, p, complexity._cyclotomic_split(p, q)) == oracle
+        if N == p and sympy.n_order(q, p) < p - 1:  # a prime period with e >= 2
+            method = "bitmask_gcd" if q == 2 else "packed_gcd"
+        else:
+            method = "cyclotomic"
+        assert linear_complexity(seq) == (oracle, method)
+
+    def test_split_is_complete(self):
+        # e = (p-1)/ord_p(q) monic factors of degree ord_p(q) whose product
+        # is 1 + Y + ... + Y^{p-1}: at q = 2 below 400, at q = 3..13 below 200
+        pairs = [(p, 2) for p in sympy.primerange(3, 400)]
+        pairs += [(p, q) for q in (3, 5, 7, 11, 13) for p in sympy.primerange(q + 1, 200)]
+        for p, q in pairs:
+            factors = complexity._cyclotomic_split(p, q)
+            d = sympy.n_order(q, p)
+            assert factors is not None and len(factors) == (p - 1) // d, (p, q)
+            product = [1]
+            for f in factors:
+                assert len(f) == d + 1 and f[-1] == 1, (p, q)
+                product = gf_mul(product, list(f[::-1]), q, ZZ)
+            assert product == [1] * p, (p, q)
+
+    def test_incomplete_split_keeps_the_old_engines(self, monkeypatch):
+        # a split that does not find every factor leaves the period to the
+        # engine it had: the bitmask gcd at q = 2, the packed Euclid at odd q
+        monkeypatch.setattr(complexity, "_cyclotomic_split", lambda p, q: None)
+        rng = random.Random(7)
+        for q, method in ((2, "bitmask_gcd"), (3, "packed_gcd"), (5, "packed_gcd")):
+            s = PeriodicSequence(q, 343, [rng.randrange(q) for _ in range(343)])
+            assert linear_complexity(s) == (lc_via_gcd(s), method)
+
+    def test_prime_periods_split_only_phi_p(self, monkeypatch):
+        # at N = p only e = 1 takes the cyclotomic engine: at q = 509, p = 1019
+        # (e = 2) the split would scan up to 509 gcds of degree 1019, where
+        # the fallback runs one Euclid of that degree
+        rng = random.Random(1019)
+        s = PeriodicSequence(509, 1019, [rng.randrange(509) for _ in range(1019)])
+        monkeypatch.setattr(complexity, "_cyclotomic_split", None)  # never called
+        assert linear_complexity(s) == (berlekamp_massey(s, PrimeField(509)), "packed_gcd")
+        monkeypatch.undo()
+        # 2 is primitive modulo 11 and 13 is not modulo 17 (order 4)
+        for q, p, method in ((2, 11, "cyclotomic"), (13, 17, "packed_gcd"), (2, 17, "bitmask_gcd")):
+            s = PeriodicSequence(q, p, [rng.randrange(q) for _ in range(p)])
+            assert linear_complexity(s) == (lc_via_gcd(s), method)
+
+    def test_wieferich_pairs_keep_the_old_engines(self):
+        # 3^10 = 1 mod 11^2 and 2^1092 = 1 mod 1093^2: no base-q Wieferich
+        # pair takes the cyclotomic engine; at 11^2 the count would not hold,
+        # as the factors f_t(X^11) of degree 5 * 11 are reducible
+        rng = random.Random(11)
+        for q, p, N, method in ((3, 11, 121, "packed_gcd"), (2, 1093, 1093, "bitmask_gcd")):
+            assert pow(q, p - 1, p * p) == 1
+            for symbols in ([rng.randrange(q) for _ in range(N)], [1] * N, [1] + [0] * (N - 1)):
+                s = PeriodicSequence(q, N, symbols)
+                assert linear_complexity(s) == (lc_via_gcd(s), method)
+
+    def test_large_periods(self):
+        # the m-ary sequence of order 13 at (79,2) and the class sequence
+        # at (3,11), which took 25-35 s and 4 s in the quadratic engines
+        assert linear_complexity(mary_sequence(PrimePowerModulus(79, 2), 13)) == (
+            6162, "cyclotomic")
+        m = PrimePowerModulus(3, 11)
+        assert linear_complexity(binary_class_sequence(m, {0})) == (
+            theorem_kerror_lc(m, 1, 0), "cyclotomic")
 
 
 class TestKErrorBruteForce:
