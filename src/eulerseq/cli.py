@@ -157,12 +157,13 @@ def _analyze_sequence(seq, meta, args) -> dict:
                 f"k-error engine LC_0 = {lc0} contradicts LC = {lc} from {method}"
             )
         if m is not None:
-            complexity.check_theorem_profile(profile, m, args.I)
+            complexity.check_theorem_profile(profile, m, args.I, args.k_max)
     return {
         "sequence": sequence_id,
         "lc": lc,
         "method": method,
-        "kerror": [{"k": k, "lc": lc_k, "exact": exact} for k, lc_k, exact in profile],
+        "kerror": [{"k": k, "lc": lc_k, "exact": exact}
+                   for k, lc_k, exact in complexity.profile_entries(profile, args.k_max)],
     }
 
 

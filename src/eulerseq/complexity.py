@@ -28,7 +28,10 @@ k-error linear complexity over F_2 has one entry point, kerror_lc_profile.
 For a period p^n with p an odd prime that is not a Wieferich prime it runs
 one pass of a cost-carrying block recursion, _kerror_lc_pn, that returns
 the exact profile LC_0..LC_k_max as its breakpoints (k, lc), where LC
-drops, and kerror_lc_profile expands them into entries. Each level holds
+drops. Every k-error profile, from either engine, is such a list of
+breakpoints (k, lc_k, exact): the entry at k = 0 and one at each k where lc
+or exact changes. profile_entries expands one into an entry per k, and
+only the CLI's report calls it. Each level holds
 its bits and flip costs as buffers of 8-, 16-, 32- or 64-bit lanes, the
 least width whose guard bit lies above p times the level's cost bound, so
 every column statistic is O(p) big-int operations on slices of the buffers.
@@ -43,11 +46,12 @@ _CODE_DIMENSION_CAP admits these only at p = 7, 17 and 23 (Hamming [7,4],
 quadratic-residue [17,9], Golay [23,12]). For any other period it runs the
 exhaustive oracle kerror_lc_bruteforce, one error-pattern pass under a
 pattern budget that charges each pattern by its period's lc_binary cost,
-using bitmask F_2[X] arithmetic. Both return the same (k, lc_k, exact)
-profile, so the tests compare them entry by entry. An entry is "exact" when one of these
-two proven engines computed it. check_theorem_profile compares a computed
-profile of a binary class sequence with the piecewise-constant profile that
-theorem_kerror_lc predicts when 2 is a primitive root modulo p^2. Orders
+using bitmask F_2[X] arithmetic. Both return the same breakpoints, so
+the tests compare them point by point. An entry is "exact" when one of
+these two proven engines computed it. check_theorem_profile compares the
+breakpoints of a computed profile of a binary class sequence with those of
+the step function that the theorem predicts when 2 is a primitive root
+modulo p^2 (_theorem_steps; theorem_kerror_lc reads one value). Orders
 come from ntheory.n_order, and the two factors of 1 + Y + ... + Y^{p-1}
 over F_2 from _cyclotomic_split, the quadratic-residue split at e = 2.
 The root-group lemma checks over F_2 test each divisibility by a quotient
@@ -64,7 +68,6 @@ import math
 import sys
 from array import array
 from collections.abc import Iterator, Sequence
-from operator import eq, itemgetter
 
 from .fieldarith import PrimeField
 from .ntheory import factorint, isprime, n_order
@@ -496,7 +499,7 @@ def _check_kerror_args(seq: PeriodicSequence, k_max: int) -> None:
 def kerror_lc_bruteforce(
     seq: PeriodicSequence, k_max: int, budget: int = DEFAULT_PATTERN_BUDGET
 ) -> list[tuple[int, int, bool]]:
-    """k-error LC of a binary sequence by exhaustion, as (k, lc_k, exact) for k = 0..k_max.
+    """k-error LC of a binary sequence by exhaustion, as breakpoints (k, lc_k, exact).
 
     One incremental pass minimizes LC over the error patterns of each
     weight: weight w is searched once and serves every k >= w. The budget
@@ -504,9 +507,12 @@ def kerror_lc_bruteforce(
     sequence included, is charged ceil(N^2 / 2^20), the quadratic cost of
     one call at period N against one at N <= 1024, where the charge is 1.
     The pass stops once the charges would exceed the budget or the LC
-    reaches 0; the remaining entries carry the last exact value, an upper
-    bound that is inexact unless it is 0, the least LC there is. Raises
-    ValueError unless the sequence is binary and 0 <= k_max <= period.
+    reaches 0. From the first weight it leaves unsearched, every LC_k carries
+    the last exact value, an upper bound that is inexact unless it is 0, the
+    least LC there is. The profile holds the entry at k = 0 and one at each
+    k <= k_max where lc or exact changes, the same breakpoints that
+    kerror_lc_profile returns. Raises ValueError unless the sequence is
+    binary and 0 <= k_max <= period.
     """
     _check_kerror_args(seq, k_max)
     mask = _mask(seq.symbols)
@@ -515,8 +521,11 @@ def kerror_lc_bruteforce(
     profile = [(0, best, True)]
     consumed = cost = -(-period * period // 2**20)
     for k in range(1, k_max + 1):
+        if best == 0:
+            break
         consumed += math.comb(period, k) * cost
-        if consumed > budget or best == 0:
+        if consumed > budget:
+            profile.append((k, best, False))
             break
         for positions in itertools.combinations(range(period), k):
             e = 0
@@ -527,10 +536,22 @@ def kerror_lc_bruteforce(
                 best = lc
                 if best == 0:
                     break
-        profile.append((k, best, True))
-    # LC_k never increases and never goes below 0, so a 0 is exact
-    profile += [(k, best, best == 0) for k in range(len(profile), k_max + 1)]
+        if best < profile[-1][1]:
+            profile.append((k, best, True))
     return profile
+
+
+def profile_entries(
+    profile: list[tuple[int, int, bool]], k_max: int
+) -> list[tuple[int, int, bool]]:
+    """A profile's breakpoints (k, lc_k, exact) as one entry per k = 0..k_max, for output.
+
+    Each breakpoint's lc and exact hold from its k up to the next
+    breakpoint's, the last one's up to k_max.
+    """
+    ends = [k for k, _, _ in profile[1:]] + [k_max + 1]
+    return [(k, lc, exact) for (start, lc, exact), end in zip(profile, ends)
+            for k in range(start, end)]
 
 
 # Largest dimension (p+1)/2 of an e = 2 factor code <f> that the k-error
@@ -776,19 +797,22 @@ def _kerror_lc_pn(
 def kerror_lc_profile(
     seq: PeriodicSequence, k_max: int, budget: int = DEFAULT_PATTERN_BUDGET
 ) -> list[tuple[int, int, bool]]:
-    """k-error LC of a binary sequence as (k, lc_k, exact) for k = 0..k_max.
+    """k-error LC of a binary sequence, LC_0..LC_k_max, as breakpoints (k, lc_k, exact).
 
+    The profile holds the entry at k = 0 and one at each k <= k_max where
+    lc or exact changes; LC_k is the lc of the last breakpoint at or before
+    k, and profile_entries expands them into one entry per k for output.
     The period alone picks the engine. A period p^n with p an odd prime that
     is not a Wieferich prime gets one pass of the structural block recursion
     _kerror_lc_pn, and every entry is exact, when 2 is primitive modulo p
     (two closed-form tiers) or p is 7, 17 or 23 (a middle tier through two
     Hamming [7,4], quadratic-residue [17,9] or Golay [23,12] codes, the only
     factor codes _cyclic_codes admits; below 50 it leaves out 31, 41,
-    43 and 47). Its breakpoints are expanded here, once, into the entries.
+    43 and 47). Its breakpoints are where LC drops.
     Any other period gets the exhaustive oracle
     kerror_lc_bruteforce under the pattern budget, in patterns each charged
-    ceil(N^2 / 2^20) (1 up to N = 1024), whose entries turn inexact once
-    the budget runs out before the LC reaches 0. Raises
+    ceil(N^2 / 2^20) (1 up to N = 1024), whose profile ends in one inexact
+    breakpoint when the budget runs out before the LC reaches 0. Raises
     ValueError unless the sequence is binary and 0 <= k_max <= period.
     """
     primes = list(factorint(seq.period))
@@ -798,10 +822,7 @@ def kerror_lc_profile(
     _check_kerror_args(seq, k_max)
     p = primes[0]
     drops = _kerror_lc_pn(_relane(seq.symbols, 1, _cost_lanes(p)), None, 1, p, codes, k_max)
-    ends = [k for k, _ in drops[1:]] + [k_max + 1]
-    lcs = itertools.chain.from_iterable(
-        itertools.repeat(lc, end - k) for (k, lc), end in zip(drops, ends))
-    return list(zip(range(k_max + 1), lcs, itertools.repeat(True)))
+    return [(k, lc, True) for k, lc in drops]
 
 
 def constructive_error_patterns(
@@ -848,12 +869,15 @@ def theorem_precondition_error(m: PrimePowerModulus, index_size: int) -> str | N
 
 @functools.cache
 def _theorem_steps(m: PrimePowerModulus, index_size: int) -> tuple[tuple[int, int], ...]:
-    """The theorem profile as steps (threshold, lc): LC_k is the first lc with k < threshold.
+    """The theorem profile as its breakpoints (k, lc), where LC drops, from k = 0.
 
+    LC_k is the lc of the last breakpoint at or before k, and the last
+    breakpoint is (weight, 0). Odd |I| drops at p^{r-1}, at p^{r-1}(p-1)
+    and at the weight, which is p^{r-1}(p-1) itself when |I| = 1, so that
+    profile has three breakpoints; even |I| drops only at the weight.
     Cached per (m, |I|), so that theorem_kerror_lc, called once per k,
-    reads its weight, thresholds and values without recomputing them. The
-    last threshold is the weight, from which LC_k = 0. Raises ValueError
-    unless theorem_precondition_error finds the preconditions met.
+    reads them without recomputing. Raises ValueError unless
+    theorem_precondition_error finds the preconditions met.
     """
     reason = theorem_precondition_error(m, index_size)
     if reason:
@@ -862,58 +886,52 @@ def _theorem_steps(m: PrimePowerModulus, index_size: int) -> tuple[tuple[int, in
     weight = p ** (r - 1) * (p - 1) * index_size
     base = p ** (r + 1) - p**r
     if index_size % 2 == 0:
-        return ((weight, base),)
-    return ((p ** (r - 1), base + p - 1), (p ** (r - 1) * (p - 1), base + 1), (weight, base))
+        return ((0, base), (weight, 0))
+    drops = ((0, base + p - 1), (p ** (r - 1), base + 1), (p ** (r - 1) * (p - 1), base))
+    return drops[: 2 + (index_size > 1)] + ((weight, 0),)
+
+
+def _lc_at(drops: Sequence[tuple[int, ...]], k: int) -> int:
+    """LC_k of a profile given by its breakpoints (k, lc, ...), in k order from k = 0."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    return next(point[1] for point in reversed(drops) if point[0] <= k)
 
 
 def theorem_kerror_lc(m: PrimePowerModulus, index_size: int, k: int) -> int:
     """Predicted k-error LC of the binary class sequence, |I| = index_size.
 
-    Raises ValueError unless theorem_precondition_error finds the
-    preconditions met. The zero branch starts at the sequence weight
+    Raises ValueError when k < 0, and unless theorem_precondition_error
+    finds the preconditions met. The zero branch starts at the sequence weight
     p^{r-1}(p-1)|I| (the theorem display's "(p-1)|I|" threshold disagrees
-    with its proof; the proof's threshold is used). The steps come from
-    _theorem_steps.
+    with its proof; the proof's threshold is used). The value is looked up
+    in _theorem_steps.
     """
-    for threshold, lc in _theorem_steps(m, index_size):
-        if k < threshold:
-            return lc
-    return 0
+    return _lc_at(_theorem_steps(m, index_size), k)
 
 
 def check_theorem_profile(
-    profile: list[tuple[int, int, bool]], m: PrimePowerModulus, levels
+    profile: list[tuple[int, int, bool]], m: PrimePowerModulus, levels, k_max: int
 ) -> None:
     """Check a computed k-error profile of a class sequence against the theorem.
 
-    profile holds (k, lc_k, exact) entries from kerror_lc_profile. Raises
-    ValueError, through _theorem_steps, unless the theorem's preconditions
-    hold, and RuntimeError at the first entry whose lc_k contradicts the
-    predicted value. The k column is compared with 0, 1, ... and the lc
-    column with the steps expanded once, one pass each; only a mismatch
-    runs theorem_kerror_lc per entry, to name the first bad k.
+    profile holds the breakpoints (k, lc_k, exact) of LC_0..LC_k_max, as
+    kerror_lc_profile returns them. The points where its lc changes are
+    compared with the theorem's breakpoints up to k_max, as two lists.
+    Raises ValueError, through _theorem_steps, unless the theorem's
+    preconditions hold, and RuntimeError when the lists differ, naming the
+    least k in their symmetric difference: the first k whose lc_k
+    contradicts the predicted value.
     """
     members = sorted(validate_index_set(m.p, levels))
-    size = len(members)
-    if not profile:
-        return
-    n, start, runs = len(profile), 0, []
-    for threshold, lc in _theorem_steps(m, size):
-        end = min(threshold, n)
-        runs.append(itertools.repeat(lc, end - start))
-        start = max(start, end)
-    runs.append(itertools.repeat(0, n - start))
-    # lazy columns: at (3,13) lists of 10^6 entries would add 50 MB to the peak
-    if all(map(eq, map(itemgetter(0), profile), range(n))) and all(
-            map(eq, map(itemgetter(1), profile), itertools.chain.from_iterable(runs))):
-        return
-    for k, lc, _ in profile:
-        predicted = theorem_kerror_lc(m, size, k)
-        if lc != predicted:
-            raise RuntimeError(
-                f"computed LC_{k} = {lc} contradicts "
-                f"predicted {predicted} at (p={m.p}, r={m.r}, I={members})"
-            )
+    predicted = [point for point in _theorem_steps(m, len(members)) if point[0] <= k_max]
+    computed = [next(run)[:2] for _, run in itertools.groupby(profile, lambda e: e[1])]
+    if computed != predicted:
+        k = min(set(computed) ^ set(predicted))[0]
+        raise RuntimeError(
+            f"computed LC_{k} = {_lc_at(computed, k)} contradicts "
+            f"predicted {_lc_at(predicted, k)} at (p={m.p}, r={m.r}, I={members})"
+        )
 
 
 # --- lemma-level divisibility checks over F_2 -----------------------------

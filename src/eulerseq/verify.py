@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 from itertools import repeat
-from operator import countOf, floordiv, itemgetter, mod, mul, ne, sub
+from operator import countOf, floordiv, mod, mul, ne, sub
 
 from .complexity import (
     berlekamp_massey,
@@ -190,16 +190,18 @@ def suite_klc(p: int, r: int, seed: int = 0) -> list[CheckResult]:
     weight = seq.weight
     profile = kerror_lc_profile(seq, weight)
     try:
-        check_theorem_profile(profile, m, {0})
+        check_theorem_profile(profile, m, {0}, weight)
     except RuntimeError as exc:
         return [(f"klc at (p={p}, r={r})", False, str(exc))]
-    exact = countOf(map(itemgetter(2), profile), True)
+    # each breakpoint's exact holds up to the next one
+    ends = [k for k, _, _ in profile[1:]] + [weight + 1]
+    exact = sum(end - k for (k, _, is_exact), end in zip(profile, ends) if is_exact)
     return [
         (
             f"klc at (p={p}, r={r})",
             True,
             f"profile for k <= {weight} matches "
-            f"({exact}/{len(profile)} entries exact)",
+            f"({exact}/{weight + 1} entries exact)",
         )
     ]
 

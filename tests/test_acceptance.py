@@ -18,6 +18,7 @@ from eulerseq.complexity import (
     kerror_lc_bruteforce,
     kerror_lc_profile,
     lc_via_gcd,
+    profile_entries,
     theorem_kerror_lc,
 )
 from eulerseq.fieldarith import PrimeField
@@ -53,8 +54,8 @@ def test_criterion_2_full_kerror_profile_p3():
     m = PrimePowerModulus(3, 2)
     f = binary_class_sequence(m, {0})
     profile = kerror_lc_profile(f, 6)
-    check_theorem_profile(profile, m, {0})
-    values = [lc for _, lc, _ in profile]
+    check_theorem_profile(profile, m, {0}, 6)
+    values = [lc for _, lc, _ in profile_entries(profile, 6)]
     all_exact = all(exact for _, _, exact in profile)
     # weights up to 6 at N = 27 are 397,594 patterns, past the default budget
     brute = kerror_lc_bruteforce(f, 6, budget=10**6)
@@ -64,7 +65,7 @@ def test_criterion_2_full_kerror_profile_p3():
         2,
         ok,
         f"profile {values} (want {want}), all exact: {all_exact}, "
-        f"exhaustive search {[lc for _, lc, _ in brute]}",
+        f"exhaustive search {[lc for _, lc, _ in profile_entries(brute, 6)]}",
     )
 
 
@@ -76,7 +77,7 @@ def test_criterion_3_partial_verification_p5_odd():
     lam, full = constructive_error_patterns(m)
     lam_lc = lc_via_gcd(f.flip(lam))
     full_lc = lc_via_gcd(f.flip(full))
-    brute = kerror_lc_bruteforce(f, 2)
+    brute = profile_entries(kerror_lc_bruteforce(f, 2), 2)
     bf2 = [lc for _, lc, _ in brute]
     ok = (
         lc0 == 104
@@ -100,7 +101,7 @@ def test_criterion_4_even_index_branch():
     m = PrimePowerModulus(5, 2)
     f = binary_class_sequence(m, {0, 1})
     lc0 = lc_via_gcd(f)
-    brute = kerror_lc_bruteforce(f, 2)
+    brute = profile_entries(kerror_lc_bruteforce(f, 2), 2)
     bf2 = [lc for _, lc, _ in brute]
     ok = lc0 == 100 and brute == [(k, 100, True) for k in range(3)]
     report(4, ok, f"even |I|: LC_0={lc0}, brute force k<=2: {bf2} (want 100 each)")
@@ -171,7 +172,7 @@ def test_criterion_8_order_i_quotients():
             lcs[(p, i)] = lc
             lc_ok &= lc == p**i + p - 1
     f = order_i_binary_sequence(3, 2, {0})
-    brute = kerror_lc_bruteforce(f, 6, budget=10**6)  # 397,594 patterns
+    brute = profile_entries(kerror_lc_bruteforce(f, 6, budget=10**6), 6)  # 397,594 patterns
     profile = [lc for _, lc, _ in brute]
     want = [20, 20, 20, 19, 19, 19, 0]  # p^{i+1}-p^i+p-1 / +1 / 0 branches at i=2
     ok = lc_ok and brute == [(k, lc, True) for k, lc in enumerate(want)]
@@ -234,9 +235,9 @@ def test_criterion_11_full_profiles_at_scale():
         m = PrimePowerModulus(p, r)
         f = binary_class_sequence(m, levels)
         profile = kerror_lc_profile(f, f.weight)
-        check_theorem_profile(profile, m, levels)
+        check_theorem_profile(profile, m, levels, f.weight)
         want = [theorem_kerror_lc(m, len(levels), k) for k in range(f.weight + 1)]
-        got = [lc for _, lc, exact in profile if exact]
+        got = [lc for _, lc, exact in profile_entries(profile, f.weight) if exact]
         if got != want:
             mismatches[(p, r, tuple(sorted(levels)))] = got
     report(
@@ -258,11 +259,13 @@ def test_criterion_12_engine_follows_period():
     structural = {}
     for period in (27, 125, 1331, 49, 343, 289):
         seq = PeriodicSequence(2, period, (1,) * 3 + (0,) * (period - 3))
-        structural[period] = [e for _, _, e in kerror_lc_profile(seq, 3, budget)]
+        profile = kerror_lc_profile(seq, 3, budget)
+        structural[period] = [e for _, _, e in profile_entries(profile, 3)]
     exhaustive = {}
     for period in (75, 31):
         seq = PeriodicSequence(2, period, (1,) * 3 + (0,) * (period - 3))
-        exhaustive[period] = [e for _, _, e in kerror_lc_profile(seq, 3, budget)]
+        profile = kerror_lc_profile(seq, 3, budget)
+        exhaustive[period] = [e for _, _, e in profile_entries(profile, 3)]
     ok = all(flags == [True] * 4 for flags in structural.values()) and all(
         flags == [True, False, False, False] for flags in exhaustive.values()
     )

@@ -19,7 +19,7 @@ from sympy.polys.galoistools import gf_gcd, gf_strip
 import eulerseq
 from eulerseq import complexity, sequences, verify
 from eulerseq.cli import main
-from eulerseq.complexity import kerror_lc_bruteforce
+from eulerseq.complexity import kerror_lc_bruteforce, profile_entries
 from eulerseq.quotients import PrimePowerModulus
 from eulerseq.sequences import PeriodicSequence, binary_class_sequence, read_sequence
 
@@ -216,7 +216,7 @@ class TestAnalyze:
         f = binary_class_sequence(PrimePowerModulus(3, 2), {0, 1})
         assert doc["kerror"] == [
             {"k": k, "lc": lc, "exact": exact}
-            for k, lc, exact in kerror_lc_bruteforce(f, 2)
+            for k, lc, exact in profile_entries(kerror_lc_bruteforce(f, 2), 2)
         ]
 
     def test_file_not_the_class_sequence(self, tmp_path, capsys):
@@ -272,12 +272,12 @@ class TestAnalyze:
         assert list(json.loads(stdout)["sequence"]) == ["p", "r", "kind"]
 
     def test_contradicted_theorem_exits_1(self, monkeypatch, capsys):
-        # the theorem's steps at (3,2), |I| = 1, are ((3, 20), (6, 19), (6, 18)):
-        # moving the first threshold to 4 predicts 20 at k = 3, where the
-        # engine computes 19; both the list comparison and the per-k loop
-        # that names the first bad k read the steps
+        # the theorem's breakpoints at (3,2), |I| = 1, are ((0, 20), (3, 19),
+        # (6, 0)): moving the first drop to 4 predicts 20 at k = 3, where the
+        # engine computes 19; the breakpoint comparison and the value it
+        # names at the first bad k both read the patched breakpoints
         monkeypatch.setattr(
-            complexity, "_theorem_steps", lambda m, size: ((4, 20), (6, 19), (6, 18))
+            complexity, "_theorem_steps", lambda m, size: ((0, 20), (4, 19), (6, 0))
         )
         code, stdout, stderr = run(
             capsys, "analyze", "--p", "3", "--r", "2", "--kind", "class",
@@ -697,9 +697,11 @@ class TestVerify:
         real = verify.kerror_lc_profile
 
         def off_by_one_lc3(seq, k_max):
+            # the breakpoints at (3,2) are (0, 20), (3, 19), (6, 0): moving
+            # the drop at k = 3 to k = 4 makes LC_3 one more
             profile = real(seq, k_max)
-            k, lc, exact = profile[3]
-            profile[3] = (k, lc + 1, exact)
+            k, lc, exact = profile[1]
+            profile[1] = (k + 1, lc, exact)
             return profile
 
         monkeypatch.setattr(verify, "kerror_lc_profile", off_by_one_lc3)

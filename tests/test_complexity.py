@@ -25,6 +25,7 @@ from eulerseq.complexity import (
     lc_via_gcd,
     linear_complexity,
     poly_p_precondition_error,
+    profile_entries,
     theorem_kerror_lc,
     theorem_precondition_error,
 )
@@ -471,7 +472,9 @@ class TestKErrorBruteForce:
         # covers the 397,594 patterns of weight <= 6 at N = 27
         m = PrimePowerModulus(3, 2)
         f = binary_class_sequence(m, {0})
-        assert kerror_lc_bruteforce(f, 6, budget=10**6) == [
+        profile = kerror_lc_bruteforce(f, 6, budget=10**6)
+        assert profile == [(0, 20, True), (3, 19, True), (6, 0, True)]
+        assert profile_entries(profile, 6) == [
             (k, lc, True) for k, lc in enumerate([20, 20, 20, 19, 19, 19, 0])
         ]
 
@@ -485,7 +488,8 @@ class TestKErrorBruteForce:
 
     def test_budget_exceeded(self):
         # 1 + 60 patterns fit in 1000, the 1,770 of weight 2 do not: k <= 1
-        # is exact, and each later entry carries LC_1 as an upper bound.
+        # is exact, and each later entry carries LC_1 as an upper bound, one
+        # inexact breakpoint at k = 2.
         # 0101... with bit 0 flipped: one error takes LC_0 = 60 to LC_1 = 2
         s = PeriodicSequence(2, 60, tuple(int(i % 2 or i == 0) for i in range(60)))
         profile = kerror_lc_bruteforce(s, 10, budget=1000)
@@ -498,15 +502,17 @@ class TestKErrorBruteForce:
         ]
         lc1 = min(lc_via_gcd(f) for f in flips)
         assert lc1 < lc_via_gcd(s)
-        assert profile[:2] == [(0, lc_via_gcd(s), True), (1, lc1, True)]
-        assert profile[2:] == [(k, lc1, False) for k in range(2, 11)]
+        assert profile == [(0, lc_via_gcd(s), True), (1, lc1, True), (2, lc1, False)]
+        assert profile_entries(profile, 10)[2:] == [(k, lc1, False) for k in range(2, 11)]
 
     def test_zero_lc_is_exact_past_budget(self):
         # 1 + 10 patterns fit in 11 and one flip zeroes the impulse's LC;
         # LC_k never increases and never goes below 0, so LC_2 and LC_3
         # are exact although weights 2 and 3 were not searched
         s = PeriodicSequence(2, 10, (1,) + (0,) * 9)
-        assert kerror_lc_bruteforce(s, 3, budget=11) == [
+        profile = kerror_lc_bruteforce(s, 3, budget=11)
+        assert profile == [(0, 10, True), (1, 0, True)]
+        assert profile_entries(profile, 3) == [
             (0, 10, True), (1, 0, True), (2, 0, True), (3, 0, True)
         ]
 
@@ -514,7 +520,7 @@ class TestKErrorBruteForce:
         # LC_1 = 0 and weight 2 is past the budget: the pattern count for
         # k = 2..10 is never needed, and each is a binomial sum
         s = PeriodicSequence(2, 10, (1,) + (0,) * 9)
-        expected = [(0, 10, True)] + [(k, 0, True) for k in range(1, 11)]
+        expected = [(0, 10, True), (1, 0, True)]
         real_comb, calls = math.comb, []
 
         def counting_comb(n, k):
@@ -522,7 +528,10 @@ class TestKErrorBruteForce:
             return real_comb(n, k)
 
         monkeypatch.setattr(math, "comb", counting_comb)
-        assert kerror_lc_bruteforce(s, 10, budget=11) == expected
+        profile = kerror_lc_bruteforce(s, 10, budget=11)
+        assert profile == expected
+        assert profile_entries(profile, 10) == [(0, 10, True)] + [
+            (k, 0, True) for k in range(1, 11)]
         assert len(calls) <= 2
 
     def test_budget_charges_by_period(self, monkeypatch):
@@ -548,7 +557,7 @@ class TestKErrorBruteForce:
         rng = random.Random(2187)
         s = PeriodicSequence(2, 2187, tuple(rng.randrange(2) for _ in range(2187)))
         fits = 5 * (1 + 2187)
-        exact = kerror_lc_bruteforce(s, 1, budget=fits)
+        exact = profile_entries(kerror_lc_bruteforce(s, 1, budget=fits), 1)
         assert [e for _, _, e in exact] == [True, True]
         assert kerror_lc_bruteforce(s, 1, budget=fits - 1) == [
             exact[0], (1, exact[0][1], False)
@@ -642,9 +651,11 @@ class TestTheoremProfile:
         m = PrimePowerModulus(3, 2)
         f = binary_class_sequence(m, levels)
         profile = kerror_lc_profile(f, 6)
-        check_theorem_profile(profile, m, levels)
-        assert all(exact for _, _, exact in profile)
-        assert [lc for _, lc, _ in profile] == [
+        check_theorem_profile(profile, m, levels, 6)
+        assert profile == [(0, 20, True), (3, 19, True), (6, 0, True)]
+        entries = profile_entries(profile, 6)
+        assert all(exact for _, _, exact in entries)
+        assert [lc for _, lc, _ in entries] == [
             20, 20, 20, 19, 19, 19, 0,
         ]
 
@@ -655,24 +666,26 @@ class TestTheoremProfile:
         m = PrimePowerModulus(p, 2)
         f = binary_class_sequence(m, levels)
         profile = kerror_lc_profile(f, f.weight)
-        check_theorem_profile(profile, m, levels)
+        check_theorem_profile(profile, m, levels, f.weight)
         assert all(exact for _, _, exact in profile)
         base, k = p**3 - p**2, p * (p - 1)
         assert f.weight == k * len(levels)
-        assert [lc for _, lc, _ in profile[k - 1 : k + 1]] == [base + 1, base]
-        assert [lc for _, lc, _ in profile[-2:]] == [base, 0]
+        assert profile[2:] == [(k, base, True), (f.weight, 0, True)]
+        entries = profile_entries(profile, f.weight)
+        assert [lc for _, lc, _ in entries[k - 1 : k + 1]] == [base + 1, base]
+        assert [lc for _, lc, _ in entries[-2:]] == [base, 0]
 
     def test_refuses_non_primitive_p(self):
         m = PrimePowerModulus(7, 2)
         f = binary_class_sequence(m, {0})
         with pytest.raises(ValueError, match="primitive root"):
-            check_theorem_profile(kerror_lc_profile(f, 0), m, {0})
+            check_theorem_profile(kerror_lc_profile(f, 0), m, {0}, 0)
 
     def test_refuses_oversized_index_set(self):
         m = PrimePowerModulus(3, 2)
         f = binary_class_sequence(m, {0, 1})
         with pytest.raises(ValueError):
-            check_theorem_profile(kerror_lc_profile(f, 2), m, {0, 1})
+            check_theorem_profile(kerror_lc_profile(f, 2), m, {0, 1}, 2)
 
     def test_budget_exhaustion_marks_inexact(self):
         # 75 = 3 * 5^2 is not a prime power, so it has no structural engine
@@ -680,14 +693,62 @@ class TestTheoremProfile:
         rng = random.Random(75)
         f = PeriodicSequence(2, 75, tuple(rng.randrange(2) for _ in range(75)))
         profile = kerror_lc_profile(f, k_max=3, budget=1000)  # 1 + 75 patterns fit
-        assert [exact for _, _, exact in profile] == [True, True, False, False]
+        entries = profile_entries(profile, 3)
+        assert [exact for _, _, exact in entries] == [True, True, False, False]
         # the exact entries match a search under the default budget
-        assert profile[:2] == kerror_lc_bruteforce(f, 1)
-        lc1 = profile[1][1]
-        assert profile[0][1] == lc_via_gcd(f)
+        assert entries[:2] == profile_entries(kerror_lc_bruteforce(f, 1), 1)
+        lc1 = entries[1][1]
+        assert entries[0][1] == lc_via_gcd(f)
         # an inexact entry carries the last exact value: LC_1 is achieved
         # with one error, so it bounds LC_2 and LC_3 from above
-        assert [lc for _, lc, _ in profile[2:]] == [lc1, lc1]
+        assert [lc for _, lc, _ in entries[2:]] == [lc1, lc1]
+        assert profile[-1] == (2, lc1, False)
+
+    def test_negative_k_is_refused(self):
+        with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+            theorem_kerror_lc(PrimePowerModulus(3, 2), 1, -1)
+
+    def test_theorem_breakpoints(self):
+        # |I| = 1 drops at p^{r-1} and at the weight p^{r-1}(p-1), with no
+        # empty run of p^{r+1} - p^r between; odd |I| >= 3 has that run,
+        # even |I| drops once
+        assert complexity._theorem_steps(PrimePowerModulus(3, 2), 1) == (
+            (0, 20), (3, 19), (6, 0))
+        assert complexity._theorem_steps(PrimePowerModulus(11, 2), 3) == (
+            (0, 1220), (11, 1211), (110, 1210), (330, 0))
+        assert complexity._theorem_steps(PrimePowerModulus(5, 2), 2) == ((0, 100), (40, 0))
+
+    @pytest.mark.parametrize("profile,message", [
+        # the drop at k = 3 one k late, then one k early
+        ([(0, 20, True), (4, 19, True), (6, 0, True)], "LC_3 = 20 contradicts predicted 19"),
+        ([(0, 20, True), (2, 19, True), (6, 0, True)], "LC_2 = 19 contradicts predicted 20"),
+        # an extra drop inside the theorem's run of 19
+        ([(0, 20, True), (3, 19, True), (5, 18, True), (6, 0, True)],
+         "LC_5 = 18 contradicts predicted 19"),
+        # a missing drop at the weight
+        ([(0, 20, True), (3, 19, True)], "LC_6 = 19 contradicts predicted 0"),
+    ])
+    def test_mismatch_names_the_first_bad_k(self, profile, message):
+        m = PrimePowerModulus(3, 2)
+        at = r" at \(p=3, r=2, I=\[0\]\)$"
+        with pytest.raises(RuntimeError, match=f"^computed {message}{at}"):
+            check_theorem_profile(profile, m, {0}, 6)
+
+    def test_exact_flag_changes_are_not_drops(self):
+        m = PrimePowerModulus(3, 2)
+        check_theorem_profile(
+            [(0, 20, True), (2, 20, False), (3, 19, False), (6, 0, True)], m, {0}, 6)
+
+    @pytest.mark.parametrize("p,levels,k_max", [
+        (3, {0}, 0), (3, {0}, 2), (3, {0}, 4), (3, {0}, 5),
+        (11, {0, 3, 7}, 10), (11, {0, 3, 7}, 50), (11, {0, 3, 7}, 200),
+    ])
+    def test_k_max_between_breakpoints_passes(self, p, levels, k_max):
+        # the theorem's breakpoints past k_max are not compared
+        m = PrimePowerModulus(p, 2)
+        profile = kerror_lc_profile(binary_class_sequence(m, levels), k_max)
+        assert profile[-1][0] < k_max or k_max == 0
+        check_theorem_profile(profile, m, levels, k_max)
 
     def test_theorem_requires_r2(self):
         with pytest.raises(ValueError, match="r >= 2"):
@@ -741,6 +802,17 @@ def _shaped_binary(shape, T, rng):
             symbols[u] ^= 1
         return symbols
     return [int(shape == "one")] * T
+
+
+@st.composite
+def _profile_cases(draw):
+    """(binary sequence, k_max, budget): a structural period, or 1..12 under a small budget."""
+    if draw(st.booleans()):
+        seq = draw(qualifying_sequences())
+    else:
+        T = draw(st.integers(1, 12))
+        seq = PeriodicSequence(2, T, draw(st.lists(st.integers(0, 1), min_size=T, max_size=T)))
+    return seq, draw(st.integers(0, seq.period)), draw(st.integers(0, 200))
 
 
 class TestStructuralKError:
@@ -843,8 +915,8 @@ class TestStructuralKError:
         m = PrimePowerModulus(3, r)
         f = binary_class_sequence(m, {0})
         profile = kerror_lc_profile(f, f.weight)
-        check_theorem_profile(profile, m, {0})
-        assert all(exact for _, _, exact in profile) and profile[-1][1] == 0
+        check_theorem_profile(profile, m, {0}, f.weight)
+        assert all(exact for _, _, exact in profile) and profile[-1] == (f.weight, 0, True)
         assert widths == {1, 2, 4}
 
     @pytest.mark.parametrize("period", [3, 7, 9, 49, 125, 131, 343, 2187])
@@ -852,8 +924,9 @@ class TestStructuralKError:
         # all 0 has LC 0; all 1 has LC 1 until all period bits are flipped
         zero = PeriodicSequence(2, period, bytes(period))
         one = PeriodicSequence(2, period, b"\1" * period)
-        assert kerror_lc_profile(zero, period) == [(k, 0, True) for k in range(period + 1)]
-        assert kerror_lc_profile(one, period) == (
+        assert kerror_lc_profile(zero, period) == [(0, 0, True)]
+        assert kerror_lc_profile(one, period) == [(0, 1, True), (period, 0, True)]
+        assert profile_entries(kerror_lc_profile(one, period), period) == (
             [(k, 1, True) for k in range(period)] + [(period, 0, True)])
 
     @settings(max_examples=100, deadline=None)
@@ -861,23 +934,38 @@ class TestStructuralKError:
     def test_prefixes_end_at_every_breakpoint(self, seq):
         # k_max at each drop of LC and one below it cuts the breakpoints there
         profile = kerror_lc_profile(seq, seq.period, budget=1)
-        drops = [k for k in range(1, len(profile)) if profile[k][1] < profile[k - 1][1]]
+        drops = [k for k, _, _ in profile[1:]]
         for j in {0, seq.period}.union(*({k - 1, k} for k in drops)):
-            assert kerror_lc_profile(seq, j, budget=1) == profile[: j + 1]
+            assert kerror_lc_profile(seq, j, budget=1) == [b for b in profile if b[0] <= j]
+
+    @settings(max_examples=150, deadline=None)
+    @given(_profile_cases())
+    def test_both_engines_return_canonical_breakpoints(self, case):
+        # the first point at k = 0, k strictly increasing up to k_max, and
+        # each point a change of lc or exact; the budget cuts the oracle short
+        seq, k_max, budget = case
+        for profile in (kerror_lc_profile(seq, k_max, budget),
+                        kerror_lc_bruteforce(seq, k_max, budget)):
+            ks = [k for k, _, _ in profile]
+            assert ks[0] == 0 and ks == sorted(set(ks)) and ks[-1] <= k_max
+            assert all(a[1:] != b[1:] for a, b in zip(profile, profile[1:]))
+            entries = profile_entries(profile, k_max)
+            assert [k for k, _, _ in entries] == list(range(k_max + 1))
+            assert set(profile) <= set(entries)
 
     @settings(max_examples=200, deadline=None)
     @given(qualifying_sequences())
     def test_profile_shape(self, seq):
         profile = kerror_lc_profile(seq, seq.period, budget=1)
         assert all(exact for _, _, exact in profile)
-        values = [lc for _, lc, _ in profile]
+        values = [lc for _, lc, _ in profile_entries(profile, seq.period)]
         mask = sum(b << i for i, b in enumerate(seq.symbols))
         assert values[0] == lc_binary(mask, seq.period) == lc_via_gcd(seq)
         assert values == sorted(values, reverse=True)
         assert all(lc == 0 for lc in values[seq.weight:])
         # a smaller k_max prunes the recursion's k ranges, not its values
         for j in {0, 1, seq.weight // 2, seq.period - 1}:
-            assert kerror_lc_profile(seq, j, budget=1) == profile[: j + 1]
+            assert kerror_lc_profile(seq, j, budget=1) == [b for b in profile if b[0] <= j]
 
 
 class TestComplexityReportSerialization:
