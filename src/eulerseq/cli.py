@@ -5,17 +5,19 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse errors.
 
 `main` may be called any number of times in one process. The argument parser
 is built on the first call and reused by every later one.
+
+Each command imports the modules it runs when it runs, so `--help` and a
+usage error load nothing past argparse, `generate` and `partition` load the
+sequence builders but not the engines, and only `verify` loads the suites.
+A command looks each engine up on its module at call time, so a wrapper
+patched onto the module sees the call.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-
-from . import complexity, sequences, verify
-from .quotients import PrimePowerModulus
 
 
 # Each kind's builder, named in `sequences` (looked up at call time, so a
@@ -29,6 +31,10 @@ _KINDS = {
     "mary": ("mary_sequence", ["order"]),
     "fermat-order": ("order_i_binary_sequence", ["i", "I"]),
 }
+
+# sorted(verify.SUITES), which a test pins: the parser offers the suite names
+# without importing verify and the engines under it
+_SUITES = ("hh-period", "klc", "lc-p", "lemmas", "oracles", "q-r-s", "theorem-hh")
 
 
 def _add_sequence_args(parser: argparse.ArgumentParser, required: bool) -> None:
@@ -49,9 +55,10 @@ def _build_parser() -> argparse.ArgumentParser:
     Sharing is safe because parse_args keeps no state on the parser: each call
     returns a new Namespace, and help and usage text read COLUMNS and the
     terminal when they are printed, not here. What the build does read is
-    frozen for the process: the kind names of _KINDS, the suite names of
-    verify.SUITES (a wrapper patched onto a suite keeps its key) and the
-    --budget default complexity.DEFAULT_PATTERN_BUDGET, all module constants.
+    frozen for the process: the kind names of _KINDS and the suite names of
+    _SUITES, both module constants of this module. It imports nothing else:
+    the --budget default None stands for complexity.DEFAULT_PATTERN_BUDGET,
+    which _cmd_analyze reads when it runs.
     """
     parser = argparse.ArgumentParser(
         prog="eulerseq",
@@ -70,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument(
         "--budget",
         type=int,
-        default=complexity.DEFAULT_PATTERN_BUDGET,
+        default=None,
         help="error-pattern budget for exhaustive k-error search, each pattern "
         "charged ceil(N^2 / 2^20) at period N, 1 up to N = 1024 "
         "(used only for periods without the structural engine)",
@@ -78,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--format", choices=["text", "json"], default="text")
 
     ver = sub.add_parser("verify", help="run a named property suite")
-    ver.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
+    ver.add_argument("--suite", required=True, choices=_SUITES)
     ver.add_argument("--p", type=int, default=3)
     ver.add_argument("--r", type=int, default=2)
     ver.add_argument("--seed", type=int, default=0)
@@ -92,6 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _make_sequence(args) -> tuple[sequences.PeriodicSequence, dict]:
+    from . import sequences
+    from .quotients import PrimePowerModulus
+
     if args.p is None or args.kind is None:
         raise ValueError("inline analysis needs --p and --kind (or use --file)")
     kind = args.kind
@@ -107,6 +117,8 @@ def _make_sequence(args) -> tuple[sequences.PeriodicSequence, dict]:
 
 
 def _cmd_generate(args) -> int:
+    from . import sequences
+
     seq, meta = _make_sequence(args)
     summary = f"period {seq.period} weight {seq.weight}"
     if args.out:
@@ -125,6 +137,9 @@ def _cmd_generate(args) -> int:
 
 def _theorem_modulus(meta, args) -> PrimePowerModulus | None:
     """(p, r) when the sequence is a class sequence the theorem profile covers."""
+    from . import complexity
+    from .quotients import PrimePowerModulus
+
     if meta.get("kind") != "class" or not args.I:
         return None
     m = PrimePowerModulus(meta["p"], meta["r"])
@@ -133,6 +148,8 @@ def _theorem_modulus(meta, args) -> PrimePowerModulus | None:
 
 def _analyze_sequence(seq, meta, args) -> dict:
     """The analysis report as its JSON document; _print_report renders it."""
+    from . import complexity, sequences
+
     lc, method = complexity.linear_complexity(seq)
     sequence_id = dict(meta)
     if args.I and "I" in _KINDS.get(meta["kind"], (None, []))[1]:
@@ -174,6 +191,8 @@ def _print_report(doc: dict, fmt: str) -> None:
     pattern budget.
     """
     if fmt == "json":
+        import json
+
         print(json.dumps(doc))
         return
     desc = " ".join(f"{k}={v}" for k, v in doc["sequence"].items())
@@ -187,9 +206,13 @@ def _print_report(doc: dict, fmt: str) -> None:
 
 
 def _cmd_analyze(args) -> int:
+    from . import complexity, sequences
+
     if args.k_max < 0:
         raise ValueError(f"--k-max must be >= 0, got {args.k_max}")
-    if args.budget < 0:
+    if args.budget is None:
+        args.budget = complexity.DEFAULT_PATTERN_BUDGET
+    elif args.budget < 0:
         raise ValueError(f"--budget must be >= 0, got {args.budget}")
     if args.file:
         try:
@@ -207,6 +230,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     suite = verify.SUITES[args.suite]
     results = suite(args.p, args.r, seed=args.seed)
     any_fail = False
@@ -221,11 +246,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_partition(args) -> int:
+    from . import sequences
+    from .quotients import PrimePowerModulus
+
     m = PrimePowerModulus(args.p, args.r)
     classes = sequences.class_partition(m).classes
     multiples = range(0, m.sequence_period, m.p)
     sizes = [len(c) for c in classes]
     if args.format == "json":
+        import json
+
         if args.summary:
             doc = {"p": m.p, "r": m.r, "class_sizes": sizes, "multiples_size": len(multiples)}
         else:

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -353,12 +354,31 @@ class TestAnalyze:
 
     def test_negative_budget(self, capsys):
         # a usage error whichever engine the period picks
-        code, stdout, stderr = run(
-            capsys, "analyze", "--p", "7", "--r", "2", "--kind", "class",
-            "--I", "0", "--k-max", "1", "--budget", "-5",
+        for budget in ("-5", "-1"):
+            code, stdout, stderr = run(
+                capsys, "analyze", "--p", "7", "--r", "2", "--kind", "class",
+                "--I", "0", "--k-max", "1", "--budget", budget,
+            )
+            assert (code, stdout) == (2, "")
+            assert stderr == f"error: --budget must be >= 0, got {budget}\n"
+
+    def test_default_budget(self, monkeypatch, capsys):
+        # the parser's default is None; analyze reads the engine's default
+        # when it runs
+        real = complexity.kerror_lc_profile
+        budgets = []
+
+        def recording(seq, k_max, budget):
+            budgets.append(budget)
+            return real(seq, k_max, budget)
+
+        monkeypatch.setattr(complexity, "kerror_lc_profile", recording)
+        code, _, _ = run(
+            capsys, "analyze", "--p", "3", "--r", "2", "--kind", "threshold",
+            "--k-max", "5",
         )
-        assert (code, stdout) == (2, "")
-        assert stderr == "error: --budget must be >= 0, got -5\n"
+        assert code == 0
+        assert budgets == [complexity.DEFAULT_PATTERN_BUDGET]
 
     def test_k_max_up_to_the_period(self, tmp_path, capsys):
         argv = ["--p", "3", "--r", "2", "--kind", "class", "--I", "0", "--format", "json"]
@@ -639,6 +659,13 @@ class TestExitCodeContract:
 
 
 class TestVerify:
+    def test_help_lists_the_suites(self, capsys):
+        # the parser holds the suite names without importing verify
+        code, stdout, _ = run_or_exit(capsys, ["verify", "--help"])
+        assert code == 0
+        listed = re.search(r"--suite \{([^}]*)\}", stdout).group(1)
+        assert listed.split(",") == sorted(verify.SUITES)
+
     @pytest.mark.parametrize("suite", ["theorem-hh", "hh-period", "q-r-s", "lc-p"])
     def test_suites_pass(self, suite, capsys):
         code, stdout, _ = run(capsys, "verify", "--suite", suite, "--p", "3", "--r", "2")
@@ -805,18 +832,71 @@ def run_or_exit(capsys, argv):
     return code, captured.out, captured.err
 
 
-def run_fresh(argv, columns):
-    """(exit code, stdout, stderr) of `python -m eulerseq.cli` in a new process."""
+def run_fresh(argv, columns, command=("-m", "eulerseq.cli")):
+    """(exit code, stdout, stderr) of `python <command> <argv>` in a new process,
+    `python -m eulerseq.cli <argv>` by default."""
     src = str(Path(eulerseq.__file__).parents[1])
     env = dict(
         os.environ, COLUMNS=columns, PYTHONIOENCODING="utf-8",
         PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
     )
     done = subprocess.run(
-        [sys.executable, "-m", "eulerseq.cli", *argv],
+        [sys.executable, *command, *argv],
         capture_output=True, encoding="utf-8", timeout=120, env=env,
     )
     return done.returncode, done.stdout, done.stderr
+
+
+# cli.main(argv) in a new process, which then prints every module it has
+# loaded to stderr
+LIST_MODULES = """
+import sys
+from eulerseq import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(*sorted(sys.modules), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+class TestModulesLoaded:
+    """Each command imports only the modules it runs."""
+
+    @staticmethod
+    def loaded(argv) -> set[str]:
+        code, _, stderr = run_fresh(argv, "80", command=("-c", LIST_MODULES))
+        assert code == 0, stderr
+        return set(stderr.split())
+
+    @staticmethod
+    def package(modules) -> set[str]:
+        return {m for m in modules if m.split(".")[0] == "eulerseq"}
+
+    def test_help_loads_only_the_cli(self):
+        modules = self.loaded(["--help"])
+        assert self.package(modules) == {"eulerseq", "eulerseq.cli"}
+        assert not modules & {"json", "dataclasses"}
+
+    def test_builders_load_no_engine(self, tmp_path):
+        engines = {"eulerseq.complexity", "eulerseq.verify", "eulerseq.fieldarith"}
+        for argv in (
+            ["generate", "--p", "3", "--r", "2", "--kind", "class", "--I", "0",
+             "--out", str(tmp_path / "c.txt")],
+            ["partition", "--p", "3", "--r", "2", "--summary"],
+        ):
+            modules = self.package(self.loaded(argv))
+            assert "eulerseq.sequences" in modules, argv
+            assert not modules & engines, argv
+
+    def test_analyze_loads_no_suite(self):
+        modules = self.package(self.loaded(
+            ["analyze", "--p", "3", "--r", "2", "--kind", "class", "--I", "0",
+             "--k-max", "3"]
+        ))
+        assert "eulerseq.complexity" in modules
+        assert "eulerseq.verify" not in modules
 
 
 class TestRepeatedCalls:
@@ -853,6 +933,8 @@ class TestRepeatedCalls:
             ("80", ["partition", "--p", "3", "--r", "2", "--summary"]),
             ("60", ["--help"]),
             ("150", ["--help"]),
+            ("80", ["verify", "--help"]),
+            ("80", ["analyze", "--help"]),
         ]
         results = []
         for columns, argv in cases:
@@ -860,10 +942,11 @@ class TestRepeatedCalls:
             result = run_or_exit(capsys, argv)
             assert result == run_fresh(argv, columns), argv
             results.append(result)
-        first, second, bogus, oracles, _, narrow, wide = results
+        first, second, bogus, oracles, _, narrow, wide, verify_help, analyze_help = results
         assert len(json.loads(first[1])["kerror"]) == 4
         doc = json.loads(second[1])
         assert doc["kerror"] == [] and doc["sequence"]["I"] == [2]
         assert bogus[0] == 2
         assert oracles[0] == 0 and "seed=0" in oracles[1]
         assert narrow[0] == wide[0] == 0 and narrow[1] != wide[1]
+        assert verify_help[0] == analyze_help[0] == 0
