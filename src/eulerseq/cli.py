@@ -250,9 +250,11 @@ def _cmd_partition(args) -> int:
     from .quotients import PrimePowerModulus
 
     m = PrimePowerModulus(args.p, args.r)
-    classes = sequences.class_partition(m).classes
     multiples = range(0, m.sequence_period, m.p)
-    sizes = [len(c) for c in classes]
+    if args.summary:  # counted in the digits, without the classes' lists
+        sizes = sequences.class_sizes(m)
+    else:
+        classes = sequences.class_partition(m).classes
     if args.format == "json":
         import json
 

@@ -16,12 +16,13 @@ quotients.quotient_map's walk over the powers of a primitive root.
 from __future__ import annotations
 
 import io
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from typing import IO, Callable, Iterable, Sequence
 
 from .ntheory import factorint, primitive_root
-from .quotients import PrimePowerModulus, quotient_map
+from .quotients import PrimePowerModulus, _period_buffer, quotient_map
 
 
 # _ALPHABET[:q] is the bytes 0..q-1, the symbols of an alphabet of size q
@@ -108,16 +109,6 @@ class ClassPartition:
 
     modulus: PrimePowerModulus  # read by perfbench's tracer to count symbols
     classes: list[list[int]]
-
-
-def _period_buffer(period: int, fill: int, wide: bool) -> bytearray | list[int]:
-    """One period of fill: a list when wide (symbols past 255), else a bytearray.
-
-    _quotient_blocks calls this before it makes any table, so a period past
-    what memory holds fails at once (MemoryError, or OverflowError past the
-    index range), before a table of p entries is built.
-    """
-    return [fill] * period if wide else bytearray([fill]) * period
 
 
 def _quotient_blocks(
@@ -230,6 +221,19 @@ def class_partition(m: PrimePowerModulus) -> ClassPartition:
     return ClassPartition(m, classes[:-1])
 
 
+def class_sizes(m: PrimePowerModulus) -> list[int]:
+    """|D_0|..|D_{p-1}| modulo p^{r+1}, counted in the top digits.
+
+    One C-speed count per class on the digits' bytearray for p < 256, and
+    one Counter pass over the list past it: no per-class lists.
+    """
+    digits = top_digits(m, on_multiples=m.p)  # first: it sizes the period's buffer
+    if isinstance(digits, list):
+        counts = Counter(digits)
+        return [counts[l] for l in range(m.p)]
+    return [digits.count(l) for l in range(m.p)]
+
+
 def validate_index_set(p: int, levels: Iterable[int]) -> frozenset[int]:
     """Normalize a level index set: non-empty, members in [0, p)."""
     members = frozenset(levels)
@@ -316,16 +320,19 @@ def mary_sequence(m: PrimePowerModulus, order: int) -> PeriodicSequence:
     if m.phi % order != 0:
         raise ValueError(f"order {order} does not divide phi(p^r) = {m.phi}")
 
-    def characters(qs):  # called once the period's list is allocated
+    wide = order > 256
+
+    def characters(qs):  # called once the period's buffer is allocated
         g = primitive_root(m.p, m.r)
-        character = [0] * m.modulus  # ind_g(x) mod order on units, 0 on the rest
+        # ind_g(x) mod order on units, 0 on the rest
+        character = [0] * m.modulus if wide else bytearray(m.modulus)
         x = 1
         for k in range(m.phi):
             character[x] = k % order
             x = x * g % m.modulus
-        return map(character.__getitem__, qs)
+        return character  # a table indexed by Q_r, as qs is range(p^r)
 
-    symbols = quotient_map(m, characters)
+    symbols = quotient_map(m, characters, wide=wide)
     return PeriodicSequence(order, m.sequence_period, symbols)
 
 

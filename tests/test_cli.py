@@ -21,8 +21,13 @@ import eulerseq
 from eulerseq import complexity, sequences, verify
 from eulerseq.cli import main
 from eulerseq.complexity import kerror_lc_bruteforce, profile_entries
-from eulerseq.quotients import PrimePowerModulus
-from eulerseq.sequences import PeriodicSequence, binary_class_sequence, read_sequence
+from eulerseq.quotients import PrimePowerModulus, quotient_table
+from eulerseq.sequences import (
+    PeriodicSequence,
+    binary_class_sequence,
+    class_partition,
+    read_sequence,
+)
 
 
 def run(capsys, *argv):
@@ -751,15 +756,11 @@ class TestVerify:
         )
         assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
 
-    def test_shift_law_violation_exits_1(self, monkeypatch, capsys):
-        real = verify.quotient_table
-
-        def off_at_one(m):  # H(1) + 1 breaks the law at v = 1 for k = 1..p-1
-            table = real(m)
-            table[1] += m.p ** (m.r - 1)  # H is the top digit of Q_r
-            return table
-
-        monkeypatch.setattr(verify, "quotient_table", off_at_one)
+    def test_shift_law_violation_exits_1(self, walk_over, capsys):
+        m = PrimePowerModulus(3, 2)
+        table = quotient_table(m)
+        table[1] += m.p ** (m.r - 1)  # H(1) + 1 breaks the law at v = 1 for k = 1..p-1
+        walk_over(table)
         code, stdout, _ = run(
             capsys, "verify", "--suite", "theorem-hh", "--p", "3", "--r", "2"
         )
@@ -802,6 +803,20 @@ class TestPartition:
         assert code == 0
         assert json.loads(stdout) == {
             "p": 3, "r": 2, "class_sizes": [6, 6, 6], "multiples_size": 9,
+        }
+
+    # the summary counts the top digits (one Counter pass past p = 255), the
+    # listing builds each class's list: their sizes must agree
+    @pytest.mark.parametrize("p,r", [*((3, r) for r in range(1, 7)), (5, 3), (7, 2), (257, 1)])
+    def test_summary_sizes_match_the_classes(self, p, r, capsys):
+        sizes = [len(c) for c in class_partition(PrimePowerModulus(p, r)).classes]
+        argv = ["partition", "--p", str(p), "--r", str(r), "--summary"]
+        code, stdout, _ = run(capsys, *argv)
+        assert (code, stdout) == (0, f"|D_l| = [{', '.join(map(str, sizes))}], |P| = {p**r}\n")
+        code, stdout, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(stdout) == {
+            "p": p, "r": r, "class_sizes": sizes, "multiples_size": p**r,
         }
 
     def test_text_listing(self, capsys):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from eulerseq import sequences
 from eulerseq.complexity import theorem_precondition_error
-from eulerseq.ntheory import primitive_root
+from eulerseq.ntheory import factorint, primitive_root
 from eulerseq.quotients import (
     PrimePowerModulus,
     euler_quotient,
@@ -14,6 +14,7 @@ from eulerseq.quotients import (
     new_quotient_h,
     quotient_map,
     scatter_cycle,
+    walk_root,
 )
 from eulerseq.sequences import (
     PeriodicSequence,
@@ -396,6 +397,45 @@ class TestBuilderAgainstWalk:
             assert list(level_sequence(m, j).symbols) == expected
         fermat = order_i_binary_sequence(p, r, levels)
         assert fermat.symbols == bytes(_fermat_walk(p, r, levels))
+
+
+class TestWalkBuffers:
+    """quotient_map writes a bytearray unless wide, and a list when wide."""
+
+    @pytest.mark.parametrize("p,r", [*_WALK_SIZES, (257, 1), (257, 2)])
+    def test_walk_root_is_primitive_with_quotient_one(self, p, r):
+        m = PrimePowerModulus(p, r)
+        h, n = walk_root(m), m.sequence_period
+        phi = n // p * (p - 1)
+        assert euler_quotient(m, h) == 1
+        assert all(pow(h, phi // q, n) != 1 for q in factorint(phi))
+
+    @pytest.mark.parametrize("p,r", _WALK_SIZES)
+    def test_byte_digits_match_the_builder(self, p, r):
+        m = PrimePowerModulus(p, r)
+        top = p ** (r - 1)
+        digits = quotient_map(m, lambda qs: map(top.__rfloordiv__, qs), wide=False)
+        assert isinstance(digits, bytearray)
+        assert digits == bytes(sequences.top_digits(m))
+
+    def test_wide_digits_match_the_builder(self):
+        m = PrimePowerModulus(257, 1)  # Q_1 is its own top digit, up to 256
+        digits = quotient_map(m, wide=True)
+        assert isinstance(digits, list)
+        assert digits == sequences.top_digits(m)
+
+    # order 131 takes the bytearray and order 262 the list; both against
+    # ind_g(Q_1) from a table of the powers of g
+    @pytest.mark.parametrize("order", [131, 262])
+    def test_mary_symbols_at_both_widths(self, order):
+        m = PrimePowerModulus(263, 1)
+        g = primitive_root(263, 1)
+        ind = {pow(g, k, 263): k for k in range(262)}
+        expected = tuple(
+            ind[q] % order if q % 263 else 0
+            for q in (euler_quotient(m, u) for u in range(m.sequence_period))
+        )
+        assert tuple(mary_sequence(m, order).symbols) == expected
 
 
 class TestSequenceFileFormat:
