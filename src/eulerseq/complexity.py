@@ -15,15 +15,17 @@ of q goes to the generalised Games-Chan recursion (method "games_chan");
 any other F_q sequence, at every prime q, the base-q Wieferich pairs such
 as q = 3, p = 11 included, goes to lc_via_gcd, the gcd formula LC = T -
 deg gcd(X^T - 1, S(X)) (method "packed_gcd"). The F_q engines hold a
-period as one int of W-bit lanes (_lanes) and reduce every lane mod q at
-once by the same masked subtraction (_lane_reduction). lc_binary,
+period as one int of W-bit lanes (_lanes), two 4-bit lanes to a byte at
+the smallest alphabets, and reduce every lane mod q at once by the same
+masked subtraction (_lane_reduction). lc_binary,
 lc_via_gcd, berlekamp_massey and lc_games_chan_lists (Games-Chan on Python
 lists, at periods p^n) are the oracles the engines are cross-checked
 against.
 berlekamp_massey is one loop on the Euclid's lanes for every prime field
-(1-bit lanes and XOR over F_2); on the 100 random sequences of verify's
-oracles suite it takes 7.5-11.5 ms over seeds 0-9, where a coefficient-list
-loop for odd p took 41-73 ms, and the packed Euclid takes 9-12 ms.
+(4-bit lanes over F_3, 1-bit lanes and XOR over F_2); on the 100 random
+sequences of verify's oracles suite it takes 7.4-10.7 ms over seeds 0-9,
+where a coefficient-list loop for odd p took 41-73 ms, and the packed
+Euclid takes 9-14 ms.
 k-error linear complexity over F_2 has one entry point, kerror_lc_profile.
 For a period p^n with p an odd prime that is not a Wieferich prime it runs
 one pass of a cost-carrying block recursion, _kerror_lc_pn, that returns
@@ -92,14 +94,16 @@ def berlekamp_massey(seq: PeriodicSequence, fieldp: PrimeField) -> int:
     (deg C <= L <= n); b stays put while m and n both grow by one. Each
     update is c + q b, q = -d / d_B, one big-int multiply-add. For odd p the
     lanes are those of lc_via_gcd's Euclid, W = _lane_width(p 2^{K-1}), K =
-    bit_length(p-1), so a sum of at most p(p-1) carries into no other lane,
+    bit_length(p-1), so a sum of at most p(p-1) carries into no other lane
+    (4-bit lanes at p = 3, where p(p-1) = 6 stays below the guard bit 2^3),
     and _lane_reduction's masked steps bring every lane back below p. Over
     F_2 the lanes are 1 bit wide and the update is c ^ b. B = 1 counts as
     stored one step before n = 0 (m = 1), so b starts as c shifted up one
     lane. A named oracle that no engine path calls: verify's oracles suite
     and the tests check lc_via_gcd against it. A random period over F_3
-    takes 4 ms at N = 729 and 29 ms at N = 2,187, against 35 ms and 311 ms
-    in a coefficient-list loop that summed each discrepancy from a slice.
+    takes 2.4 ms at N = 729 and 20 ms at N = 2,187 (4.5 ms and 34 ms on
+    8-bit lanes), against 35 ms and 311 ms in a coefficient-list loop that
+    summed each discrepancy from a slice.
     """
     if seq.alphabet_size != fieldp.p:
         raise ValueError(
@@ -134,17 +138,31 @@ def berlekamp_massey(seq: PeriodicSequence, fieldp: PrimeField) -> int:
 # Maps a byte to ASCII "1" when its bit 0 is set, else "0".
 _BIT_PLANE0 = bytes(48 + (v & 1) for v in range(256))
 
+# Maps a byte below 16 to itself moved into the high nibble.
+_HIGH_NIBBLE = bytes(v << 4 & 0xFF for v in range(256))
+
 
 def _lane_width(v: int) -> int:
-    """The least lane width W, a multiple of 8, with v < 2^(W-1)."""
-    return -(-(v.bit_length() + 1) // 8) * 8
+    """The least lane width W, 4 or a multiple of 8, with v < 2^(W-1).
+
+    4 bits, two lanes to a byte (_lanes), when v < 8; whole bytes from there.
+    """
+    return 4 if v < 8 else -(-(v.bit_length() + 1) // 8) * 8
 
 
 def _lanes(symbols: bytes | tuple[int, ...], W: int) -> int:
     """The symbols as one int of little-endian W-bit lanes, lane i holding symbols[i].
 
-    Bytes storage is one stride assignment, tuple storage a join of int.to_bytes.
+    4-bit lanes put two symbols in a byte, the even indices in the low
+    nibble and the odd ones in the high nibble: one int.from_bytes of each
+    stride-2 slice, the odd one moved up by a translate, and an OR. They
+    take bytes storage, which every alphabet below 8 has. Wider lanes from
+    bytes storage are one stride assignment, from tuple storage a join of
+    int.to_bytes.
     """
+    if W == 4:
+        return (int.from_bytes(symbols[::2], "little")
+                | int.from_bytes(symbols[1::2].translate(_HIGH_NIBBLE), "little"))
     if isinstance(symbols, bytes):
         lanes = bytearray(len(symbols) * (W // 8))
         lanes[:: W // 8] = symbols
@@ -180,11 +198,13 @@ def _lc_games_chan(seq: PeriodicSequence) -> int:
     root-1 multiplicity is below that of Y - 1 = (X - 1)^m, and LC(S) =
     (p - 1 - j) m + LC(B_j) at period m. A zero sequence keeps its zero last
     block, down to LC 0. The period is one int of W-bit lanes (_lanes),
-    W = _lane_width(p): 8 up to p = 127, 16 up to 2^15, 24 up to 2^23 and
-    wider past that, 72 at p = 2^64 + 13, which the tests reach at period 1.
-    A block is a slice of lanes, a sum t of two blocks carries into no other
-    lane, and the last step of _lane_reduction, v = p, reduces it. The
-    caller checks that p is prime and N a power of p.
+    W = _lane_width(p): 4 up to p = 7, 8 up to 127, 16 up to 2^15, 24 up to
+    2^23 and wider past that, 72 at p = 2^64 + 13, which the tests reach at
+    period 1. A block is a slice of lanes, and a sum t of two blocks is at
+    most 2p - 2; the last step of _lane_reduction, v = p, reduces it, and
+    with C = 2^{W-1} - p, t + C <= 2^{W-1} + p - 2 < 2^W (at most 15 on
+    4-bit lanes), so no lane carries into the next. The caller checks that
+    p is prime and N a power of p.
     """
     p, N = seq.alphabet_size, seq.period
     W = _lane_width(p)
@@ -247,7 +267,8 @@ def _gcd_packed(a: int, b: int, p: int, W: int, n: int) -> int:
     step cancels a's leading lane with one big-int multiply-add,
     a + (p - lead_a lead_b^-1) X^{da-db} b, which leaves every lane at most
     p(p-1) < p 2^K, K = bit_length(p-1), and _lane_reduction's steps bring
-    every lane back below p; they need p 2^{K-1} < 2^{W-1}.
+    every lane back below p; they need p 2^{K-1} < 2^{W-1}, which 4-bit
+    lanes meet at p = 2 and 3 (p(p-1) at most 6 < 2^3).
     """
     G, steps = _lane_reduction(p, W, n)
     while b:
@@ -269,8 +290,9 @@ def lc_via_gcd(seq: PeriodicSequence) -> int:
     p is the alphabet size, and ValueError is raised unless it is prime;
     p = 2 is taken too, so lc_binary is checked by separate code. The Euclid
     (_gcd_packed) runs on lanes of W = _lane_width(p 2^{K-1}) bits, K =
-    bit_length(p-1): 8 up to p = 13, 16 up to 251, 24 from 257. The engine for
-    F_p periods that are not a power of p, and the oracle for the others.
+    bit_length(p-1): 4 at p = 2 and 3, 8 from 5 up to 13, 16 up to 251, 24
+    from 257. The engine for F_p periods that are not a power of p, and the
+    oracle for the others.
     gcd(X^T - 1, 0) = X^T - 1, so the zero sequence gives LC 0.
     """
     p, T = _field_size(seq), seq.period
@@ -404,10 +426,11 @@ def _lc_cyclotomic(seq: PeriodicSequence, p: int, factors: tuple) -> int:
     S_j[i + kM] Y^k, i < M. S_j is held as p blocks of M lanes, block k the
     Y^k coefficients of every column, and one long division by f_t takes
     all M columns at once: (p - d) d block multiply-adds, each followed by
-    _lane_reduction's steps on the W-bit lanes of _gcd_packed, or an XOR on
-    1-bit lanes at q = 2. At e = 1 no division is needed: a column has
-    degree < p, so Phi_p divides it only when it is constant, that is when
-    the p blocks are equal. S_{j-1} is the lane sum of the p blocks.
+    _lane_reduction's steps on the W-bit lanes of _gcd_packed (4 bits at
+    q = 3), or an XOR on 1-bit lanes at q = 2. At e = 1 no division is
+    needed: a column has degree < p, so Phi_p divides it only when it is
+    constant, that is when the p blocks are equal. S_{j-1} is the lane sum
+    of the p blocks.
     """
     q, M = seq.alphabet_size, seq.period
     if q == 2:
@@ -616,9 +639,10 @@ _LANE_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}
 def _cost_lanes(v: int) -> int:
     """The least lane width w, in bytes, of 1, 2, 4 and 8, with v below the guard bit 2^(8w-1).
 
-    _lane_width's bytes, rounded up to a width that a memoryview cast reads.
+    The least whole bytes that hold v and a guard bit, rounded up to a width
+    that a memoryview cast reads; never narrower for a larger v.
     """
-    return 1 << (_lane_width(v) // 8 - 1).bit_length()
+    return 1 << (-(-(v.bit_length() + 1) // 8) - 1).bit_length()
 
 
 def _relane(raw: bytes | bytearray, w: int, w2: int) -> bytes | bytearray:

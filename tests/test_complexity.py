@@ -68,8 +68,8 @@ def _lc_gf_gcd(seq):
 def _packed_operands(draw):
     """(p, a, b) with up to 300 coefficients each, X^i at index i.
 
-    p covers the lane widths of the packed Euclid: 8 bits up to 13, 16 at
-    17 and 24 at 257.
+    p covers the lane widths of the packed Euclid: 4 bits at 2 and 3, 8
+    from 5 up to 13, 16 at 17 and 24 at 257.
 
     Half the draws multiply a and b by a common factor, so that their gcd
     is not a unit.
@@ -98,9 +98,9 @@ def _euclid_width(p):
     return complexity._lane_width(p << (p - 1).bit_length() - 1)
 
 
-# Berlekamp-Massey's lane widths: 1 bit at p = 2, 8 up to 13, 16 at 17 and 251,
-# 24 at 257 (the first alphabet stored as a tuple), 128 at the Mersenne prime
-# 2^61 - 1, where sympy's gf_gcd is kept to short periods
+# Berlekamp-Massey's lane widths: 1 bit at p = 2, 4 at 3, 8 at 5 and 13, 16 at
+# 17 and 251, 24 at 257 (the first alphabet stored as a tuple), 128 at the
+# Mersenne prime 2^61 - 1, where sympy's gf_gcd is kept to short periods
 _BM_PRIMES = [2, 3, 5, 13, 17, 251, 257, 2**61 - 1]
 
 
@@ -232,13 +232,14 @@ class TestLinearComplexity:
                 method = "packed_gcd"
             assert linear_complexity(s) == (lc, method)
 
-    @pytest.mark.parametrize("p", [13, 17, 251, 257])
+    @pytest.mark.parametrize("p", [3, 5, 13, 17, 251, 257])
     def test_packing_boundary(self, p):
-        # the lane boundaries of the packed Euclid: 13 is the largest prime on
-        # 8-bit lanes, 17 the smallest on 16-bit lanes, 251 the largest on
-        # them and 257 the smallest on 24-bit lanes. Every nonzero symbol is
-        # p - 1, which drives a remainder step's lane to its largest sum,
-        # p(p - 1); sympy's gf_gcd and Berlekamp-Massey check the Euclid.
+        # the lane boundaries of the packed Euclid: 3 is the largest prime on
+        # 4-bit lanes, 5 the smallest on 8-bit lanes, 13 the largest on them,
+        # 17 the smallest on 16-bit lanes, 251 the largest on them and 257
+        # the smallest on 24-bit lanes. Every nonzero symbol is p - 1, which
+        # drives a remainder step's lane to its largest sum, p(p - 1); sympy's
+        # gf_gcd and Berlekamp-Massey check the Euclid.
         fp = PrimeField(p)
         top = p - 1
         rng = random.Random(p)
@@ -251,6 +252,19 @@ class TestLinearComplexity:
         for symbols in cases:
             s = PeriodicSequence(p, len(symbols), symbols)
             assert lc_via_gcd(s) == _lc_gf_gcd(s) == berlekamp_massey(s, fp), symbols
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_nibble_lanes_match_the_reference_packing(self, p):
+        # 4-bit lanes put two symbols in a byte, the even index in the low
+        # nibble: N = 1 (no odd index), odd and even N, and all-(p - 1)
+        # periods, the largest symbol in every nibble
+        assert complexity._lane_width(p) == 4
+        rng = random.Random(p)
+        periods = [[rng.randrange(p) for _ in range(N)] for N in (1, 2, 7, 10, 121, 128)]
+        periods += [[p - 1] * N for N in (1, 2, 7, 10)]
+        for symbols in periods:
+            s = PeriodicSequence(p, len(symbols), symbols)
+            assert complexity._lanes(s.symbols, 4) == _pack(symbols, 4), symbols
 
     def test_binary_fast_path_matches_reference(self):
         rng = random.Random(99)
@@ -318,9 +332,10 @@ class TestGcdOracle:
         lanes = complexity._lc_games_chan(seq)
         assert lc_games_chan_lists(seq) == lanes == 2 * p - 1
 
-    @pytest.mark.parametrize("p", [127, 131, 257])
+    @pytest.mark.parametrize("p", [7, 11, 127, 131, 257])
     def test_lane_width_boundary(self, p):
-        # 127 is the largest prime on 8-bit lanes; 131 takes 16-bit lanes from
+        # 7 is the largest prime on 4-bit lanes and 11 the smallest on 8-bit
+        # lanes; 127 is the largest on them; 131 takes 16-bit lanes from
         # bytes storage, 257 from tuple storage. An all-(p - 1) period makes
         # every lane sum 2p - 2, the most a lane must hold.
         rng = random.Random(p)
@@ -900,6 +915,16 @@ class TestStructuralKError:
         seq = PeriodicSequence(2, 131, _shaped_binary(shape, 131, random.Random(131)))
         assert kerror_lc_profile(seq, 2, budget=1) == kerror_lc_bruteforce(seq, 2)
 
+    def test_cost_lanes_never_narrow_as_costs_grow(self):
+        # the least of 1, 2, 4 and 8 bytes with v below the guard bit
+        # 2^(8w - 1), on both sides of each guard bit, and no narrower for
+        # any larger v up to 2^63 - 1
+        cases = {1: 1, 7: 1, 8: 1, 127: 1, 128: 2, 2**15 - 1: 2, 2**15: 4,
+                 2**31 - 1: 4, 2**31: 8, 2**63 - 1: 8}
+        assert [complexity._cost_lanes(v) for v in cases] == list(cases.values())
+        swept = [complexity._cost_lanes(v) for b in range(64) for v in (2**b - 1, 2**b)][:-1]
+        assert swept == sorted(swept)
+
     @pytest.mark.parametrize("r", [9, 10])
     def test_class_profiles_widen_past_16_bit_lanes(self, r, monkeypatch):
         # the T = all costs multiply by 3 per level, so the profile down to
@@ -1070,8 +1095,9 @@ class TestLemmas:
         assert complexity._bgcd(a, b) == _f2_mask(gf_gcd(fa, fb, 2, ZZ))
 
     # operands as coefficient lists, X^i at index i; every coefficient p - 1
-    # drives a remainder step's lane to its largest sum, p(p - 1): 156 at
-    # p = 13, the top of 8-bit lanes, and 65,792 at p = 257 on 24-bit lanes
+    # drives a remainder step's lane to its largest sum, p(p - 1): 6 at
+    # p = 3, the top of 4-bit lanes, 156 at p = 13, the top of 8-bit lanes,
+    # and 65,792 at p = 257 on 24-bit lanes
     @settings(deadline=None)
     @given(_packed_operands())
     @example((2, [], []))
@@ -1079,6 +1105,7 @@ class TestLemmas:
     @example((5, [], [0, 1]))
     @example((11, [4, 0, 7, 1], [4, 0, 7, 1]))
     @example((5, [4] + [0] * 11 + [1], [4, 0, 0, 0, 1]))  # X^4 - 1 | X^12 - 1
+    @example((3, [2] * 300, [2] * 120))
     @example((13, [12] * 300, [12] * 120))
     @example((257, [256] * 300, [256] * 120))
     def test_packed_euclid_matches_sympy(self, operands):
