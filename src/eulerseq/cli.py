@@ -254,7 +254,7 @@ def _cmd_partition(args) -> int:
     if args.summary:  # counted in the digits, without the classes' lists
         sizes = sequences.class_sizes(m)
     else:
-        classes = sequences.class_partition(m).classes
+        classes = sequences.class_partition(m)
     if args.format == "json":
         import json
 

@@ -1,26 +1,28 @@
 """Linear complexity and k-error linear complexity engines.
 
 linear_complexity is the one entry point for LC, and the one place that
-picks an LC engine, from the alphabet q and the period N. A period N = p^n,
-p a prime above q with q^{p-1} != 1 mod p^2, goes to the cyclotomic engine
-(method "cyclotomic"), which tests which factors f_t(X^{p^{j-1}}) of
-X^N - 1 divide S(X), the f_t being the factors of 1 + Y + ... + Y^{p-1}
-over F_q that _cyclotomic_split finds by Gaussian periods. In-process on a
-shared 2-core host it takes 0.08 s on the m-ary period at (79,2) order 13
-and 2 ms on the binary class period at (3,11), where the quadratic engines
-took 25-35 s and 3.8 s. Every other binary sequence goes
-to lc_binary (method "bitmask_gcd"), one Euclid loop on F_2[X] bitmasks
-with the remainder step inlined; an F_q sequence whose period is a power
-of q goes to the generalised Games-Chan recursion (method "games_chan");
-any other F_q sequence, at every prime q, the base-q Wieferich pairs such
-as q = 3, p = 11 included, goes to lc_via_gcd, the gcd formula LC = T -
-deg gcd(X^T - 1, S(X)) (method "packed_gcd"). The F_q engines hold a
-period as one int of W-bit lanes (_lanes), two 4-bit lanes to a byte at
-the smallest alphabets, and reduce every lane mod q at once by the same
-masked subtraction (_lane_reduction). lc_binary,
-lc_via_gcd, berlekamp_massey and lc_games_chan_lists (Games-Chan on Python
-lists, at periods p^n) are the oracles the engines are cross-checked
-against.
+picks an LC engine, from the alphabet q and the period N. A period N = p^n
+goes to one engine, _lc_cyclotomic, by one division rule: over F_q, X^N -
+1 = (X - 1) prod_j Phi_p(X^{p^{j-1}}), Phi_p(Y) = 1 + Y + ... + Y^{p-1},
+and each copy of a factor f of Phi_p, of degree d, whose f(X^{p^{j-1}})
+does not divide S(X) adds d p^{j-1} to the LC. When q = p, Phi_p = (Y -
+1)^{p-1} and the rule is generalised Games-Chan (method "games_chan");
+when q < p with q^{p-1} != 1 mod p^2, the factors are the distinct f_t
+that _cyclotomic_split finds by Gaussian periods (method "cyclotomic").
+In-process on a shared 2-core host it takes 0.05 s on the m-ary period at
+(79,2) order 13, 2 ms on the binary class period at (3,11) and 10 ms on a
+random F_257 period 257^2, where the quadratic engines took 25-35 s and
+3.8 s and a Taylor-shift Games-Chan 40 ms. Every other binary sequence
+goes to lc_binary (method "bitmask_gcd"), one Euclid loop on F_2[X]
+bitmasks with the remainder step inlined; any other F_q sequence, at
+every prime q, the base-q Wieferich pairs such as q = 3, p = 11 included,
+goes to lc_via_gcd, the gcd formula LC = T - deg gcd(X^T - 1, S(X))
+(method "packed_gcd"). The engines hold a period as one int of W-bit
+lanes (_lanes), 1-bit lanes at q = 2 and two 4-bit lanes to a byte at the
+next smallest alphabets, and reduce every lane mod q at once by the same
+masked subtraction (_lane_reduction). lc_binary, lc_via_gcd,
+berlekamp_massey and lc_games_chan_lists (Games-Chan on Python lists, at
+periods p^n) are the oracles the engines are cross-checked against.
 berlekamp_massey is one loop on the Euclid's lanes for every prime field
 (4-bit lanes over F_3, 1-bit lanes and XOR over F_2); on the 100 random
 sequences of verify's oracles suite it takes 7.4-10.7 ms over seeds 0-9,
@@ -111,12 +113,10 @@ def berlekamp_massey(seq: PeriodicSequence, fieldp: PrimeField) -> int:
         )
     p = fieldp.p
     s = seq.symbols * 2
-    if p == 2:
-        W, c = 1, _mask(s)
-    else:
-        W = _lane_width(p << (p - 1).bit_length() - 1)
-        c = _lanes(s, W)
-        G, steps = _lane_reduction(p, W, len(s) + 1)
+    W = 1 if p == 2 else _lane_width(p << (p - 1).bit_length() - 1)
+    c = _lanes(s, W)
+    if p != 2:
+        G, steps = _lane_reduction(p, W, len(s) + 1, p - 1)
     lane = (1 << W) - 1
     b, L, inv = c << W, 0, 1  # inv = 1 / d_B
     for n in range(len(s)):
@@ -135,9 +135,6 @@ def berlekamp_massey(seq: PeriodicSequence, fieldp: PrimeField) -> int:
     return L
 
 
-# Maps a byte to ASCII "1" when its bit 0 is set, else "0".
-_BIT_PLANE0 = bytes(48 + (v & 1) for v in range(256))
-
 # Maps a byte below 16 to itself moved into the high nibble.
 _HIGH_NIBBLE = bytes(v << 4 & 0xFF for v in range(256))
 
@@ -153,13 +150,17 @@ def _lane_width(v: int) -> int:
 def _lanes(symbols: bytes | tuple[int, ...], W: int) -> int:
     """The symbols as one int of little-endian W-bit lanes, lane i holding symbols[i].
 
-    4-bit lanes put two symbols in a byte, the even indices in the low
-    nibble and the odd ones in the high nibble: one int.from_bytes of each
-    stride-2 slice, the odd one moved up by a translate, and an OR. They
-    take bytes storage, which every alphabet below 8 has. Wider lanes from
-    bytes storage are one stride assignment, from tuple storage a join of
-    int.to_bytes.
+    1-bit lanes, an F_2[X] bitmask of 0/1 symbols, are one int parse of the
+    reversed symbols as ASCII digits: linear in the length, where OR-ing in
+    one bit at a time is quadratic. 4-bit lanes put two symbols in a byte,
+    the even indices in the low nibble and the odd ones in the high nibble:
+    one int.from_bytes of each stride-2 slice, the odd one moved up by a
+    translate, and an OR. They take bytes storage, which every alphabet
+    below 8 has. Wider lanes from bytes storage are one stride assignment,
+    from tuple storage a join of int.to_bytes.
     """
+    if W == 1:
+        return int(bytes(symbols[::-1]).translate(bytes.maketrans(b"\0\1", b"01")), 2)
     if W == 4:
         return (int.from_bytes(symbols[::2], "little")
                 | int.from_bytes(symbols[1::2].translate(_HIGH_NIBBLE), "little"))
@@ -172,66 +173,32 @@ def _lanes(symbols: bytes | tuple[int, ...], W: int) -> int:
     return int.from_bytes(lanes, "little")
 
 
-def _lane_reduction(p: int, W: int, n: int) -> tuple[int, list[tuple[int, int]]]:
+def _lane_reduction(p: int, W: int, n: int, vmax: int) -> tuple[int, list[tuple[int, int]]]:
     """The mask G and the steps (C, v) of the masked lane reduction mod p, on n W-bit lanes.
 
-    G holds bit W-1 of each lane. For v = p 2^k, k = K-1 down to 0, K =
-    bit_length(p-1), C holds 2^{W-1} - v in each lane, so bit W-1 of t + C
-    is set where lane t >= v, and t - (((t + C) & G) >> (W-1)) v subtracts
-    v there. Each step halves the bound: lanes below p 2^K, such as a
-    multiply-add's p(p-1), end below p, which needs p 2^{K-1} < 2^{W-1}.
-    The last step, v = p, alone takes lanes below 2p to below p, and needs
-    only p < 2^{W-1}.
+    The steps reduce a lane t + v a, t and a below p and v <= vmax, which
+    is below p 2^K, K = bit_length(vmax). G holds bit W-1 of each lane. For
+    v = p 2^k, k = K-1 down to 0, C holds 2^{W-1} - v in each lane, so bit
+    W-1 of t + C is set where lane t >= v, and t - (((t + C) & G) >> (W-1))
+    v subtracts v there. Each step halves the bound, so lanes end below p,
+    which needs p 2^{K-1} < 2^{W-1}. At vmax = 1 the one step, v = p, takes
+    a sum of two lanes below p to below p, and needs only p < 2^{W-1}.
     """
     ones = ((1 << W * n) - 1) // ((1 << W) - 1)  # 1 in each of n lanes
     return ones << W - 1, [(ones * ((1 << W - 1) - v), v)
-                           for v in (p << k for k in reversed(range((p - 1).bit_length())))]
-
-
-def _lc_games_chan(seq: PeriodicSequence) -> int:
-    """Linear complexity over F_p of a sequence whose period N is a power of p.
-
-    Generalised Games-Chan (Ding, Xiao, Shan, LNCS 561, 1991), O(pN) steps.
-    With blocks A_j of length m = N/p, S(X) = sum_j A_j(X) Y^j, Y = X^m, and
-    X^N - 1 = (Y - 1)^p = (X - 1)^N over F_p. Shifting Y -> Y + 1 gives
-    S = sum_j B_j(X) (Y - 1)^j. The first nonzero B_j has degree < m, so its
-    root-1 multiplicity is below that of Y - 1 = (X - 1)^m, and LC(S) =
-    (p - 1 - j) m + LC(B_j) at period m. A zero sequence keeps its zero last
-    block, down to LC 0. The period is one int of W-bit lanes (_lanes),
-    W = _lane_width(p): 4 up to p = 7, 8 up to 127, 16 up to 2^15, 24 up to
-    2^23 and wider past that, 72 at p = 2^64 + 13, which the tests reach at
-    period 1. A block is a slice of lanes, and a sum t of two blocks is at
-    most 2p - 2; the last step of _lane_reduction, v = p, reduces it, and
-    with C = 2^{W-1} - p, t + C <= 2^{W-1} + p - 2 < 2^W (at most 15 on
-    4-bit lanes), so no lane carries into the next. The caller checks that
-    p is prime and N a power of p.
-    """
-    p, N = seq.alphabet_size, seq.period
-    W = _lane_width(p)
-    x, lc = _lanes(seq.symbols, W), 0
-    while N > 1:
-        N //= p
-        block = (1 << W * N) - 1
-        G, steps = _lane_reduction(p, W, N)
-        C = steps[-1][0]
-        blocks = [x >> j * W * N & block for j in range(p)]
-        for i in range(p - 1):  # sum_j A_j Y^j -> sum_j A_j (Y + 1)^j, Horner style
-            for j in range(p - 2, i - 1, -1):
-                t = blocks[j] + blocks[j + 1]
-                blocks[j] = t - (((t + C) & G) >> W - 1) * p
-        j = next((j for j in range(p) if blocks[j]), p - 1)
-        lc += (p - 1 - j) * N
-        x = blocks[j]
-    return lc + (x != 0)
+                           for v in (p << k for k in reversed(range(vmax.bit_length())))]
 
 
 def lc_games_chan_lists(seq: PeriodicSequence) -> int:
     """Linear complexity over F_p at period N = p^n, Games-Chan on Python lists.
 
-    The recursion of _lc_games_chan, with each block a list of symbols and
-    each Horner sum reduced symbol by symbol. A named oracle: verify's lc-p
-    suite checks linear_complexity's lane engine against it at every size.
-    Raises ValueError unless p is prime and N is a power of p.
+    With blocks A_j of length m = N/p, S(X) = sum_j A_j(X) Y^j, Y = X^m,
+    and X^N - 1 = (Y - 1)^p over F_p. The Taylor shift Y -> Y + 1, p(p-1)/2
+    Horner sums of blocks reduced symbol by symbol, gives S = sum_j B_j(X)
+    (Y - 1)^j, and at the first nonzero B_j, LC(S) = (p - 1 - j) m + LC(B_j)
+    at period m. A named oracle: verify's lc-p suite checks
+    linear_complexity's lane engine against it at every size. Raises
+    ValueError unless p is prime and N is a power of p.
     """
     p, N = _field_size(seq), seq.period
     if p ** round(math.log(N, p)) != N:
@@ -270,7 +237,7 @@ def _gcd_packed(a: int, b: int, p: int, W: int, n: int) -> int:
     every lane back below p; they need p 2^{K-1} < 2^{W-1}, which 4-bit
     lanes meet at p = 2 and 3 (p(p-1) at most 6 < 2^3).
     """
-    G, steps = _lane_reduction(p, W, n)
+    G, steps = _lane_reduction(p, W, n, p - 1)
     while b:
         db = (b.bit_length() - 1) // W
         inv = pow(b >> W * db, -1, p)
@@ -345,15 +312,6 @@ def lc_binary(mask: int, period: int) -> int:
     return period + 1 - _bgcd((1 << period) | 1, mask).bit_length()
 
 
-def _mask(bits: Sequence[int]) -> int:
-    """0/1 values as an F_2[X] bitmask, bit i holding bits[i].
-
-    One int parse of the reversed bits as ASCII digits, through bit plane 0:
-    linear in the length, where OR-ing in one bit at a time is quadratic.
-    """
-    return int(bytes(bits[::-1]).translate(_BIT_PLANE0), 2)
-
-
 @functools.cache
 def _cyclotomic_split(p: int, q: int) -> tuple[tuple[int, ...], ...] | None:
     """The factors of Phi_p(Y) = 1 + Y + ... + Y^{p-1} over F_q, or None.
@@ -412,88 +370,98 @@ def _cyclotomic_split(p: int, q: int) -> tuple[tuple[int, ...], ...] | None:
     return tuple(factors)
 
 
-def _lc_cyclotomic(seq: PeriodicSequence, p: int, factors: tuple) -> int:
-    """LC over F_q at period N = p^n from the factors of X^N - 1, q < p, q^{p-1} != 1 mod p^2.
+def _lc_cyclotomic(seq: PeriodicSequence, p: int, factors: list) -> int:
+    """LC over F_q at period N = p^n from the factors of Phi_p(Y) = 1 + Y + ... + Y^{p-1}.
 
-    Over F_q, X^N - 1 = (X - 1) prod_{j=1..n} Phi_p(X^M), M = p^{j-1}, is
-    squarefree as q does not divide N. The factors f_t of Phi_p
-    (_cyclotomic_split) have degree d = ord_p(q), and ord_{p^j}(q) =
-    p^{j-1} d when q^{p-1} != 1 mod p^2, so each f_t(X^M) is irreducible of
-    degree dM (its roots are primitive p^j-th roots of unity). So LC =
-    [S(1) != 0] + the sum of dM over the pairs (j, t) where f_t(X^M) does
-    not divide S. With S_j = S mod (X^{pM} - 1) and Y = X^M, f_t(X^M)
-    divides S exactly when f_t(Y) divides every column c_i(Y) = sum_k
-    S_j[i + kM] Y^k, i < M. S_j is held as p blocks of M lanes, block k the
-    Y^k coefficients of every column, and one long division by f_t takes
-    all M columns at once: (p - d) d block multiply-adds, each followed by
-    _lane_reduction's steps on the W-bit lanes of _gcd_packed (4 bits at
-    q = 3), or an XOR on 1-bit lanes at q = 2. At e = 1 no division is
-    needed: a column has degree < p, so Phi_p divides it only when it is
-    constant, that is when the p blocks are equal. S_{j-1} is the lane sum
-    of the p blocks.
+    factors holds pairs (f, copies), f monic over F_q with its coefficients
+    Y^0 first and copies its multiplicity in Phi_p. X^N - 1 = (X - 1)
+    prod_{j=1..n} Phi_p(X^M), M = p^{j-1}, and each copy of an f(X^M) that
+    does not divide S adds dM to the LC, d = deg f. When q = p, Phi_p =
+    (Y - 1)^{p-1}, factors is [((p-1, 1), p-1)], and this is generalised
+    Games-Chan (Ding, Xiao, Shan, LNCS 561, 1991). When q < p and q^{p-1}
+    != 1 mod p^2, the e distinct factors from _cyclotomic_split have degree
+    d = ord_p(q) = ord_{p^j}(q) / p^{j-1}, so each f_t(X^M) is irreducible.
+
+    Level j holds S_j = S mod (X^{pM} - 1) as p blocks of M lanes, block k
+    the Y^k coefficients, Y = X^M, of every column c_i(Y) = sum_k S_j[i +
+    kM] Y^k, i < M, and f(X^M) divides S_j exactly when f(Y) divides every
+    column. One in-place long division by f takes all M columns at once,
+    block multiply-adds each followed by _lane_reduction's steps, or XORs
+    on 1-bit lanes at q = 2. A zero remainder replaces the blocks with the
+    quotient for the next copy; the first copy that leaves one adds dM for
+    itself and each copy left, and the next factor divides the blocks as
+    they are. So the divisions stop at the first failing copy, where a
+    Taylor shift takes all p(p-1)/2 block sums. The next level is the lane
+    sum Q(1) of the blocks, the quotient Q = S_j / g by the copies g that
+    divide: Games-Chan's first nonzero Taylor block when q = p, and
+    S_{j-1} / g(1), g(1) != 0, when q < p. The lanes have W =
+    _lane_width(q 2^{K-1}) bits, K = bit_length(vmax), vmax the largest
+    multiplier q - c of a leading block, and the reduction takes
+    _lane_reduction's last K steps; at q = p, vmax = 1: 4-bit lanes up to
+    q = 7, 72-bit at q = 2^64 + 13 (reached by the tests at period 1), and
+    one step. The caller checks the conditions on p, q and N.
     """
     q, M = seq.alphabet_size, seq.period
-    if q == 2:
-        W, x = 1, _mask(seq.symbols)
-    else:
-        W = _lane_width(q << (q - 1).bit_length() - 1)
-        x = _lanes(seq.symbols, W)
-    d = len(factors[0]) - 1
-    # subtracting c Y^k times a leading block is adding (q - c) times it
-    subtract = [] if len(factors) == 1 else [
-        [(k, q - c) for k, c in enumerate(f[:d]) if c] for f in factors]
-    lc = 0
+    # subtracting c Y^k times a leading block is adding v = q - c times it
+    divisors = [(len(f) - 1, [(k, q - c) for k, c in enumerate(f[:-1]) if c], copies)
+                for f, copies in factors]
+    vmax = max(v for _, terms, _ in divisors for _, v in terms)
+    W = 1 if q == 2 else _lane_width(q << vmax.bit_length() - 1)
+    x, lc = _lanes(seq.symbols, W), 0
     while M > 1:
         M //= p
         block = (1 << W * M) - 1
         blocks = [x >> W * M * k & block for k in range(p)]
+        if q != 2:
+            G, steps = _lane_reduction(q, W, M, vmax)
+        for d, terms, copies in divisors:
+            for left in range(copies, 0, -1):
+                rem = blocks[:]
+                for top in range(len(rem) - 1, d - 1, -1):
+                    lead = rem[top]
+                    if not lead:
+                        continue
+                    for k, v in terms:
+                        t = rem[top - d + k]
+                        if q == 2:
+                            t ^= lead
+                        else:
+                            t += v * lead if v > 1 else lead
+                            for C, u in steps:
+                                t -= (((t + C) & G) >> W - 1) * u
+                        rem[top - d + k] = t
+                if any(rem[:d]):
+                    lc += d * M * left
+                    break
+                blocks = rem[d:]
         if q == 2:
             x = functools.reduce(int.__xor__, blocks)
         else:
-            G, steps = _lane_reduction(q, W, M)
-            C = steps[-1][0]
-            x = 0
-            for b in blocks:
+            x = blocks[0]
+            for b in blocks[1:]:
                 x += b
-                x -= (((x + C) & G) >> W - 1) * q
-        if not subtract:  # e = 1
-            lc += d * M * (blocks.count(blocks[0]) != p)
-        for terms in subtract:
-            rem = blocks[:]
-            for top in range(p - 1, d - 1, -1):
-                lead = rem[top]
-                if not lead:
-                    continue
-                for k, v in terms:
-                    t = rem[top - d + k]
-                    if q == 2:
-                        t ^= lead
-                    else:
-                        t += v * lead
-                        for C, u in steps:
-                            t -= (((t + C) & G) >> W - 1) * u
-                    rem[top - d + k] = t
-            if any(rem[:d]):
-                lc += d * M
+                x -= (((x + steps[-1][0]) & G) >> W - 1) * q
     return lc + (x != 0)
 
 
 def linear_complexity(seq: PeriodicSequence) -> tuple[int, str]:
     """Linear complexity over the sequence's prime alphabet q, with its engine.
 
-    A period N = p^n, p a prime above q with q^{p-1} != 1 mod p^2, takes the
-    cyclotomic engine _lc_cyclotomic ("cyclotomic"), when _cyclotomic_split
-    finds every factor of Phi_p over F_q. A prime period N = p takes it only
-    when q is primitive modulo p (e = 1, Phi_p itself): for e >= 2 the split
-    runs up to q gcds per factor at degree p, more than the one Euclid of
-    the fallback at that degree, while from n = 2 on they stay below its
-    N^2 = p^{2n} lane steps. Every other period keeps its engine: binary
-    input the bitmask F_2[X] gcd ("bitmask_gcd"); F_q at a period that is a
-    power of q Games-Chan on packed lanes ("games_chan"); any other period,
-    at every prime q, the packed Euclid of lc_via_gcd ("packed_gcd"). So
-    q > p keeps these engines, and so do the base-q Wieferich pairs, such as
-    q = 3 at N = 11^2 (3^10 = 1 mod 121) or q = 2 at N = 1093, where some
-    f_t(X^M) is reducible. Raises ValueError when q is not prime.
+    A period N = p^n goes to _lc_cyclotomic, which divides every level's
+    columns by the factors of Phi_p(Y) over F_q, copy by copy. A power of q
+    ("games_chan") gives it Phi_q = (Y - 1)^{q-1}. A power of a prime p
+    above q with q^{p-1} != 1 mod p^2 ("cyclotomic") gives it the distinct
+    factors of _cyclotomic_split, when the split finds them all; a prime
+    period N = p only when q is primitive modulo p (e = 1, Phi_p itself):
+    for e >= 2 the split runs up to q gcds per factor at degree p, more
+    than the one Euclid of the fallback at that degree, while from n = 2
+    on they stay below its N^2 = p^{2n} lane steps. Every other period
+    keeps its engine: binary input the bitmask F_2[X] gcd ("bitmask_gcd"),
+    q = 2 = p included; any other period, at every prime q, the packed
+    Euclid of lc_via_gcd ("packed_gcd"). So q > p keeps these engines, and
+    so do the base-q Wieferich pairs, such as q = 3 at N = 11^2 (3^10 = 1
+    mod 121) or q = 2 at N = 1093, where some f_t(X^M) is reducible.
+    Raises ValueError when q is not prime.
     """
     q, N = _field_size(seq), seq.period
     primes = factorint(N)
@@ -502,11 +470,11 @@ def linear_complexity(seq: PeriodicSequence) -> tuple[int, str]:
             and (N > p or n_order(q, p) == p - 1)):
         factors = _cyclotomic_split(p, q)
         if factors:
-            return _lc_cyclotomic(seq, p, factors), "cyclotomic"
+            return _lc_cyclotomic(seq, p, [(f, 1) for f in factors]), "cyclotomic"
     if q == 2:
-        return lc_binary(_mask(seq.symbols), N), "bitmask_gcd"
-    if primes.keys() <= {q}:  # N is a power of q
-        return _lc_games_chan(seq), "games_chan"
+        return lc_binary(_lanes(seq.symbols, 1), N), "bitmask_gcd"
+    if primes.keys() <= {q}:  # N is a power of q: Phi_q = (Y - 1)^{q-1} over F_q
+        return _lc_cyclotomic(seq, q, [((q - 1, 1), q - 1)]), "games_chan"
     return lc_via_gcd(seq), "packed_gcd"
 
 
@@ -538,7 +506,7 @@ def kerror_lc_bruteforce(
     binary and 0 <= k_max <= period.
     """
     _check_kerror_args(seq, k_max)
-    mask = _mask(seq.symbols)
+    mask = _lanes(seq.symbols, 1)
     period = seq.period
     best = lc_binary(mask, period)
     profile = [(0, best, True)]
@@ -612,7 +580,7 @@ def _cyclic_codes(p: int) -> tuple | None:
         return None
     codes = []
     for f in _cyclotomic_split(p, 2):
-        g = _mask(f)
+        g = _lanes(f, 1)
         code = [0]
         for i in range(h):
             code += [w ^ (g << i) for w in code]

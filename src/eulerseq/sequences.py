@@ -98,19 +98,6 @@ class PeriodicSequence:
         return PeriodicSequence(2, self.period, out)
 
 
-@dataclass(frozen=True)
-class ClassPartition:
-    """The classes D_0..D_{p-1} of units modulo p^{r+1}.
-
-    D_l holds the units u with top quotient digit H_{r-1}(u) = l, in
-    ascending order; each has exactly p^{r-1}(p-1) elements. The rest of
-    [0, p^{r+1}) is P = range(0, p^{r+1}, p), the multiples of p.
-    """
-
-    modulus: PrimePowerModulus  # read by perfbench's tracer to count symbols
-    classes: list[list[int]]
-
-
 def _quotient_blocks(
     p: int,
     m: int,
@@ -212,13 +199,18 @@ def top_digits(m: PrimePowerModulus, on_multiples: int = 0) -> bytearray | list[
     return _quotient_blocks(p, m.r, False, on_multiples, wide, tables)
 
 
-def class_partition(m: PrimePowerModulus) -> ClassPartition:
-    """D_0..D_{p-1} modulo p^{r+1}, each an ascending list, from one pass over u."""
+def class_partition(m: PrimePowerModulus) -> list[list[int]]:
+    """The classes D_0..D_{p-1} of units modulo p^{r+1}, from one pass over u.
+
+    D_l holds the units u with top quotient digit H_{r-1}(u) = l, in
+    ascending order; each has exactly p^{r-1}(p-1) elements. The rest of
+    [0, p^{r+1}) is P = range(0, p^{r+1}, p), the multiples of p.
+    """
     digits = top_digits(m, on_multiples=m.p)  # first: it sizes the period's buffer
     classes: list[list[int]] = [[] for _ in range(m.p + 1)]  # the last one is P
     for u, h in enumerate(digits):
         classes[h].append(u)
-    return ClassPartition(m, classes[:-1])
+    return classes[:-1]
 
 
 def class_sizes(m: PrimePowerModulus) -> list[int]:

@@ -155,7 +155,7 @@ def suite_lc_p(p: int, r: int, seed: int = 0) -> list[CheckResult]:
 
     Two engines check it at every size: lc_games_chan_lists, Games-Chan on
     Python lists, and linear_complexity, whose line is labelled with the
-    engine it picked (Games-Chan on packed lanes).
+    engine it picked (division by powers of Y - 1 on packed lanes).
     """
     m = PrimePowerModulus(p, r)
     seq = level_sequence(m, r - 1)

@@ -809,7 +809,7 @@ class TestPartition:
     # listing builds each class's list: their sizes must agree
     @pytest.mark.parametrize("p,r", [*((3, r) for r in range(1, 7)), (5, 3), (7, 2), (257, 1)])
     def test_summary_sizes_match_the_classes(self, p, r, capsys):
-        sizes = [len(c) for c in class_partition(PrimePowerModulus(p, r)).classes]
+        sizes = [len(c) for c in class_partition(PrimePowerModulus(p, r))]
         argv = ["partition", "--p", str(p), "--r", str(r), "--summary"]
         code, stdout, _ = run(capsys, *argv)
         assert (code, stdout) == (0, f"|D_l| = [{', '.join(map(str, sizes))}], |P| = {p**r}\n")

@@ -273,7 +273,7 @@ class TestLinearComplexity:
             syms = tuple(rng.randrange(2) for _ in range(T))
             s = PeriodicSequence(2, T, syms)
             mask = sum(b << i for i, b in enumerate(syms))
-            assert complexity._mask(s.symbols) == mask  # bit i holds symbol i
+            assert complexity._lanes(s.symbols, 1) == mask  # bit i holds symbol i
             assert lc_binary(mask, T) == lc_via_gcd(s)
 
 
@@ -300,19 +300,31 @@ def lc_and_oracle(seq):
 
 
 class TestGcdOracle:
-    """At p^n periods linear_complexity takes Games-Chan on packed lanes for
-    odd p; the gcd definition (the packed Euclid, on the same lane format),
+    """At p^n periods over F_p, p odd, linear_complexity divides by the p - 1
+    copies of Y - 1 in the cyclotomic engine ("games_chan"); the gcd
+    definition (the packed Euclid, on the same lane format),
     Berlekamp-Massey and Games-Chan on lists (lc_games_chan_lists) check
     it."""
 
     @settings(max_examples=300, deadline=None)
     @given(prime_power_periods())
+    @example(PeriodicSequence(5, 125, (0,) * 125))
+    @example(PeriodicSequence(5, 125, (3,) * 125))
+    @example(PeriodicSequence(7, 49, (1,) + (0,) * 48))  # coprime to (X - 1)^49
+    # one block repeated p times: every power of Y - 1 divides at the top level
+    @example(PeriodicSequence(3, 81, (2, 0, 1, 1, 0, 0, 2, 1, 2) * 9))
+    @example(PeriodicSequence(11, 121, tuple(range(11)) * 11))
     def test_matches_berlekamp_massey_at_prime_power_periods(self, seq):
         bm = berlekamp_massey(seq, PrimeField(seq.alphabet_size))
         assert lc_via_gcd(seq) == bm
         assert lc_games_chan_lists(seq) == bm
         method = "bitmask_gcd" if seq.alphabet_size == 2 else "games_chan"
         assert linear_complexity(seq) == (bm, method)
+
+    def test_lists_oracle_refuses_other_periods(self):
+        for p, T in ((2, 12), (3, 6), (5, 24), (13, 26)):
+            with pytest.raises(ValueError, match=f"^period {T} is not a power of"):
+                lc_games_chan_lists(PeriodicSequence(p, T, (1,) * T))
 
     def test_edge_cases(self):
         for p in (2, 3, 5, 7):
@@ -329,8 +341,8 @@ class TestGcdOracle:
     def test_lanes_match_lists_past_byte_lanes(self, p):
         # p > 128 takes 16-bit lanes; the r = 1 top-level sequence has period p^2
         seq = level_sequence(PrimePowerModulus(p, 1), 0)
-        lanes = complexity._lc_games_chan(seq)
-        assert lc_games_chan_lists(seq) == lanes == 2 * p - 1
+        assert linear_complexity(seq) == (2 * p - 1, "games_chan")
+        assert lc_games_chan_lists(seq) == 2 * p - 1
 
     @pytest.mark.parametrize("p", [7, 11, 127, 131, 257])
     def test_lane_width_boundary(self, p):
@@ -348,10 +360,10 @@ class TestGcdOracle:
             return [PeriodicSequence(p, N, tuple(s)) for s in (dense, sparse, [p - 1] * N)]
 
         for seq in periods(p):
-            assert complexity._lc_games_chan(seq) == berlekamp_massey(seq, PrimeField(p))
+            assert linear_complexity(seq) == (berlekamp_massey(seq, PrimeField(p)), "games_chan")
         if p < 257:
             for seq in periods(p * p):
-                assert complexity._lc_games_chan(seq) == lc_games_chan_lists(seq)
+                assert linear_complexity(seq) == (lc_games_chan_lists(seq), "games_chan")
 
     def test_alphabet_past_every_array_type(self):
         # 2^64 + 13 is a prime below the Miller-Rabin bound whose symbols fit
@@ -405,8 +417,9 @@ class TestCyclotomicEngine:
     def test_matches_the_gcd_oracles(self, seq):
         q, N = seq.alphabet_size, seq.period
         p = sympy.primefactors(N)[0]
-        oracle = lc_binary(complexity._mask(seq.symbols), N) if q == 2 else lc_via_gcd(seq)
-        assert complexity._lc_cyclotomic(seq, p, complexity._cyclotomic_split(p, q)) == oracle
+        oracle = lc_binary(complexity._lanes(seq.symbols, 1), N) if q == 2 else lc_via_gcd(seq)
+        factors = [(f, 1) for f in complexity._cyclotomic_split(p, q)]
+        assert complexity._lc_cyclotomic(seq, p, factors) == oracle
         if N == p and sympy.n_order(q, p) < p - 1:  # a prime period with e >= 2
             method = "bitmask_gcd" if q == 2 else "packed_gcd"
         else:
@@ -563,7 +576,7 @@ class TestKErrorBruteForce:
             return real(mask, period)
 
         monkeypatch.setattr(complexity, "lc_binary", counting_lc_binary)
-        lc = real(complexity._mask(seq.symbols), seq.period)
+        lc = real(complexity._lanes(seq.symbols, 1), seq.period)
         assert kerror_lc_bruteforce(seq, 1) == [(0, lc, True), (1, lc, False)]
 
     def test_budget_charge_above_1024(self):

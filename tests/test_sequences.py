@@ -87,32 +87,32 @@ class TestClassPartition:
     @pytest.mark.parametrize("p,r", [(3, 2), (3, 3), (5, 2)])
     def test_invariants(self, p, r):
         m = PrimePowerModulus(p, r)
-        part = class_partition(m)
+        classes = class_partition(m)
         size = p ** (r - 1) * (p - 1)
-        assert all(len(c) == size for c in part.classes)
-        assert all(c == sorted(set(c)) for c in part.classes)
+        assert all(len(c) == size for c in classes)
+        assert all(c == sorted(set(c)) for c in classes)
         everything = set(range(0, m.sequence_period, p))  # P
-        for c in part.classes:
+        for c in classes:
             assert not (everything & set(c))
             everything |= set(c)
         assert everything == set(range(m.sequence_period))
 
     def test_membership_round_trip(self):
         m = PrimePowerModulus(3, 2)
-        part = class_partition(m)
-        for l, c in enumerate(part.classes):
+        classes = class_partition(m)
+        for l, c in enumerate(classes):
             for u in c:
                 assert u % 3 != 0
                 assert new_quotient_h(m, u) == l
-        assert 2 in part.classes[2]
+        assert 2 in classes[2]
 
     @pytest.mark.parametrize("p,r", [(3, 2), (3, 3), (5, 2)])
     def test_explicit_lift_form(self, p, r):
         # D_l = {v + m_lv p^r : units v < p^r}, m_lv = v (H(v) - l) mod p
         m = PrimePowerModulus(p, r)
-        part = class_partition(m)
+        classes = class_partition(m)
         pr = p**r
-        for l, c in enumerate(part.classes):
+        for l, c in enumerate(classes):
             lifted = set()
             for v in range(1, pr):
                 if v % p == 0:
@@ -125,11 +125,11 @@ class TestClassPartition:
     def test_reduction_fibers(self, p, r):
         # mod p^j each class covers Z*_{p^j} with fibers of size p^{r-j}
         m = PrimePowerModulus(p, r)
-        part = class_partition(m)
+        classes = class_partition(m)
         for j in range(1, r + 1):
             pj = p**j
             units = {x for x in range(pj) if x % p != 0}
-            for c in part.classes:
+            for c in classes:
                 from collections import Counter
 
                 counts = Counter(u % pj for u in c)
